@@ -461,15 +461,14 @@ def _parse_off(lines: list[str]) -> tuple[np.ndarray, np.ndarray]:
             raise MeshError(f"invalid OFF vertex {i}: {' '.join(row)}") from exc
         verts.append((x, y, z))
     faces = []
-    for i in range(nv, nv + nf):
-        row = rows[i]
+    for i, row in enumerate(rows[nv:nv + nf]):
         try:
-            k = int(row[0])
+            k, a, b, c = (int(s) for s in row[:4])
         except ValueError as exc:
-            raise MeshError(f"invalid OFF face line: {' '.join(row)}") from exc
+            raise MeshError(f"invalid OFF face {i}: {' '.join(row)}") from exc
         if k != 3:
             raise MeshError(f"only triangular faces are supported, got a {k}-gon")
-        faces.append([int(x) for x in row[1:4]])
+        faces.append((a, b, c))
     return np.asarray(verts), np.asarray(faces, dtype=np.int64)
 
 
@@ -481,17 +480,21 @@ def _parse_obj(lines: list[str]) -> tuple[np.ndarray, np.ndarray]:
         if not row:
             continue
         if row[0] == "v":
-            if len(row) < 4:
-                raise MeshError(f"invalid OBJ vertex line: {raw.strip()}")
-            verts.append([float(x) for x in row[1:4]])
+            try:
+                x, y, z = (float(s) for s in row[1:4])
+            except ValueError as exc:
+                raise MeshError(f"invalid OBJ vertex line: {raw.strip()}") from exc
+            verts.append([x, y, z])
         elif row[0] == "f":
             refs = row[1:]
             if len(refs) != 3:
                 raise MeshError(f"only triangular faces are supported: {raw.strip()}")
             idx = []
             for ref in refs:
-                first = ref.split("/")[0]
-                i = int(first)
+                try:
+                    i = int(ref.split("/")[0])
+                except ValueError as exc:
+                    raise MeshError(f"invalid OBJ face line: {raw.strip()}") from exc
                 if i <= 0:
                     raise MeshError(f"unsupported OBJ vertex reference {ref!r}")
                 idx.append(i - 1)

@@ -1,4 +1,13 @@
-"""Jacobi-preconditioned conjugate gradients with rigid-translation deflation.
+"""Nodal block-Jacobi conjugate gradients with rigid-translation deflation.
+
+Systems are node-major (dof ``3*node + component``, see :mod:`.assembly`), so
+each node owns a 3x3 diagonal block of the stiffness. On a curved membrane
+that block carries the node's tangent/normal frame: it is stiff in the tangent
+plane and soft along the normal. The preconditioner inverts every such block,
+which makes CG invariant under a rigid rotation of the problem; scaling the
+x, y and z dofs separately would not be. Each block must be symmetric
+positive definite; a singular or indefinite block is reported with its node
+before the first iteration.
 
 Closed-surface membrane systems are symmetric positive semidefinite with the
 three global translations in the kernel (and, depending on geometry, further
@@ -12,6 +21,7 @@ import dataclasses
 import math
 
 import numpy as np
+import scipy.sparse as sp
 
 from .assembly import LinearSystem
 
@@ -82,15 +92,43 @@ def translation_basis(system: LinearSystem) -> np.ndarray:
     return q[:, keep]
 
 
+def _nodal_block_inverse(A) -> sp.bsr_matrix:
+    """Block-diagonal inverse of the 3x3 nodal diagonal blocks of ``A``.
+
+    Raises SolverError naming the first node whose block has smallest
+    eigenvalue <= 1e-12 times its largest (singular or indefinite).
+    """
+    ndof = A.shape[0]
+    blocks = np.empty((ndof // 3, 3, 3))
+    for a in range(3):
+        for b in range(3):
+            # A[3n+a, 3n+b] lies on diagonal b-a, starting at row/column min(a, b)
+            blocks[:, a, b] = A.diagonal(b - a)[min(a, b)::3]
+    lam, vec = np.linalg.eigh(blocks)
+    bad = np.flatnonzero(lam[:, 0] <= 1e-12 * lam[:, 2])
+    if bad.size:
+        node = int(bad[0])
+        lo, hi = lam[node, 0], lam[node, 2]
+        ratio = lo / hi if hi > 0 else -math.inf
+        raise SolverError(
+            f"nodal block of node {node} is not positive definite: smallest/largest "
+            f"eigenvalue ratio {ratio:.3e}; {bad.size} of {len(blocks)} nodal blocks fail"
+        )
+    inv = (vec / lam[:, None, :]) @ vec.transpose(0, 2, 1)
+    return sp.bsr_matrix((inv, np.arange(len(inv)), np.arange(len(inv) + 1)), shape=(ndof, ndof))
+
+
 def solve(system: LinearSystem, tol: float = 1e-10, max_iter: int | None = None,
-          deflate_translations: bool = False, x0: np.ndarray | None = None,
-          tikhonov: bool = False) -> tuple[np.ndarray, SolveReport]:
-    """Solve ``K u = b`` by preconditioned conjugate gradients.
+          deflate_translations: bool = False,
+          x0: np.ndarray | None = None) -> tuple[np.ndarray, SolveReport]:
+    """Solve ``K u = b`` by nodal block-Jacobi preconditioned conjugate gradients.
 
     Parameters
     ----------
     system : LinearSystem
-        Symmetric positive (semi)definite system.
+        Symmetric positive (semi)definite, node-major system (``ndof`` a
+        multiple of 3) whose 3x3 nodal diagonal blocks are each positive
+        definite.
     tol : float
         Relative residual target.
     max_iter : int, optional
@@ -101,9 +139,6 @@ def solve(system: LinearSystem, tol: float = 1e-10, max_iter: int | None = None,
     x0 : array, optional
         Initial guess (default zero; any translation component is removed
         when deflating).
-    tikhonov : bool
-        Diagnostic fallback: adds ``1e-12 * max(diag)`` to the diagonal.
-        Never needed for well-formed benchmark systems.
 
     Returns
     -------
@@ -111,6 +146,9 @@ def solve(system: LinearSystem, tol: float = 1e-10, max_iter: int | None = None,
 
     Raises
     ------
+    SolverError
+        If ``ndof`` is not a multiple of 3, or a nodal diagonal block is not
+        positive definite (the message names the node).
     NegativeCurvatureError
         If a search direction has non-positive curvature.
     IterationLimitError
@@ -120,19 +158,10 @@ def solve(system: LinearSystem, tol: float = 1e-10, max_iter: int | None = None,
     A = system.matrix
     b = system.rhs.astype(float).copy()
     ndof = system.ndof
+    if ndof % 3:
+        raise SolverError(f"system has {ndof} dofs; a node-major system needs a multiple of 3")
     if max_iter is None:
         max_iter = max(50, math.ceil(50.0 * math.sqrt(ndof)))
-
-    shift = 0.0
-    diag = A.diagonal()
-    if tikhonov:
-        shift = 1e-12 * float(diag.max())
-
-    def matvec(v):
-        out = A @ v
-        if shift:
-            out = out + shift * v
-        return out
 
     Z = translation_basis(system) if deflate_translations else None
     kdim = 0 if Z is None else Z.shape[1]
@@ -147,18 +176,15 @@ def solve(system: LinearSystem, tol: float = 1e-10, max_iter: int | None = None,
     if bnorm == 0.0:
         return np.zeros(ndof), SolveReport(0, 0.0, kdim, True)
 
-    d = diag + shift
-    if np.any(d <= 0):
-        raise SolverError("non-positive diagonal entry; system is not PSD")
-    inv_diag = 1.0 / d
+    M = _nodal_block_inverse(A)
 
     x = np.zeros(ndof) if x0 is None else np.asarray(x0, dtype=float).copy()
     if x.shape != (ndof,):
         raise SolverError(f"initial guess has wrong shape {x.shape}")
     x = deflate(x)
 
-    r = deflate(b - matvec(x))
-    z = inv_diag * r
+    r = deflate(b - A @ x)
+    z = M @ r
     p = z.copy()
     rz = float(r @ z)
     iterations = 0
@@ -166,7 +192,7 @@ def solve(system: LinearSystem, tol: float = 1e-10, max_iter: int | None = None,
 
     while not converged and iterations < max_iter:
         iterations += 1
-        Ap = matvec(p)
+        Ap = A @ p
         pAp = float(p @ Ap)
         if pAp <= 0.0:
             raise NegativeCurvatureError(
@@ -180,21 +206,21 @@ def solve(system: LinearSystem, tol: float = 1e-10, max_iter: int | None = None,
         r = deflate(r)
         if float(np.linalg.norm(r)) <= tol * bnorm:
             # guard against recurrence drift: recompute the true residual
-            r = deflate(b - matvec(x))
+            r = deflate(b - A @ x)
             if float(np.linalg.norm(r)) <= tol * bnorm:
                 converged = True
                 break
-            z = inv_diag * r
+            z = M @ r
             p = z.copy()
             rz = float(r @ z)
             continue
-        z = inv_diag * r
+        z = M @ r
         rz_new = float(r @ z)
         beta = rz_new / rz
         p = z + beta * p
         rz = rz_new
 
-    final = deflate(b - matvec(x))
+    final = deflate(b - A @ x)
     report = SolveReport(
         iterations=iterations,
         relative_residual=float(np.linalg.norm(final)) / bnorm,

@@ -277,6 +277,19 @@ def test_import_off_rejects_numpy_scalar_repr(tmp_path):
     assert "np.float64(0.0)" in str(info.value)
 
 
+@pytest.mark.parametrize("name, text, line", [
+    ("face.off", "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 x\n", "3 0 1 x"),
+    ("short.off", "OFF\n4 2 0\n0 0 0\n1 0 0\n0 1 0\n1 1 0\n3 0 1 2\n3 1 3\n", "3 1 3"),
+    ("vertex.obj", "v 0 0 0\nv 1 0 x\nv 0 1 0\nf 1 2 3\n", "v 1 0 x"),
+    ("face.obj", "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 x\n", "f 1 2 x"),
+], ids=["off-face", "off-short-face", "obj-vertex", "obj-face"])
+def test_import_bad_number_names_the_line(tmp_path, name, text, line):
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(MeshError) as info:
+        import_mesh(path)
+    assert line in str(info.value)
+
 def test_import_obj(tmp_path):
     path = tmp_path / "tri.obj"
     path.write_text(
