@@ -11,7 +11,6 @@ side). This keeps the system symmetric and needs no penalty parameter.
 import dataclasses
 
 import numpy as np
-import scipy.io
 import scipy.sparse as sp
 
 from .element import QuadratureRule, batch_element_loads, batch_element_stiffness, quadrature_geometry, quadrature_rule
@@ -99,10 +98,6 @@ class LinearSystem:
         """Map a solution of this (possibly rotated) system to global dofs."""
         u = np.asarray(u, dtype=float)
         return u if self.frame is None else self.frame @ u
-
-    def write_matrix_market(self, path) -> None:
-        """Export the matrix in MatrixMarket coordinate format."""
-        scipy.io.mmwrite(str(path), self.matrix.tocoo(), symmetry="general")
 
 
 def _element_dofs(triangles: np.ndarray) -> np.ndarray:

@@ -4,9 +4,12 @@ Linear triangles are extended into 3D through a nodal normal field: the
 element Jacobian stacks the two (constant) facet tangents with the unit
 normal, either interpolated from the nodes and renormalized per quadrature
 point ("interpolated" variant) or taken as the facet normal ("facet"
-variant). Physical basis gradients solve ``J g = (d/dxi, d/deta, 0)`` and are
-therefore exactly tangential to the variant's normal, which makes the
-membrane energy expressible through plain tangential strains:
+variant). Physical basis gradients solve ``J g = (d/dxi, d/deta, 0)``; the
+batched kernels use the closed-form inverse, the dual basis
+``d_xi = (t_eta x n)/det``, ``d_eta = (n x t_xi)/det`` with
+``det = n . (t_xi x t_eta)``. The gradients are therefore exactly tangential
+to the variant's normal, which makes the membrane energy expressible through
+plain tangential strains:
 
     energy density = 2 mu e:e - 4 mu (e n).(e n) + lam (div u)(div v)
 
@@ -314,6 +317,10 @@ def quadrature_geometry(coords, normals, quad: QuadratureRule | None = None,
     """Batched element geometry at the quadrature points.
 
     ``coords`` and ``normals`` have shape (m, 3, 3): element, node, xyz.
+    The gradients come from the closed-form inverse of the Jacobian with rows
+    ``(t_xi, t_eta, n)``: its columns ``d_xi = (t_eta x n)/det`` and
+    ``d_eta = (n x t_xi)/det``, ``det = n . (t_xi x t_eta)``, are the dual
+    basis, so ``g_0 = -d_xi - d_eta``, ``g_1 = d_xi`` and ``g_2 = d_eta``.
     """
     if quad is None:
         quad = quadrature_rule(2)
@@ -352,13 +359,11 @@ def quadrature_geometry(coords, normals, quad: QuadratureRule | None = None,
         e = int(np.nonzero(bad.any(axis=1))[0][0])
         raise SingularJacobianError("normal lies in the facet plane", element=e)
 
-    J = np.empty((m, nq, 3, 3))
-    J[:, :, 0, :] = t_xi[:, None, :]
-    J[:, :, 1, :] = t_eta[:, None, :]
-    J[:, :, 2, :] = nhat
-    rhs = np.broadcast_to(_GRAD_RHS, (m, nq, 3, 3))
-    sol = np.linalg.solve(J.reshape(-1, 3, 3), np.ascontiguousarray(rhs).reshape(-1, 3, 3))
-    gradients = sol.reshape(m, nq, 3, 3).swapaxes(-1, -2)
+    gradients = np.empty((m, nq, 3, 3))
+    gradients[:, :, 1] = np.cross(t_eta[:, None, :], nhat) / dets[..., None]
+    gradients[:, :, 2] = np.cross(nhat, t_xi[:, None, :]) / dets[..., None]
+    np.negative(gradients[:, :, 1], out=gradients[:, :, 0])
+    gradients[:, :, 0] -= gradients[:, :, 2]
 
     measures = quad.weights[None, :] * cn[:, None]
     points = np.einsum("qi,mia->mqa", phi, coords)
@@ -372,27 +377,38 @@ def batch_element_stiffness(coords, normals, material,
     """Stiffness matrices of a batch of elements, shape (m, 9, 9).
 
     Uses the contracted form of the energy density: with ``g_i`` the
-    tangential basis gradients and ``G_ij = g_i . g_j``,
+    tangential basis gradients, ``G_ij = g_i . g_j`` and ``P = I - n n^T``,
 
-        K[(i,a),(j,b)] = t * sum_q w [ mu (d_ab G_ij + g_j[a] g_i[b])
-                                       - mu n_a n_b G_ij
+        K[(i,a),(j,b)] = t * sum_q w [ mu G_ij P_ab + mu g_j[a] g_i[b]
                                        + lam g_i[a] g_j[b] ]
+
+    Both quadrature sums are batched matrix products over the quadrature
+    axis: ``H[(i,a),(j,b)] = sum_q w g_i[a] g_j[b]`` and the ``G (x) P`` term
+    ``GP[(i,j),(a,b)] = sum_q w G_ij P_ab``. Then, with the index moves
+    written out, ``K[i,a,j,b] = t (mu GP[i,j,a,b] + mu H[j,a,i,b] + lam H[i,a,j,b])``.
     """
     geo = quadrature_geometry(coords, normals, quad, variant)
-    g = geo.gradients
+    m, nq = geo.measures.shape
+    g = geo.gradients.reshape(m, nq, 9)
     n = geo.normals
-    w = geo.measures
-    mu = material.mu
-    lam = material.lame_effective
+    w = geo.measures[:, None, :]
+    mu_t = material.t * material.mu
+    lam_t = material.t * material.lame_effective
 
-    gram = np.einsum("mqia,mqja->mqij", g, g)
-    wgram = np.einsum("mq,mqij->mij", w, gram)
-    K = mu * np.einsum("mij,ab->miajb", wgram, _EYE3)
-    K += mu * np.einsum("mq,mqja,mqib->miajb", w, g, g)
-    K -= mu * np.einsum("mq,mqij,mqa,mqb->miajb", w, gram, n, n)
-    K += lam * np.einsum("mq,mqia,mqjb->miajb", w, g, g)
-    m = g.shape[0]
-    return material.t * K.reshape(m, 9, 9)
+    buf = np.empty((m, 9, 9))
+    buf5 = buf.reshape(m, 3, 3, 3, 3)
+    np.matmul(w * g.swapaxes(1, 2), g, out=buf)  # H
+    K = lam_t * buf
+    K5 = K.reshape(m, 3, 3, 3, 3)
+    buf *= mu_t
+    K5 += buf5.transpose(0, 3, 2, 1, 4)
+
+    gram = geo.gradients @ geo.gradients.swapaxes(-1, -2)
+    proj = _EYE3 - n[..., :, None] * n[..., None, :]
+    np.matmul(w * gram.reshape(m, nq, 9).swapaxes(1, 2), proj.reshape(m, nq, 9), out=buf)  # GP
+    buf *= mu_t
+    K5 += buf5.transpose(0, 1, 3, 2, 4)
+    return K
 
 
 def batch_element_loads(coords, normals, load_at,

@@ -241,11 +241,12 @@ class SurfaceMesh:
         return self._triangles.shape[0]
 
     def edges(self) -> np.ndarray:
-        """Unique undirected edges as a (ne, 2) index array."""
-        ea = self._triangles[:, [0, 1, 2]].ravel()
+        """Unique undirected edges as a (ne, 2) index array, sorted by row."""
+        n = self.n_vertices
+        ea = self._triangles.ravel()
         eb = self._triangles[:, [1, 2, 0]].ravel()
-        pairs = np.stack([np.minimum(ea, eb), np.maximum(ea, eb)], axis=1)
-        return np.unique(pairs, axis=0)
+        key = np.unique(np.minimum(ea, eb) * n + np.maximum(ea, eb))
+        return np.stack([key // n, key % n], axis=1)
 
     def euler_characteristic(self) -> int:
         return self.n_vertices - len(self.edges()) + self.n_triangles
@@ -298,29 +299,17 @@ def build_cylinder_mesh(r: float, L: float, n_circ: int, n_axial: int) -> Surfac
     xs = np.linspace(0.0, L, n_axial + 1)
     ca, sa = np.cos(alpha), np.sin(alpha)
 
-    verts = np.empty((n_circ * (n_axial + 1), 3))
-    normals = np.empty_like(verts)
-    for i, x in enumerate(xs):
-        sl = slice(i * n_circ, (i + 1) * n_circ)
-        verts[sl, 0] = x
-        verts[sl, 1] = r * ca
-        verts[sl, 2] = r * sa
-        normals[sl, 0] = 0.0
-        normals[sl, 1] = ca
-        normals[sl, 2] = sa
+    rings = n_axial + 1
+    verts = np.column_stack([np.repeat(xs, n_circ), np.tile(r * ca, rings), np.tile(r * sa, rings)])
+    normals = np.column_stack([np.zeros(len(verts)), np.tile(ca, rings), np.tile(sa, rings)])
 
-    tris = []
-    for i in range(n_axial):
-        for j in range(n_circ):
-            j1 = (j + 1) % n_circ
-            a = i * n_circ + j
-            b = (i + 1) * n_circ + j
-            c = (i + 1) * n_circ + j1
-            d = i * n_circ + j1
-            tris.append((a, c, b))
-            tris.append((a, d, c))
+    i = np.arange(n_axial)[:, None] * n_circ
+    j = np.arange(n_circ)
+    j1 = np.roll(j, -1)
+    a, b, c, d = i + j, i + n_circ + j, i + n_circ + j1, i + j1
+    tris = np.stack([a, c, b, a, d, c], axis=-1).reshape(-1, 3)
 
-    return SurfaceMesh(verts, np.asarray(tris), nodal_normals=normals,
+    return SurfaceMesh(verts, tris, nodal_normals=normals,
                        boundary_labels=["x=0", "x=L"])
 
 
@@ -365,31 +354,20 @@ def build_torus_mesh(R: float, r: float, n_tor: int, n_pol: int) -> SurfaceMesh:
     cp, sp = np.cos(phi), np.sin(phi)
     ct, st = np.cos(theta), np.sin(theta)
 
-    verts = np.empty((n_tor * n_pol, 3))
-    normals = np.empty_like(verts)
-    for i in range(n_tor):
-        sl = slice(i * n_pol, (i + 1) * n_pol)
-        rho = R + r * st
-        verts[sl, 0] = rho * cp[i]
-        verts[sl, 1] = rho * sp[i]
-        verts[sl, 2] = r * ct
-        normals[sl, 0] = st * cp[i]
-        normals[sl, 1] = st * sp[i]
-        normals[sl, 2] = ct
+    rho = R + r * st
+    verts = np.column_stack([np.outer(cp, rho).ravel(), np.outer(sp, rho).ravel(),
+                             np.tile(r * ct, n_tor)])
+    normals = np.column_stack([np.outer(cp, st).ravel(), np.outer(sp, st).ravel(),
+                               np.tile(ct, n_tor)])
 
-    tris = []
-    for i in range(n_tor):
-        i1 = (i + 1) % n_tor
-        for j in range(n_pol):
-            j1 = (j + 1) % n_pol
-            a = i * n_pol + j
-            b = i1 * n_pol + j
-            c = i1 * n_pol + j1
-            d = i * n_pol + j1
-            tris.append((a, d, c))
-            tris.append((a, c, b))
+    i = np.arange(n_tor)[:, None] * n_pol
+    i1 = np.roll(i, -1)
+    j = np.arange(n_pol)
+    j1 = np.roll(j, -1)
+    a, b, c, d = i + j, i1 + j, i1 + j1, i + j1
+    tris = np.stack([a, d, c, a, c, b], axis=-1).reshape(-1, 3)
 
-    return SurfaceMesh(verts, np.asarray(tris), nodal_normals=normals)
+    return SurfaceMesh(verts, tris, nodal_normals=normals)
 
 
 def compute_nodal_normals(mesh: SurfaceMesh, mode: str, surface=None) -> SurfaceMesh:
@@ -427,9 +405,9 @@ def boundary_components(mesh: SurfaceMesh) -> list[BoundaryComponent]:
 
 def mesh_size(mesh: SurfaceMesh) -> float:
     """Maximum edge length of the mesh."""
-    e = mesh.edges()
-    d = mesh.vertices[e[:, 0]] - mesh.vertices[e[:, 1]]
-    return float(np.linalg.norm(d, axis=1).max())
+    t = mesh.triangles
+    d = mesh.vertices[t] - mesh.vertices[t[:, [1, 2, 0]]]
+    return float(np.linalg.norm(d, axis=2).max())
 
 
 def _strip_comment(line: str) -> str:

@@ -106,7 +106,7 @@ def recover_stress(mesh: SurfaceMesh, material: MaterialModel, displacement,
     eps = 0.5 * (grad + grad.swapaxes(-1, -2))
     nh = geo.normals
     proj = np.eye(3) - nh[..., :, None] * nh[..., None, :]
-    eps_p = np.einsum("mqab,mqbc,mqcd->mqad", proj, eps, proj)
+    eps_p = proj @ eps @ proj
     tr = np.trace(eps_p, axis1=-2, axis2=-1)
     sigma = 2.0 * material.mu * eps_p + material.lame_effective * tr[..., None, None] * proj
     return StressField(sigma, geo.points, geo.measures, nh)
@@ -181,6 +181,12 @@ def _fmt(x: float) -> str:
     return format(float(x), ".12e")
 
 
+def _rows(a: np.ndarray) -> str:
+    """Rows of ``a`` as lines of space-separated ``_fmt`` numbers."""
+    rows, k = a.shape
+    return ((" ".join(["%.12e"] * k) + "\n") * rows) % tuple(a.ravel().tolist())
+
+
 def export_vtk(mesh: SurfaceMesh, displacement, field: StressField, path,
                title: str = "membrane shell solution") -> None:
     """Write a legacy ASCII VTK unstructured grid.
@@ -206,29 +212,15 @@ def export_vtk(mesh: SurfaceMesh, displacement, field: StressField, path,
     ])
     vm = field.von_mises_cells()
 
-    lines = [
-        "# vtk DataFile Version 3.0",
-        title,
-        "ASCII",
-        "DATASET UNSTRUCTURED_GRID",
-        f"POINTS {n} double",
-    ]
-    lines.extend(" ".join(_fmt(c) for c in row) for row in mesh.vertices)
-    lines.append(f"CELLS {m} {4 * m}")
-    lines.extend(f"3 {t[0]} {t[1]} {t[2]}" for t in mesh.triangles)
-    lines.append(f"CELL_TYPES {m}")
-    lines.extend("5" for _ in range(m))
-    lines.append(f"POINT_DATA {n}")
-    lines.append("VECTORS displacement double")
-    lines.extend(" ".join(_fmt(c) for c in row) for row in u)
-    lines.append(f"CELL_DATA {m}")
-    lines.append("FIELD stress_data 2")
-    lines.append(f"stress 6 {m} double")
-    lines.extend(" ".join(_fmt(c) for c in row) for row in comps)
-    lines.append(f"von_mises 1 {m} double")
-    lines.extend(_fmt(v) for v in vm)
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"# vtk DataFile Version 3.0\n{title}\nASCII\nDATASET UNSTRUCTURED_GRID\n")
+        fh.write(f"POINTS {n} double\n" + _rows(mesh.vertices))
+        fh.write(f"CELLS {m} {4 * m}\n")
+        fh.write(("3 %d %d %d\n" * m) % tuple(mesh.triangles.ravel().tolist()))
+        fh.write(f"CELL_TYPES {m}\n" + "5\n" * m)
+        fh.write(f"POINT_DATA {n}\nVECTORS displacement double\n" + _rows(u))
+        fh.write(f"CELL_DATA {m}\nFIELD stress_data 2\nstress 6 {m} double\n" + _rows(comps))
+        fh.write(f"von_mises 1 {m} double\n" + _rows(vm[:, None]))
 
 
 def write_convergence_csv(path, hs, errors) -> None:

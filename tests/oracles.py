@@ -4,7 +4,8 @@ Everything here is implemented from standard textbook formulas, deliberately
 avoiding the code paths under test: the classical 2D constant-strain-triangle
 stiffness via the B-matrix, dense assembly by explicit Python scatter loops,
 double-projection strain algebra via plain matrix products, a higher-order
-triangle quadrature rule, and a minimal legacy-VTK reader.
+triangle quadrature rule, and a minimal legacy-VTK reader and per-number
+writer.
 """
 
 import numpy as np
@@ -222,3 +223,35 @@ def read_legacy_vtk(path):
         else:
             k += 1
     return out
+
+
+def write_legacy_vtk_reference(mesh, displacement, field, path,
+                               title="membrane shell solution"):
+    """Legacy ASCII VTK writer that formats one number per Python call.
+
+    The text ``memshell.postprocess.export_vtk`` must reproduce byte for byte:
+    every float as ``format(x, ".12e")``, one row per line.
+    """
+    def fmt(x):
+        return format(float(x), ".12e")
+
+    u = np.asarray(displacement, dtype=float).reshape(mesh.n_vertices, 3)
+    n, m = mesh.n_vertices, mesh.n_triangles
+    avg = field.cell_averages()
+    comps = [avg[:, 0, 0], avg[:, 1, 1], avg[:, 2, 2],
+             avg[:, 0, 1], avg[:, 1, 2], avg[:, 0, 2]]
+    lines = ["# vtk DataFile Version 3.0", title, "ASCII",
+             "DATASET UNSTRUCTURED_GRID", f"POINTS {n} double"]
+    lines += [" ".join(fmt(c) for c in row) for row in mesh.vertices]
+    lines.append(f"CELLS {m} {4 * m}")
+    lines += [f"3 {t[0]} {t[1]} {t[2]}" for t in mesh.triangles]
+    lines.append(f"CELL_TYPES {m}")
+    lines += ["5"] * m
+    lines += [f"POINT_DATA {n}", "VECTORS displacement double"]
+    lines += [" ".join(fmt(c) for c in row) for row in u]
+    lines += [f"CELL_DATA {m}", "FIELD stress_data 2", f"stress 6 {m} double"]
+    lines += [" ".join(fmt(c[e]) for c in comps) for e in range(m)]
+    lines.append(f"von_mises 1 {m} double")
+    lines += [fmt(v) for v in field.von_mises_cells()]
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")

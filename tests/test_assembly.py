@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-import scipy.io
 import scipy.sparse as sp
 
 from memshell.assembly import (
@@ -270,12 +269,3 @@ def test_assemble_reports_failing_element():
     with pytest.raises(SingularJacobianError, match="element 1"):
         assemble(mesh, MAT, None, QUAD)
 
-
-def test_matrix_market_roundtrip(tmp_path):
-    mesh = flat_grid_mesh(2, 2)
-    system = assemble(mesh, MAT, _const_load, QUAD)
-    path = tmp_path / "stiffness.mtx"
-    system.write_matrix_market(path)
-    K = scipy.io.mmread(path)
-    assert sp.issparse(K)
-    assert np.abs(K.toarray() - system.matrix.toarray()).max() <= 1e-12 * np.abs(system.matrix.data).max()

@@ -21,6 +21,23 @@ def _write_off(mesh, path):
     assert np.array_equal(back.triangles, mesh.triangles)
 
 
+@pytest.mark.parametrize("case, variant, ladder", [
+    ("cylinder", "interpolated", (8, 16, 32, 64)),
+    ("cylinder", "facet", (8, 16, 32, 64)),
+    ("torus", "facet", (12, 24, 48)),
+], ids=["cylinder-interpolated", "cylinder-facet", "torus-facet"])
+def test_stress_error_rate_on_benchmark_ladders(tmp_path, case, variant, ladder):
+    """First-order stress convergence on the real ladders (measured slopes:
+    0.9933, 0.9969, 1.0185).
+
+    The interpolated-variant torus is not gated: on n = 12, 24, 48 its slope
+    is 0.7594, and it stays near 0.73 up to n = 256. That rate is an open
+    defect, not an expected value, so no bound is fitted to it.
+    """
+    record, _ = run_convergence(RunConfig(case=case, variant=variant, out=str(tmp_path)), ladder)
+    assert record.slope >= 0.95
+
+
 def test_run_cylinder_writes_artifacts(tmp_path, capsys):
     out = tmp_path / "cyl"
     rc = main(["run", "--case", "cylinder", "--n", "8", "--out", str(out)])

@@ -15,6 +15,7 @@ from memshell.element import (
     element_load,
     element_matrices,
     element_stiffness,
+    quadrature_geometry,
     quadrature_rule,
     shape_values_and_ref_gradients,
     strain_displacement,
@@ -330,17 +331,36 @@ def test_stiffness_facet_equals_interpolated_on_flat_elements():
         assert np.abs(Ki - Kf).max() <= 1e-14 * np.abs(Ki).max()
 
 
-def test_batch_stiffness_matches_single_elements():
-    # the batched closed-form kernel against the per-element reference path
-    rng = np.random.default_rng(131)
-    coords = np.empty((40, 3, 3))
-    normals = np.empty((40, 3, 3))
-    for e in range(40):
+def _random_batch(rng, m):
+    coords = np.empty((m, 3, 3))
+    normals = np.empty((m, 3, 3))
+    for e in range(m):
         coords[e], normals[e] = random_valid_element(rng)
-    batch = batch_element_stiffness(coords, normals, MAT)
+    return coords, normals
+
+
+@pytest.mark.parametrize("variant", ["interpolated", "facet"])
+def test_batch_stiffness_matches_single_elements(variant):
+    # the batched closed-form kernel against the per-element reference path
+    coords, normals = _random_batch(np.random.default_rng(131), 40)
+    batch = batch_element_stiffness(coords, normals, MAT, variant=variant)
     for e in range(40):
-        single = element_stiffness(coords[e], normals[e], MAT)
+        single = element_stiffness(coords[e], normals[e], MAT, variant=variant)
         assert np.abs(batch[e] - single).max() <= 1e-12 * np.abs(single).max()
+
+
+@pytest.mark.parametrize("variant", ["interpolated", "facet"])
+def test_dual_basis_gradients_match_jacobian_solve(variant):
+    # closed-form dual basis against np.linalg.solve on each element Jacobian
+    quad = quadrature_rule(2)
+    coords, normals = _random_batch(np.random.default_rng(137), 40)
+    geo = quadrature_geometry(coords, normals, quad, variant)
+    for e in range(40):
+        for q, (xi, eta) in enumerate(quad.points):
+            J = element_jacobian(coords[e], normals[e], xi, eta, variant)
+            g = basis_surface_gradients(J)
+            assert np.abs(geo.gradients[e, q] - g).max() <= 1e-13 * np.abs(g).max()
+            assert np.abs(geo.normals[e, q] - J[2]).max() <= 1e-15
 
 
 def test_batch_stiffness_reports_singular_element():

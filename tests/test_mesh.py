@@ -351,6 +351,34 @@ def test_mesh_size_matches_edge_scan_cylinder():
     assert abs(h - expected) < 1e-12
 
 
+def _imported_shuffled_torus(tmp_path):
+    # a torus with permuted vertex numbers, written to OFF and read back
+    mesh = build_torus_mesh(2.0, 0.7, 7, 5)
+    perm = np.random.default_rng(5).permutation(mesh.n_vertices)
+    inverse = np.argsort(perm)
+    lines = ["OFF", f"{mesh.n_vertices} {mesh.n_triangles} 0"]
+    lines += [" ".join(repr(float(x)) for x in v) for v in mesh.vertices[perm]]
+    lines += ["3 %d %d %d" % tuple(inverse[t]) for t in mesh.triangles]
+    path = tmp_path / "torus.off"
+    path.write_text("\n".join(lines) + "\n")
+    return import_mesh(path)
+
+
+@pytest.mark.parametrize("make", [
+    lambda tmp: build_cylinder_mesh(1.0, 4.0, 9, 4),
+    lambda tmp: build_torus_mesh(2.0, 0.7, 8, 6),
+    _imported_shuffled_torus,
+], ids=["cylinder", "torus", "imported_off"])
+def test_edges_match_row_unique(tmp_path, make):
+    mesh = make(tmp_path)
+    ea = mesh.triangles.ravel()
+    eb = mesh.triangles[:, [1, 2, 0]].ravel()
+    expected = np.unique(np.stack([np.minimum(ea, eb), np.maximum(ea, eb)], axis=1), axis=0)
+    edges = mesh.edges()
+    assert edges.dtype == expected.dtype
+    assert np.array_equal(edges, expected)
+
+
 def test_mesh_immutable():
     mesh = build_cylinder_mesh(1.0, 4.0, 4, 1)
     with pytest.raises(ValueError):

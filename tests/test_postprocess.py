@@ -13,7 +13,7 @@ from memshell.geometry import (
     MaterialModel,
     cylinder_exact,
 )
-from memshell.mesh import SurfaceMesh, build_cylinder_mesh, mesh_size
+from memshell.mesh import SurfaceMesh, build_cylinder_mesh, build_torus_mesh, mesh_size
 from memshell.postprocess import (
     ConvergenceRecord,
     convergence_rate,
@@ -25,7 +25,13 @@ from memshell.postprocess import (
 )
 from memshell.solver import solve
 
-from oracles import DEGREE4_RULE, flat_grid_mesh, random_rotation, read_legacy_vtk
+from oracles import (
+    DEGREE4_RULE,
+    flat_grid_mesh,
+    random_rotation,
+    read_legacy_vtk,
+    write_legacy_vtk_reference,
+)
 
 MAT = MaterialModel(E=100.0, nu=0.5, t=1e-2)
 QUAD = quadrature_rule(2)
@@ -232,6 +238,34 @@ def test_export_vtk_single_triangle(tmp_path):
     data = read_legacy_vtk(path)
     assert data["points"].shape == (3, 3)
     assert data["cells"].shape == (1, 3)
+
+
+def _vtk_cylinder():
+    mesh = build_cylinder_mesh(1.0, 4.0, 6, 3)
+    u = np.random.default_rng(29).standard_normal((mesh.n_vertices, 3)) * 1e-3
+    return mesh, u, "interpolated"
+
+
+def _vtk_facet_torus():
+    mesh = build_torus_mesh(2.0, 1.0, 5, 5)
+    u = np.random.default_rng(31).standard_normal((mesh.n_vertices, 3))
+    return mesh, u, "facet"
+
+
+def _vtk_single_triangle():
+    verts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    return SurfaceMesh(verts, np.array([[0, 1, 2]])), np.zeros((3, 3)), "interpolated"
+
+
+@pytest.mark.parametrize("make", [_vtk_cylinder, _vtk_facet_torus, _vtk_single_triangle],
+                         ids=["cylinder", "facet_torus", "single_triangle"])
+def test_export_vtk_bytes_match_reference_writer(tmp_path, make):
+    # the block writer must produce the per-number reference text exactly
+    mesh, u, variant = make()
+    field = recover_stress(mesh, MAT, u, QUAD, variant=variant)
+    export_vtk(mesh, u, field, tmp_path / "block.vtk")
+    write_legacy_vtk_reference(mesh, u, field, tmp_path / "reference.vtk")
+    assert (tmp_path / "block.vtk").read_bytes() == (tmp_path / "reference.vtk").read_bytes()
 
 
 def test_write_convergence_csv(tmp_path):
