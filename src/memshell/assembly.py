@@ -13,7 +13,8 @@ import dataclasses
 import numpy as np
 import scipy.sparse as sp
 
-from .element import QuadratureRule, batch_element_loads, batch_element_stiffness, quadrature_geometry, quadrature_rule
+from .element import (QuadraturePointData, QuadratureRule, batch_element_loads,
+                      batch_element_stiffness, quadrature_geometry, quadrature_rule)
 from .mesh import SurfaceMesh
 
 __all__ = [
@@ -107,12 +108,15 @@ def _element_dofs(triangles: np.ndarray) -> np.ndarray:
 
 def assemble(mesh: SurfaceMesh, material, load_at=None,
              quad: QuadratureRule | None = None,
-             variant: str = "interpolated") -> LinearSystem:
+             variant: str = "interpolated",
+             geometry: QuadraturePointData | None = None) -> LinearSystem:
     """Assemble the global stiffness and consistent load vector.
 
     ``load_at`` maps positions (k, 3) to load vectors (k, 3) (force per unit
     midsurface area); ``None`` gives a zero right-hand side. Element failures
-    carry the offending element index.
+    carry the offending element index. ``geometry`` is the mesh's
+    :func:`~memshell.element.quadrature_geometry` for ``quad`` and
+    ``variant``, if the caller already has it.
     """
     if quad is None:
         quad = quadrature_rule(2)
@@ -120,8 +124,8 @@ def assemble(mesh: SurfaceMesh, material, load_at=None,
     coords = mesh.vertices[tris]
     normals = mesh.nodal_normals[tris]
 
-    ke = batch_element_stiffness(coords, normals, material, quad, variant)
-    dofs = _element_dofs(tris)
+    ke = batch_element_stiffness(coords, normals, material, quad, variant, geometry)
+    dofs = _element_dofs(tris).astype(np.int32)  # scipy's index type below 2^31 dofs
     rows = np.repeat(dofs, 9, axis=1).ravel()
     cols = np.tile(dofs, (1, 9)).ravel()
     ndof = 3 * mesh.n_vertices
@@ -136,16 +140,19 @@ def assemble(mesh: SurfaceMesh, material, load_at=None,
 
 def pressure_rhs(mesh: SurfaceMesh, p: float,
                  quad: QuadratureRule | None = None,
-                 variant: str = "interpolated") -> np.ndarray:
+                 variant: str = "interpolated",
+                 geometry: QuadraturePointData | None = None) -> np.ndarray:
     """Consistent load vector of the discrete pressure load ``p * n_h``.
 
     Uses the mesh's own (interpolated or facet) normal at each quadrature
-    point, for surfaces without a closed-form normal field.
+    point, for surfaces without a closed-form normal field. ``geometry`` is
+    as in :func:`assemble`.
     """
     if quad is None:
         quad = quadrature_rule(2)
     tris = mesh.triangles
-    geo = quadrature_geometry(mesh.vertices[tris], mesh.nodal_normals[tris], quad, variant)
+    geo = (quadrature_geometry(mesh.vertices[tris], mesh.nodal_normals[tris], quad, variant)
+           if geometry is None else geometry)
     phi = quad.shape_values()
     fe = p * np.einsum("mq,qi,mqa->mia", geo.measures, phi, geo.normals).reshape(-1, 9)
     rhs = np.zeros(3 * mesh.n_vertices)
@@ -181,45 +188,49 @@ def cylinder_constraints(mesh: SurfaceMesh) -> list[Constraint]:
     return constraints
 
 
-def _complete_frame(directions: list[np.ndarray]) -> np.ndarray:
-    """Orthonormal 3x3 frame whose leading columns are the given directions.
+def _node_frames(nodes: np.ndarray, directions: np.ndarray):
+    """Orthonormal frames of the constrained nodes, batched over nodes.
 
-    Completion picks the coordinate axis most orthogonal to the constrained
-    subspace (ties broken by smallest axis index) and orthonormalizes.
+    Returns the distinct nodes (ascending), their (k, 3, 3) frames and the
+    number of directions at each. Column j of a frame is the node's j-th
+    direction, in the given order, orthonormalised against the earlier ones
+    (modified Gram-Schmidt). A single direction is completed by the
+    coordinate axis with the smallest component of ``|q|`` (ties to the
+    smaller index), then by ``q0 x q1``; two directions by their cross
+    product. A direction within 1e-10 of the span of the earlier ones, a
+    fourth one included, is an error naming the node that comes first in
+    the constraint order.
     """
-    q = list(directions)
-    if len(q) == 1:
-        overlap = np.abs(q[0])
-        k = int(np.argmin(overlap))
-        v = np.zeros(3)
-        v[k] = 1.0
-        v -= (q[0] @ v) * q[0]
-        q.append(v / np.linalg.norm(v))
-    if len(q) == 2:
-        q.append(np.cross(q[0], q[1]))
-    return np.column_stack(q)
+    uniq, first, counts = np.unique(nodes, return_index=True, return_counts=True)
+    order = np.argsort(nodes, kind="stable")
+    group = np.repeat(np.arange(uniq.size), counts)
+    rank = np.arange(nodes.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    keep = rank < 3
+    frames = np.zeros((uniq.size, 3, 3))
+    frames[group[keep], :, rank[keep]] = directions[order[keep]]
+    dependent = counts > 3
 
+    def orthonormalize(j, rows):
+        v = frames[rows, :, j]
+        for i in range(j):
+            q = frames[rows, :, i]
+            v -= np.einsum("ka,ka->k", q, v)[:, None] * q
+        norm = np.linalg.norm(v, axis=1)
+        dependent[rows] |= norm < 1e-10
+        frames[rows, :, j] = v / np.maximum(norm, 1e-10)[:, None]
 
-def _node_frames(constraints) -> dict[int, tuple[np.ndarray, int]]:
-    """Group constraints by node; return (frame, n_constrained) per node."""
-    grouped: dict[int, list[np.ndarray]] = {}
-    for c in constraints:
-        grouped.setdefault(int(c.node), []).append(np.asarray(c.direction, dtype=float))
-    frames: dict[int, tuple[np.ndarray, int]] = {}
-    for node, dirs in grouped.items():
-        ortho: list[np.ndarray] = []
-        for d in dirs:
-            v = d.copy()
-            for u in ortho:
-                v -= (u @ v) * u
-            nv = np.linalg.norm(v)
-            if nv < 1e-10:
-                raise ConstraintError(f"dependent constraint directions at node {node}")
-            ortho.append(v / nv)
-        if len(ortho) > 3:
-            raise ConstraintError(f"more than 3 constraint directions at node {node}")
-        frames[node] = (_complete_frame(ortho), len(ortho))
-    return frames
+    every = np.arange(uniq.size)
+    orthonormalize(0, every)
+    one = np.flatnonzero(counts == 1)
+    frames[one, np.argmin(np.abs(frames[one, :, 0]), axis=1), 1] = 1.0
+    orthonormalize(1, every)
+    orthonormalize(2, np.flatnonzero(counts > 2))
+    if dependent.any():
+        node = uniq[dependent][np.argmin(first[dependent])]
+        raise ConstraintError(f"dependent constraint directions at node {node}")
+    two = counts < 3
+    frames[two, :, 2] = np.cross(frames[two, :, 0], frames[two, :, 1])
+    return uniq, frames, counts
 
 
 def apply_constraints(system: LinearSystem, constraints) -> LinearSystem:
@@ -231,46 +242,50 @@ def apply_constraints(system: LinearSystem, constraints) -> LinearSystem:
     directions remain natural (traction-free). Returns a new system carrying
     the rotation for :meth:`LinearSystem.recover`; with no constraints the
     input system is returned unchanged.
+
+    Only the 3x3 blocks in rows or columns of constrained nodes change:
+    ``K_ab`` becomes ``Q_a^T K_ab Q_b`` with ``Q = I`` at a free node.
     """
     constraints = tuple(constraints)
     if not constraints:
         return system
     if system.frame is not None:
         raise ConstraintError("constraints have already been applied to this system")
-    ndof = system.ndof
-    n_nodes = ndof // 3
-    for c in constraints:
-        if not 0 <= c.node < n_nodes:
-            raise ConstraintError(f"constraint node {c.node} out of range")
+    n_nodes = system.ndof // 3
+    nodes = np.array([c.node for c in constraints], dtype=np.int64)
+    outside = (nodes < 0) | (nodes >= n_nodes)
+    if outside.any():
+        raise ConstraintError(f"constraint node {constraints[np.argmax(outside)].node} out of range")
+    cnodes, frames, counts = _node_frames(nodes, np.array([c.direction for c in constraints]))
 
-    frames = _node_frames(constraints)
+    Q = np.tile(np.eye(3), (n_nodes, 1, 1))
+    Q[cnodes] = frames
+    fixed = np.zeros((n_nodes, 3), dtype=bool)
+    fixed[cnodes] = np.arange(3) < counts[:, None]
+    is_con = fixed[:, 0]
 
-    rows = []
-    cols = []
-    vals = []
-    constrained = np.zeros(ndof, dtype=bool)
-    for node in range(n_nodes):
-        base = 3 * node
-        if node in frames:
-            Q, d = frames[node]
-            for a in range(3):
-                for j in range(3):
-                    rows.append(base + a)
-                    cols.append(base + j)
-                    vals.append(Q[a, j])
-            constrained[base:base + d] = True
-        else:
-            for a in range(3):
-                rows.append(base + a)
-                cols.append(base + a)
-                vals.append(1.0)
-    frame = sp.coo_matrix((vals, (rows, cols)), shape=(ndof, ndof)).tocsr()
+    K = system.matrix.tobsr((3, 3))
+    row = np.repeat(np.arange(n_nodes), np.diff(K.indptr))
+    col = K.indices
+    touched = np.flatnonzero(is_con[row] | is_con[col])
+    r, c = row[touched], col[touched]
+    blocks = Q[r].transpose(0, 2, 1) @ K.data[touched] @ Q[c]
+    blocks *= ~fixed[r][:, :, None] & ~fixed[c][:, None, :]
+    diag = r == c
+    blocks[diag] += fixed[r[diag]][:, :, None] * np.eye(3)
+    K.data[touched] = blocks
+    matrix = K.tocsr()
+    matrix.eliminate_zeros()
+    missing = fixed.copy()
+    missing[r[diag]] = False
+    if missing.any():  # a constrained node without a stored diagonal block
+        matrix = (matrix + sp.diags(missing.ravel().astype(float))).tocsr()
 
-    rotated = (frame.T @ system.matrix @ frame).tocsr()
-    rhs = frame.T @ system.rhs
-    free = sp.diags((~constrained).astype(float))
-    fixed = sp.diags(constrained.astype(float))
-    matrix = (free @ rotated @ free + fixed).tocsr()
-    rhs = np.where(constrained, 0.0, rhs)
-    return LinearSystem(matrix, rhs, constraints=constraints, frame=frame,
-                        constrained=constrained)
+    rhs = system.rhs.reshape(n_nodes, 3).copy()
+    rhs[cnodes] = np.einsum("kab,ka->kb", frames, rhs[cnodes])
+    rhs[fixed] = 0.0
+    frame = sp.bsr_matrix((Q, np.arange(n_nodes), np.arange(n_nodes + 1)),
+                          shape=(system.ndof, system.ndof)).tocsr()
+    frame.eliminate_zeros()
+    return LinearSystem(matrix, rhs.ravel(), constraints=constraints, frame=frame,
+                        constrained=fixed.ravel())

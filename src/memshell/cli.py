@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import assembly, geometry, mesh, postprocess, solver
-from .element import quadrature_rule
+from .element import quadrature_geometry, quadrature_rule
 
 __all__ = ["RunConfig", "run_case", "run_convergence", "main"]
 
@@ -113,17 +113,16 @@ def solve_case(config: RunConfig, n: int | None = None) -> CaseResult:
         if msh is None:
             raise ValueError("case 'import' requires a mesh file (--mesh)")
         material = geometry.MaterialModel(config.E, config.nu, config.t, config.mode)
-        system = assembly.assemble(msh, material, None, quad, config.variant)
-        system.rhs[:] = assembly.pressure_rhs(msh, config.p, quad, config.variant)
-        constraints = []
-        deflate = True
-        exact = None
+        load_at, constrain, deflate, exact = None, False, True, None
     else:
         msh, material, load_at, constrain, deflate, exact = _build_case(config, n)
-        system = assembly.assemble(msh, material, load_at, quad, config.variant)
-        constraints = assembly.cylinder_constraints(msh) if constrain else []
-    if constraints:
-        system = assembly.apply_constraints(system, constraints)
+    tris = msh.triangles
+    geo = quadrature_geometry(msh.vertices[tris], msh.nodal_normals[tris], quad, config.variant)
+    system = assembly.assemble(msh, material, load_at, quad, config.variant, geo)
+    if config.case == "import":
+        system.rhs[:] = assembly.pressure_rhs(msh, config.p, quad, config.variant, geo)
+    if constrain:
+        system = assembly.apply_constraints(system, assembly.cylinder_constraints(msh))
     u_sys, report = solver.solve(
         system,
         tol=config.tol,
@@ -131,7 +130,7 @@ def solve_case(config: RunConfig, n: int | None = None) -> CaseResult:
         deflate_translations=deflate,
     )
     u = system.recover(u_sys)
-    field = postprocess.recover_stress(msh, material, u, quad, config.variant)
+    field = postprocess.recover_stress(msh, material, u, quad, config.variant, geo)
     error = postprocess.stress_l2_error(field, exact) if exact is not None else None
     rot = _rotation_fraction(msh, u) if deflate else None
     return CaseResult(
@@ -187,7 +186,7 @@ def run_convergence(config: RunConfig, resolutions=None) -> tuple[
         "postprocess.ConvergenceRecord", list[CaseResult]]:
     """Run a refinement ladder and fit the stress-error rate.
 
-    The CSV table is flushed after each resolution, so a failing level leaves
+    The CSV table is rewritten after each resolution, so a failing level leaves
     the completed rows on disk.
     """
     if config.case not in ("cylinder", "torus"):
@@ -202,19 +201,13 @@ def run_convergence(config: RunConfig, resolutions=None) -> tuple[
     results: list[CaseResult] = []
     hs: list[float] = []
     errors: list[float] = []
-    with open(csv_path, "w") as fh:
-        fh.write("h,error,rate\n")
-        for n in resolutions:
-            result = solve_case(config, n)
-            results.append(result)
-            hs.append(result.h)
-            errors.append(result.error)
-            if len(hs) == 1:
-                fh.write(f"{hs[-1]:.12e},{errors[-1]:.12e},\n")
-            else:
-                rate = np.log(errors[-2] / errors[-1]) / np.log(hs[-2] / hs[-1])
-                fh.write(f"{hs[-1]:.12e},{errors[-1]:.12e},{rate:.6f}\n")
-            fh.flush()
+    postprocess.write_convergence_csv(csv_path, hs, errors)
+    for n in resolutions:
+        result = solve_case(config, n)
+        results.append(result)
+        hs.append(result.h)
+        errors.append(result.error)
+        postprocess.write_convergence_csv(csv_path, hs, errors)
 
     record = postprocess.fit_convergence(list(zip(hs, errors)))
     report_path = outdir / "report.txt"

@@ -373,8 +373,12 @@ def quadrature_geometry(coords, normals, quad: QuadratureRule | None = None,
 
 def batch_element_stiffness(coords, normals, material,
                             quad: QuadratureRule | None = None,
-                            variant: str = "interpolated") -> np.ndarray:
+                            variant: str = "interpolated",
+                            geometry: QuadraturePointData | None = None) -> np.ndarray:
     """Stiffness matrices of a batch of elements, shape (m, 9, 9).
+
+    ``geometry`` is the batch's :func:`quadrature_geometry`, if the caller
+    already has it (it then stands for ``quad`` and ``variant``).
 
     Uses the contracted form of the energy density: with ``g_i`` the
     tangential basis gradients, ``G_ij = g_i . g_j`` and ``P = I - n n^T``,
@@ -387,7 +391,7 @@ def batch_element_stiffness(coords, normals, material,
     ``GP[(i,j),(a,b)] = sum_q w G_ij P_ab``. Then, with the index moves
     written out, ``K[i,a,j,b] = t (mu GP[i,j,a,b] + mu H[j,a,i,b] + lam H[i,a,j,b])``.
     """
-    geo = quadrature_geometry(coords, normals, quad, variant)
+    geo = quadrature_geometry(coords, normals, quad, variant) if geometry is None else geometry
     m, nq = geo.measures.shape
     g = geo.gradients.reshape(m, nq, 9)
     n = geo.normals

@@ -75,26 +75,30 @@ def _extract_boundary_loops(triangles: np.ndarray, n_vertices: int) -> list[np.n
         curves touch in a vertex.
     """
     n = int(n_vertices)
-    ea = triangles[:, [0, 1, 2]].ravel()
-    eb = triangles[:, [1, 2, 0]].ravel()
-    lo = np.minimum(ea, eb).astype(np.int64)
-    hi = np.maximum(ea, eb).astype(np.int64)
-    _, counts = np.unique(lo * n + hi, return_counts=True)
-    if counts.size and counts.max() > 2:
-        raise MeshError("non-manifold edge: more than two incident triangles")
-    key = ea.astype(np.int64) * n + eb
+    ea = triangles.ravel().astype(np.int64)
+    eb = triangles[:, [1, 2, 0]].ravel().astype(np.int64)
+    key = ea * n + eb
+    rkey = eb * n + ea
     skey = np.sort(key)
-    if skey.size > 1 and np.any(np.diff(skey) == 0):
+    if np.any(skey[1:] == skey[:-1]):
+        # a repeated directed edge; more than two uses of the undirected
+        # edge (both directions counted) makes it non-manifold
+        def uses(k):
+            return np.searchsorted(skey, k, "right") - np.searchsorted(skey, k, "left")
+
+        if np.any(uses(key) + uses(rkey) > 2):
+            raise MeshError("non-manifold edge: more than two incident triangles")
         raise MeshError("inconsistent orientation: a directed edge is used by two triangles")
 
-    has_reverse = np.isin(eb.astype(np.int64) * n + ea, skey)
-    ba = ea[~has_reverse]
-    bb = eb[~has_reverse]
-    successor: dict[int, int] = {}
-    for a, b in zip(ba.tolist(), bb.tolist()):
-        if a in successor:
-            raise MeshError(f"boundary loops touch at vertex {a}")
-        successor[a] = b
+    pos = np.minimum(np.searchsorted(skey, rkey), skey.size - 1)
+    boundary = skey[pos] != rkey
+    ba = ea[boundary]
+    bb = eb[boundary]
+    order = np.argsort(ba, kind="stable")
+    second = order[1:][ba[order[1:]] == ba[order[:-1]]]
+    if second.size:
+        raise MeshError(f"boundary loops touch at vertex {ba[second.min()]}")
+    successor = dict(zip(ba.tolist(), bb.tolist()))
 
     loops: list[np.ndarray] = []
     visited: set[int] = set()

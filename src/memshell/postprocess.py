@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .element import QuadratureRule, quadrature_geometry, quadrature_rule
+from .element import QuadraturePointData, QuadratureRule, quadrature_geometry, quadrature_rule
 from .geometry import ExactSolution, MaterialModel
 from .mesh import SurfaceMesh
 
@@ -83,11 +83,14 @@ class StressField:
 
 def recover_stress(mesh: SurfaceMesh, material: MaterialModel, displacement,
                    quad: QuadratureRule | None = None,
-                   variant: str = "interpolated") -> StressField:
+                   variant: str = "interpolated",
+                   geometry: QuadraturePointData | None = None) -> StressField:
     """Project the discrete strain and apply the membrane constitutive law.
 
     ``displacement`` may be a flat dof vector of length ``3*n_vertices`` or an
     ``(n_vertices, 3)`` array of nodal displacements (global components).
+    ``geometry`` is the mesh's :func:`~memshell.element.quadrature_geometry`
+    for ``quad`` and ``variant``, if the caller already has it.
     """
     if quad is None:
         quad = quadrature_rule(2)
@@ -99,7 +102,8 @@ def recover_stress(mesh: SurfaceMesh, material: MaterialModel, displacement,
         raise ValueError(f"displacement shape {u.shape} does not match {n} vertices")
 
     tris = mesh.triangles
-    geo = quadrature_geometry(mesh.vertices[tris], mesh.nodal_normals[tris], quad, variant)
+    geo = (quadrature_geometry(mesh.vertices[tris], mesh.nodal_normals[tris], quad, variant)
+           if geometry is None else geometry)
     ue = u[tris]
 
     grad = np.einsum("mia,mqib->mqab", ue, geo.gradients)
@@ -181,10 +185,72 @@ def _fmt(x: float) -> str:
     return format(float(x), ".12e")
 
 
-def _rows(a: np.ndarray) -> str:
-    """Rows of ``a`` as lines of space-separated ``_fmt`` numbers."""
-    rows, k = a.shape
-    return ((" ".join(["%.12e"] * k) + "\n") * rows) % tuple(a.ravel().tolist())
+# ASCII words of the vectorised ``%.12e`` below, each a little-endian uint32
+# so that byte 0 of the word is byte 0 of the text.
+_DIGIT_WORDS = np.array([b"%04d" % k for k in range(10000)]).view("<u4")
+_LEAD_WORDS = np.array([b"\0\0%d." % d for d in range(10)]).view("<u4")
+_EXP_MAX = 290
+_EXP_WORDS = np.array([(b"e%+03d" % k).ljust(8, b"\0") for k in range(-_EXP_MAX, _EXP_MAX + 1)]
+                      ).view("<u4").reshape(-1, 2).T.copy()
+# 10^(12-e) for e in [-_EXP_MAX - 1, _EXP_MAX], at index e + _EXP_MAX + 1.
+_SCALES = np.array([float(f"1e{12 - e}") for e in range(-_EXP_MAX - 1, _EXP_MAX + 1)])
+
+
+def _row_texts(*arrays: np.ndarray) -> list[str]:
+    """Each 2-D array as lines of space-separated ``"%.12e"`` numbers.
+
+    The text is exactly CPython's ``"%.12e" % x``, formatted for all arrays
+    at once. Each number gets a 24-byte slot of six little-endian uint32
+    words: ``[0, sign, d0, '.']``, three words of four digits, ``'e±dd'``
+    and ``[third exponent digit or 0, 0, 0, separator]``; the zero bytes are
+    stripped at the end.
+
+    A finite ``|x|`` in [1e-290, 1e290] is scaled to ``m = |x| 10^(12-e)``
+    with ``e = floor(log10 |x|)``. The power of ten is ``float("1e<k>")``,
+    correctly rounded, so m differs from the exact decimal scaling m* by two
+    roundings: ``|m - m*| <= 2^-52 m* < 2.3e-3``. If m lies in
+    [1e12 + 1, 1e13 - 1), then 1e12 < m* < 1e13 - 0.99, so e is the printed
+    exponent and rounding m* cannot carry into a 14th digit. If also
+    ``|m - rint(m)| <= 0.49``, m* is on the same side of the nearest
+    half-integer, so the printed digits are N = rint(m). Every other number
+    (a log10 off by one near a power of ten, ties within the guard, the
+    interval ends, 0, -0, subnormals, out-of-range magnitudes, inf, nan) is
+    formatted by ``%`` itself, 1-2 % of a typical field.
+    """
+    x = np.concatenate([np.ravel(a) for a in arrays]).astype(float, copy=False)
+    ax = np.abs(x)
+    fast = (ax >= 1e-290) & (ax <= 1e290)
+    ax = np.where(fast, ax, 1.0)
+    e = np.floor(np.log10(ax)).astype(np.int64)
+    m = ax * _SCALES[e + _EXP_MAX + 1]
+    n = np.rint(m)
+    fast &= (m >= 1e12 + 1) & (m < 1e13 - 1) & (np.abs(m - n) <= 0.49)
+
+    q, w3 = np.divmod(np.where(fast, n, 1e12).astype(np.int64), 10000)
+    q, w2 = np.divmod(q, 10000)
+    d0, w1 = np.divmod(q, 10000)
+    e = np.where(fast, e, 0) + _EXP_MAX
+    words = np.empty((x.size, 6), dtype="<u4")
+    words[:, 0] = _LEAD_WORDS[d0] | np.signbit(x).astype("<u4") * (ord("-") << 8)
+    words[:, 1] = _DIGIT_WORDS[w1]
+    words[:, 2] = _DIGIT_WORDS[w2]
+    words[:, 3] = _DIGIT_WORDS[w3]
+    words[:, 4] = _EXP_WORDS[0, e]
+    words[:, 5] = _EXP_WORDS[1, e]
+    text = words.view(np.uint8)
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        pad = ("%-23.12e" * slow.size) % tuple(x[slow].tolist())
+        text[slow, :23] = np.frombuffer(pad.encode().replace(b" ", b"\0"),
+                                        dtype=np.uint8).reshape(-1, 23)
+    seps = [np.full(np.shape(a), ord(" "), dtype=np.uint8) for a in arrays]
+    for sep in seps:
+        sep[:, -1] = ord("\n")
+    text[:, 23] = np.concatenate([sep.ravel() for sep in seps])
+
+    ends = np.cumsum([0] + [np.size(a) for a in arrays])
+    return [text[i:j].tobytes().translate(None, b"\0").decode("ascii")
+            for i, j in zip(ends[:-1], ends[1:])]
 
 
 def export_vtk(mesh: SurfaceMesh, displacement, field: StressField, path,
@@ -212,15 +278,16 @@ def export_vtk(mesh: SurfaceMesh, displacement, field: StressField, path,
     ])
     vm = field.von_mises_cells()
 
+    points, disp, stress, mises = _row_texts(mesh.vertices, u, comps, vm[:, None])
     with open(path, "w") as fh:
         fh.write(f"# vtk DataFile Version 3.0\n{title}\nASCII\nDATASET UNSTRUCTURED_GRID\n")
-        fh.write(f"POINTS {n} double\n" + _rows(mesh.vertices))
+        fh.write(f"POINTS {n} double\n" + points)
         fh.write(f"CELLS {m} {4 * m}\n")
         fh.write(("3 %d %d %d\n" * m) % tuple(mesh.triangles.ravel().tolist()))
         fh.write(f"CELL_TYPES {m}\n" + "5\n" * m)
-        fh.write(f"POINT_DATA {n}\nVECTORS displacement double\n" + _rows(u))
-        fh.write(f"CELL_DATA {m}\nFIELD stress_data 2\nstress 6 {m} double\n" + _rows(comps))
-        fh.write(f"von_mises 1 {m} double\n" + _rows(vm[:, None]))
+        fh.write(f"POINT_DATA {n}\nVECTORS displacement double\n" + disp)
+        fh.write(f"CELL_DATA {m}\nFIELD stress_data 2\nstress 6 {m} double\n" + stress)
+        fh.write(f"von_mises 1 {m} double\n" + mises)
 
 
 def write_convergence_csv(path, hs, errors) -> None:

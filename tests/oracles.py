@@ -4,13 +4,17 @@ Everything here is implemented from standard textbook formulas, deliberately
 avoiding the code paths under test: the classical 2D constant-strain-triangle
 stiffness via the B-matrix, dense assembly by explicit Python scatter loops,
 double-projection strain algebra via plain matrix products, a higher-order
-triangle quadrature rule, and a minimal legacy-VTK reader and per-number
-writer.
+triangle quadrature rule, a minimal legacy-VTK reader and per-number
+writer, per-node constraint elimination by explicit sparse products, and
+boundary-loop extraction by set queries and a successor dictionary.
 """
 
 import numpy as np
+import scipy.sparse as sp
 
+from memshell.assembly import ConstraintError, LinearSystem
 from memshell.element import QuadratureRule, element_load, element_stiffness
+from memshell.mesh import MeshError
 
 
 def cst_plane_stress_stiffness(xy: np.ndarray, E: float, nu: float, t: float) -> np.ndarray:
@@ -255,3 +259,138 @@ def write_legacy_vtk_reference(mesh, displacement, field, path,
     lines += [fmt(v) for v in field.von_mises_cells()]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def _complete_frame(directions):
+    """Orthonormal 3x3 frame whose leading columns are the given directions.
+
+    Completion picks the coordinate axis most orthogonal to the constrained
+    subspace (ties broken by smallest axis index) and orthonormalizes.
+    """
+    q = list(directions)
+    if len(q) == 1:
+        overlap = np.abs(q[0])
+        k = int(np.argmin(overlap))
+        v = np.zeros(3)
+        v[k] = 1.0
+        v -= (q[0] @ v) * q[0]
+        q.append(v / np.linalg.norm(v))
+    if len(q) == 2:
+        q.append(np.cross(q[0], q[1]))
+    return np.column_stack(q)
+
+
+def _node_frames(constraints):
+    """Group constraints by node; return (frame, n_constrained) per node."""
+    grouped = {}
+    for c in constraints:
+        grouped.setdefault(int(c.node), []).append(np.asarray(c.direction, dtype=float))
+    frames = {}
+    for node, dirs in grouped.items():
+        ortho = []
+        for d in dirs:
+            v = d.copy()
+            for u in ortho:
+                v -= (u @ v) * u
+            nv = np.linalg.norm(v)
+            if nv < 1e-10:
+                raise ConstraintError(f"dependent constraint directions at node {node}")
+            ortho.append(v / nv)
+        if len(ortho) > 3:
+            raise ConstraintError(f"more than 3 constraint directions at node {node}")
+        frames[node] = (_complete_frame(ortho), len(ortho))
+    return frames
+
+
+def apply_constraints_reference(system, constraints):
+    """Rotated-frame elimination node by node, with ``frame^T K frame``.
+
+    The frame matrix is built entry by entry in a loop over all nodes; the
+    elimination is ``free K' free + fixed`` with diagonal 0/1 matrices.
+    """
+    constraints = tuple(constraints)
+    if not constraints:
+        return system
+    ndof = system.ndof
+    n_nodes = ndof // 3
+    for c in constraints:
+        if not 0 <= c.node < n_nodes:
+            raise ConstraintError(f"constraint node {c.node} out of range")
+
+    frames = _node_frames(constraints)
+
+    rows = []
+    cols = []
+    vals = []
+    constrained = np.zeros(ndof, dtype=bool)
+    for node in range(n_nodes):
+        base = 3 * node
+        if node in frames:
+            Q, d = frames[node]
+            for a in range(3):
+                for j in range(3):
+                    rows.append(base + a)
+                    cols.append(base + j)
+                    vals.append(Q[a, j])
+            constrained[base:base + d] = True
+        else:
+            for a in range(3):
+                rows.append(base + a)
+                cols.append(base + a)
+                vals.append(1.0)
+    frame = sp.coo_matrix((vals, (rows, cols)), shape=(ndof, ndof)).tocsr()
+
+    rotated = (frame.T @ system.matrix @ frame).tocsr()
+    rhs = frame.T @ system.rhs
+    free = sp.diags((~constrained).astype(float))
+    fixed = sp.diags(constrained.astype(float))
+    matrix = (free @ rotated @ free + fixed).tocsr()
+    rhs = np.where(constrained, 0.0, rhs)
+    return LinearSystem(matrix, rhs, constraints=constraints, frame=frame,
+                        constrained=constrained)
+
+
+def extract_boundary_loops_reference(triangles, n_vertices):
+    """Boundary loops by ``np.unique`` / ``np.isin`` and a successor dict.
+
+    Raises ``MeshError`` for a non-manifold edge, then for an inconsistent
+    orientation, then for boundary loops touching in a vertex.
+    """
+    n = int(n_vertices)
+    ea = triangles[:, [0, 1, 2]].ravel()
+    eb = triangles[:, [1, 2, 0]].ravel()
+    lo = np.minimum(ea, eb).astype(np.int64)
+    hi = np.maximum(ea, eb).astype(np.int64)
+    _, counts = np.unique(lo * n + hi, return_counts=True)
+    if counts.size and counts.max() > 2:
+        raise MeshError("non-manifold edge: more than two incident triangles")
+    key = ea.astype(np.int64) * n + eb
+    skey = np.sort(key)
+    if skey.size > 1 and np.any(np.diff(skey) == 0):
+        raise MeshError("inconsistent orientation: a directed edge is used by two triangles")
+
+    has_reverse = np.isin(eb.astype(np.int64) * n + ea, skey)
+    ba = ea[~has_reverse]
+    bb = eb[~has_reverse]
+    successor = {}
+    for a, b in zip(ba.tolist(), bb.tolist()):
+        if a in successor:
+            raise MeshError(f"boundary loops touch at vertex {a}")
+        successor[a] = b
+
+    loops = []
+    visited = set()
+    for start in sorted(successor):
+        if start in visited:
+            continue
+        loop = [start]
+        visited.add(start)
+        cur = successor[start]
+        while cur != start:
+            if cur in visited:
+                raise MeshError(f"boundary loops touch at vertex {cur}")
+            loop.append(cur)
+            visited.add(cur)
+            cur = successor[cur]
+        loops.append(np.asarray(loop, dtype=np.int64))
+    return loops

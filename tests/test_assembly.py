@@ -18,7 +18,7 @@ from memshell.element import SingularJacobianError, element_stiffness, quadratur
 from memshell.geometry import Cylinder, MaterialModel, cylinder_exact
 from memshell.mesh import SurfaceMesh, build_cylinder_mesh, build_torus_mesh
 
-from oracles import dense_assembly, flat_grid_mesh
+from oracles import apply_constraints_reference, dense_assembly, flat_grid_mesh
 
 MAT = MaterialModel(E=100.0, nu=0.5, t=1e-2)
 QUAD = quadrature_rule(2)
@@ -247,6 +247,90 @@ def test_dependent_constraint_directions_rejected():
     ]
     with pytest.raises(ConstraintError, match="dependent"):
         apply_constraints(system, cons)
+
+
+def _assert_matches_reference(system, constraints):
+    got = apply_constraints(system, constraints)
+    ref = apply_constraints_reference(system, constraints)
+    scale = abs(ref.matrix).max()
+    assert abs(got.matrix - ref.matrix).max() <= 1e-14 * scale
+    assert np.abs(got.rhs - ref.rhs).max() <= 1e-14 * max(np.abs(ref.rhs).max(), 1e-300)
+    assert abs(got.frame - ref.frame).max() <= 1e-14
+    assert np.array_equal(got.constrained, ref.constrained)
+    assert got.constraints == ref.constraints
+
+
+@pytest.mark.parametrize("n", [3, 4, 7, 16])
+def test_apply_constraints_matches_reference_on_cylinders(n):
+    mesh = build_cylinder_mesh(1.0, 4.0, n, n)
+    load = cylinder_exact(1.0, MAT, Cylinder(1.0, 4.0)).load_at
+    system = assemble(mesh, MAT, load, QUAD)
+    _assert_matches_reference(system, cylinder_constraints(mesh))
+
+
+def _random_constraints(rng, n_nodes, n_constrained):
+    """1, 2 or 3 directions at random nodes, in shuffled order.
+
+    Some directions are coordinate axes or diagonals, whose completion has
+    ties in the smallest component. Each direction keeps a distance of at
+    least 0.3 from the span of the node's earlier ones: Gram-Schmidt
+    amplifies rounding by the inverse of that distance, and the two
+    implementations round their dot products differently.
+    """
+    special = np.array([[0, 0, 1], [0, 1, 0], [1, 1, 0], [-1, 0, 1], [1, 1, 1]], dtype=float)
+    cons = []
+    for node in rng.choice(n_nodes, size=n_constrained, replace=False):
+        basis = np.zeros((0, 3))
+        count = rng.integers(1, 4)
+        while len(basis) < count:
+            d = special[rng.integers(len(special))] if rng.random() < 0.3 else rng.standard_normal(3)
+            d = d / np.linalg.norm(d)
+            rest = d - basis.T @ (basis @ d)
+            if np.linalg.norm(rest) < 0.3:
+                continue
+            basis = np.vstack([basis, rest / np.linalg.norm(rest)])
+            cons.append(Constraint(int(node), d))
+    order = rng.permutation(len(cons))
+    return [cons[k] for k in order]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_apply_constraints_matches_reference_on_random_sets(seed):
+    rng = np.random.default_rng(seed)
+    mesh = build_torus_mesh(2.0, 0.7, 8, 5)
+    system = assemble(mesh, MAT, _const_load, QUAD)
+    for _ in range(10):
+        _assert_matches_reference(system, _random_constraints(rng, mesh.n_vertices, 12))
+
+
+def test_apply_constraints_matches_reference_without_stored_diagonal_block():
+    # node 1 couples to node 0 but stores no diagonal block of its own
+    K = np.zeros((6, 6))
+    K[:3, :3] = np.diag([4.0, 5.0, 6.0])
+    K[:3, 3:] = K[3:, :3] = 0.5
+    system = LinearSystem(sp.csr_matrix(K), np.arange(1.0, 7.0))
+    d = np.array([1.0, 2.0, 2.0]) / 3.0
+    _assert_matches_reference(system, [Constraint(1, d), Constraint(0, np.array([0.0, 1.0, 0.0]))])
+
+
+@pytest.mark.parametrize("directions, nodes, message", [
+    ([[1, 0, 0], [0, 1, 0], [1, 0, 0]], [3, 2, 3], "dependent constraint directions at node 3"),
+    ([[1, 0, 0], [0, 1, 0], [0, 0, 1], [0.6, 0.8, 0]], [1, 1, 1, 1],
+     "dependent constraint directions at node 1"),
+    # node 2 comes first in the constraint order, though node 0 is smaller
+    ([[0, 1, 0], [1, 0, 0], [0, 1, 0], [1, 0, 0]], [2, 0, 2, 0],
+     "dependent constraint directions at node 2"),
+    ([[1, 0, 0], [0, 1, 0]], [0, 9], "constraint node 9 out of range"),
+    ([[1, 0, 0], [0, 1, 0]], [-1, 0], "constraint node -1 out of range"),
+])
+def test_constraint_errors_match_reference(directions, nodes, message):
+    mesh = flat_grid_mesh(1, 1)
+    system = assemble(mesh, MAT, _const_load, QUAD)
+    cons = [Constraint(n, np.array(d, dtype=float)) for n, d in zip(nodes, directions)]
+    for apply in (apply_constraints, apply_constraints_reference):
+        with pytest.raises(ConstraintError) as err:
+            apply(system, cons)
+        assert str(err.value) == message
 
 
 def test_constraint_validation():

@@ -1,9 +1,12 @@
 """Command-line driver tests (in-process through ``main``)."""
 
+import sys
+
 import numpy as np
 import pytest
 
-from memshell.cli import RunConfig, main, run_convergence
+from memshell import cli, element
+from memshell.cli import RunConfig, main, run_convergence, solve_case
 from memshell.mesh import build_torus_mesh, import_mesh
 
 
@@ -162,3 +165,45 @@ def test_import_case_requires_mesh(capsys):
     rc = main(["run", "--case", "import"])
     assert rc != 0
     assert "mesh" in capsys.readouterr().err.lower()
+
+
+@pytest.mark.parametrize("case", ["cylinder", "torus", "import"])
+def test_solve_case_computes_quadrature_geometry_once(tmp_path, monkeypatch, case):
+    real = element.quadrature_geometry
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    # replace it in every memshell namespace that imported it by name
+    for name, module in list(sys.modules.items()):
+        if name == "memshell" or name.startswith("memshell."):
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, counting)
+    config = RunConfig(case=case, n=6, out=str(tmp_path))
+    if case == "import":
+        config.mesh_path = str(tmp_path / "torus.off")
+        _write_off(build_torus_mesh(1.0, 0.5, 12, 6), tmp_path / "torus.off")
+    result = solve_case(config)
+    assert result.report.converged
+    assert len(calls) == 1
+
+
+def test_failing_ladder_level_leaves_completed_rows(tmp_path, monkeypatch):
+    real = cli.solve_case
+
+    def third_level_fails(config, n=None):
+        if n == 8:
+            raise RuntimeError("level 3 failed")
+        return real(config, n)
+
+    monkeypatch.setattr(cli, "solve_case", third_level_fails)
+    with pytest.raises(RuntimeError, match="level 3 failed"):
+        run_convergence(RunConfig(case="cylinder", out=str(tmp_path)), [4, 6, 8])
+    lines = (tmp_path / "convergence.csv").read_text().splitlines()
+    assert len(lines) == 3
+    assert lines[0] == "h,error,rate"
+    assert lines[1].endswith(",")
+    assert float(lines[2].split(",")[2]) > 0.0

@@ -8,6 +8,7 @@ import pytest
 from memshell.geometry import Cylinder, Torus
 from memshell.mesh import (
     MeshError,
+    _extract_boundary_loops,
     SurfaceMesh,
     boundary_components,
     build_cylinder_mesh,
@@ -17,7 +18,7 @@ from memshell.mesh import (
     mesh_size,
 )
 
-from oracles import flat_grid_mesh
+from oracles import extract_boundary_loops_reference, flat_grid_mesh
 
 
 def test_cylinder_counts():
@@ -219,6 +220,42 @@ def test_inconsistent_orientation_rejected():
         SurfaceMesh(verts, tris)
 
 
+def test_boundary_loops_touching_at_a_vertex_rejected():
+    # a bowtie: two triangles that share only vertex 0
+    verts = np.array([
+        [0.0, 0.0, 0.0],
+        [1.0, 0.0, 0.0],
+        [1.0, 1.0, 0.0],
+        [-1.0, 0.0, 0.0],
+        [-1.0, -1.0, 0.0],
+    ])
+    tris = np.array([[0, 1, 2], [0, 3, 4]])
+    with pytest.raises(MeshError, match="boundary loops touch at vertex 0"):
+        SurfaceMesh(verts, tris)
+
+
+_BAD_TOPOLOGY = {
+    # three triangles on edge (0, 1), two of them running it the same way
+    "non_manifold": [[0, 1, 2], [1, 0, 3], [0, 1, 4]],
+    "orientation": [[0, 1, 2], [0, 1, 3]],
+    "bowtie": [[0, 1, 2], [0, 3, 4]],
+    # two bowties; the one at vertex 5 shows first in edge order
+    "two_bowties": [[5, 6, 7], [5, 8, 9], [0, 1, 2], [0, 3, 4]],
+    # a non-manifold edge and a repeated directed edge elsewhere
+    "non_manifold_and_orientation": [[0, 1, 2], [1, 0, 3], [1, 0, 4], [2, 3, 4], [2, 3, 0]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BAD_TOPOLOGY))
+def test_boundary_loop_errors_match_reference(name):
+    tris = np.array(_BAD_TOPOLOGY[name])
+    with pytest.raises(MeshError) as expected:
+        extract_boundary_loops_reference(tris, tris.max() + 1)
+    with pytest.raises(MeshError) as got:
+        _extract_boundary_loops(tris, tris.max() + 1)
+    assert str(got.value) == str(expected.value)
+
+
 def test_degenerate_triangle_rejected():
     verts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
     with pytest.raises(MeshError, match="degenerate"):
@@ -352,14 +389,17 @@ def test_mesh_size_matches_edge_scan_cylinder():
 
 
 def _imported_shuffled_torus(tmp_path):
-    # a torus with permuted vertex numbers, written to OFF and read back
-    mesh = build_torus_mesh(2.0, 0.7, 7, 5)
+    return _imported_shuffled(build_torus_mesh(2.0, 0.7, 7, 5), tmp_path)
+
+
+def _imported_shuffled(mesh, tmp_path):
+    # the mesh with permuted vertex numbers, written to OFF and read back
     perm = np.random.default_rng(5).permutation(mesh.n_vertices)
     inverse = np.argsort(perm)
     lines = ["OFF", f"{mesh.n_vertices} {mesh.n_triangles} 0"]
     lines += [" ".join(repr(float(x)) for x in v) for v in mesh.vertices[perm]]
     lines += ["3 %d %d %d" % tuple(inverse[t]) for t in mesh.triangles]
-    path = tmp_path / "torus.off"
+    path = tmp_path / "shuffled.off"
     path.write_text("\n".join(lines) + "\n")
     return import_mesh(path)
 
@@ -377,6 +417,22 @@ def test_edges_match_row_unique(tmp_path, make):
     edges = mesh.edges()
     assert edges.dtype == expected.dtype
     assert np.array_equal(edges, expected)
+
+
+@pytest.mark.parametrize("make", [
+    lambda tmp: build_cylinder_mesh(1.0, 4.0, 9, 4),
+    lambda tmp: build_torus_mesh(2.0, 0.7, 8, 6),
+    lambda tmp: _imported_shuffled(build_cylinder_mesh(1.0, 4.0, 11, 5), tmp),
+    lambda tmp: flat_grid_mesh(4, 3),
+], ids=["cylinder", "torus", "imported_off_cylinder", "flat_grid"])
+def test_boundary_loops_match_reference(tmp_path, make):
+    mesh = make(tmp_path)
+    expected = extract_boundary_loops_reference(mesh.triangles, mesh.n_vertices)
+    loops = _extract_boundary_loops(mesh.triangles, mesh.n_vertices)
+    assert len(loops) == len(expected)
+    for loop, ref in zip(loops, expected):
+        assert loop.dtype == ref.dtype
+        assert np.array_equal(loop, ref)
 
 
 def test_mesh_immutable():

@@ -16,6 +16,7 @@ from memshell.geometry import (
 from memshell.mesh import SurfaceMesh, build_cylinder_mesh, build_torus_mesh, mesh_size
 from memshell.postprocess import (
     ConvergenceRecord,
+    _row_texts,
     convergence_rate,
     export_vtk,
     fit_convergence,
@@ -266,6 +267,47 @@ def test_export_vtk_bytes_match_reference_writer(tmp_path, make):
     export_vtk(mesh, u, field, tmp_path / "block.vtk")
     write_legacy_vtk_reference(mesh, u, field, tmp_path / "reference.vtk")
     assert (tmp_path / "block.vtk").read_bytes() == (tmp_path / "reference.vtk").read_bytes()
+
+
+def _percent_rows(a):
+    """The text ``_row_texts`` must produce: one ``"%.12e" % x`` per number."""
+    return "".join(" ".join("%.12e" % x for x in row) + "\n" for row in a.tolist())
+
+
+def test_rows_match_percent_format_on_random_bit_patterns():
+    # every sign, exponent and mantissa, nans and infinities included
+    bits = np.random.default_rng(41).integers(0, 2**64, size=150_000, dtype=np.uint64)
+    a = bits.view(np.float64).reshape(-1, 3)
+    assert _row_texts(a) == [_percent_rows(a)]
+
+
+def test_rows_match_percent_format_on_scaled_normals():
+    rng = np.random.default_rng(43)
+    scale = np.array([float(f"1e{k}") for k in rng.integers(-40, 40, size=60_000)])
+    a = (rng.standard_normal(60_000) * scale).reshape(-1, 6)
+    assert _row_texts(a) == [_percent_rows(a)]
+
+
+def test_rows_match_percent_format_on_edge_cases():
+    tiny = np.nextafter(0.0, 1.0)
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    three_digit = np.array([1.2345678901234 * float(f"1e{k}")
+                            for k in (*range(-308, -99, 7), *range(100, 308, 7))])
+    n13 = np.random.default_rng(47).integers(10**12, 10**13, size=2000)
+    values = np.concatenate([
+        [0.0, -0.0, tiny, -tiny, 2.2250738585072014e-308, np.inf, -np.inf, np.nan, -np.nan],
+        [123456789012.5, 1234567890123.5, 12345678901235.0, 0.5, 2.5, 1e-290, 1e290],
+        powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
+        three_digit, -three_digit,
+        n13 + 0.5,  # ties in the 13th digit
+        10 * n13 + 5.0,  # 14-digit integers ending in 5, also ties
+        np.arange(-80_000, 80_000, 7) / 8.0,  # k/8
+    ])
+    a = np.concatenate([values, np.zeros(-values.size % 3)]).reshape(-1, 3)
+    assert _row_texts(a) == [_percent_rows(a)]
+    # several arrays in one call, split at their ends
+    parts = [values[:, None], a[:5], values[:12].reshape(2, 6), a]
+    assert _row_texts(*parts) == [_percent_rows(p) for p in parts]
 
 
 def test_write_convergence_csv(tmp_path):
