@@ -13,26 +13,13 @@ __version__ = "0.1.0"
 from .assembly import (
     Constraint,
     ConstraintError,
-    DofMap,
     LinearSystem,
     apply_constraints,
     assemble,
     cylinder_constraints,
     pressure_rhs,
 )
-from .element import (
-    ElementMatrices,
-    QuadratureRule,
-    SingularJacobianError,
-    basis_surface_gradients,
-    element_jacobian,
-    element_load,
-    element_matrices,
-    element_stiffness,
-    quadrature_rule,
-    shape_values_and_ref_gradients,
-    strain_displacement,
-)
+from .element import QuadratureRule, SingularJacobianError, quadrature_rule
 from .geometry import (
     AnalyticSurface,
     Cylinder,
@@ -48,17 +35,14 @@ from .mesh import (
     BoundaryComponent,
     MeshError,
     SurfaceMesh,
-    boundary_components,
     build_cylinder_mesh,
     build_torus_mesh,
-    compute_nodal_normals,
     import_mesh,
     mesh_size,
 )
 from .postprocess import (
     ConvergenceRecord,
     StressField,
-    convergence_rate,
     export_vtk,
     fit_convergence,
     recover_stress,
@@ -78,24 +62,19 @@ __all__ = [
     "__version__",
     # mesh
     "MeshError", "BoundaryComponent", "SurfaceMesh", "build_cylinder_mesh",
-    "build_torus_mesh", "compute_nodal_normals", "boundary_components",
-    "import_mesh", "mesh_size",
+    "build_torus_mesh", "import_mesh", "mesh_size",
     # geometry
     "GeometryError", "AnalyticSurface", "Cylinder", "Torus", "MaterialModel",
     "ExactSolution", "projector", "cylinder_exact", "torus_exact",
     # element
     "SingularJacobianError", "QuadratureRule", "quadrature_rule",
-    "shape_values_and_ref_gradients", "element_jacobian",
-    "basis_surface_gradients", "strain_displacement", "element_stiffness",
-    "element_load", "ElementMatrices", "element_matrices",
     # assembly
-    "ConstraintError", "DofMap", "Constraint", "LinearSystem", "assemble",
+    "ConstraintError", "Constraint", "LinearSystem", "assemble",
     "pressure_rhs", "cylinder_constraints", "apply_constraints",
     # solver
     "SolverError", "NegativeCurvatureError", "IterationLimitError",
     "SolveReport", "translation_basis", "solve",
     # postprocess
     "StressField", "recover_stress", "stress_l2_error", "ConvergenceRecord",
-    "fit_convergence", "convergence_rate", "export_vtk",
-    "write_convergence_csv",
+    "fit_convergence", "export_vtk", "write_convergence_csv",
 ]

@@ -1,4 +1,4 @@
-"""Global sparse assembly, dof management, and rotated-frame Dirichlet constraints.
+"""Global sparse assembly and rotated-frame Dirichlet constraints.
 
 Degrees of freedom are node-major: dof ``3*node + component`` with components
 0..2 the global x, y, z displacements. Homogeneous directional constraints
@@ -19,7 +19,6 @@ from .mesh import SurfaceMesh
 
 __all__ = [
     "ConstraintError",
-    "DofMap",
     "Constraint",
     "LinearSystem",
     "assemble",
@@ -34,30 +33,11 @@ class ConstraintError(ValueError):
 
 
 @dataclasses.dataclass(frozen=True)
-class DofMap:
-    """Node-major dof numbering: dof = 3*node + component."""
-
-    n_nodes: int
-
-    @property
-    def ndof(self) -> int:
-        return 3 * self.n_nodes
-
-    def index(self, node: int, component: int) -> int:
-        if not 0 <= component < 3:
-            raise IndexError(f"component {component} out of range")
-        if not 0 <= node < self.n_nodes:
-            raise IndexError(f"node {node} out of range")
-        return 3 * node + component
-
-
-@dataclasses.dataclass(frozen=True)
 class Constraint:
     """Homogeneous directional constraint ``direction . u(node) = 0``."""
 
     node: int
     direction: np.ndarray
-    value: float = 0.0
 
     def __post_init__(self):
         d = np.asarray(self.direction, dtype=float)
@@ -65,8 +45,6 @@ class Constraint:
             raise ConstraintError(f"constraint direction must be a 3-vector, got {d.shape}")
         if abs(np.linalg.norm(d) - 1.0) > 1e-12:
             raise ConstraintError(f"constraint direction must be unit length, |q|={np.linalg.norm(d)}")
-        if self.value != 0.0:
-            raise ConstraintError("only homogeneous constraints are supported")
         d.setflags(write=False)
         object.__setattr__(self, "direction", d)
 

@@ -109,11 +109,14 @@ def solve_case(config: RunConfig, n: int | None = None) -> CaseResult:
     n = config.n if n is None else n
     quad = quadrature_rule(2)
     if config.case == "import":
-        msh = mesh.import_mesh(config.mesh_path) if config.mesh_path else None
-        if msh is None:
+        if not config.mesh_path:
             raise ValueError("case 'import' requires a mesh file (--mesh)")
+        msh = mesh.import_mesh(config.mesh_path)
         material = geometry.MaterialModel(config.E, config.nu, config.t, config.mode)
         load_at, constrain, deflate, exact = None, False, True, None
+    elif config.mesh_path:
+        raise ValueError(f"mesh file {config.mesh_path} is only read by case 'import', "
+                         f"not by case {config.case!r}")
     else:
         msh, material, load_at, constrain, deflate, exact = _build_case(config, n)
     tris = msh.triangles

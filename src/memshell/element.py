@@ -1,4 +1,4 @@
-"""Reference-element basis, surface Jacobians, quadrature, element matrices.
+"""Quadrature, batched surface Jacobians, element matrices.
 
 Linear triangles are extended into 3D through a nodal normal field: the
 element Jacobian stacks the two (constant) facet tangents with the unit
@@ -17,9 +17,9 @@ with ``e`` the symmetrized tangential displacement gradient. This equals the
 double-projected in-plane strain energy because the normal-normal strain
 component vanishes for tangential gradients.
 
-Batched (all elements at once) versions of the kernels back the global
-assembly and the stress recovery; the single-element functions are the
-reference implementations.
+Every kernel works on all elements at once and backs the global assembly and
+the stress recovery. The per-element ``np.linalg.solve`` reference that the
+tests compare them with lives in ``tests/oracles.py``.
 """
 
 import dataclasses
@@ -30,28 +30,11 @@ __all__ = [
     "SingularJacobianError",
     "QuadratureRule",
     "quadrature_rule",
-    "shape_values_and_ref_gradients",
-    "element_jacobian",
-    "basis_surface_gradients",
-    "strain_displacement",
-    "element_stiffness",
-    "element_load",
-    "ElementMatrices",
-    "element_matrices",
     "quadrature_geometry",
     "QuadraturePointData",
     "batch_element_stiffness",
     "batch_element_loads",
 ]
-
-#: Reference gradients of the linear nodal basis (1-xi-eta, xi, eta).
-REFERENCE_GRADIENTS = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
-REFERENCE_GRADIENTS.setflags(write=False)
-
-# Right-hand sides of J g_i = (dphi_i/dxi, dphi_i/deta, 0), one column per node.
-_GRAD_RHS = np.zeros((3, 3))
-_GRAD_RHS[:2, :] = REFERENCE_GRADIENTS.T
-_GRAD_RHS.setflags(write=False)
 
 _EYE3 = np.eye(3)
 _EYE3.setflags(write=False)
@@ -63,18 +46,6 @@ class SingularJacobianError(ValueError):
     def __init__(self, message: str, element: int | None = None):
         super().__init__(message if element is None else f"element {element}: {message}")
         self.element = element
-
-
-def shape_values_and_ref_gradients(xi: float, eta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Linear shape function values and reference gradients at ``(xi, eta)``.
-
-    Returns ``(values, gradients)`` with ``values = (1-xi-eta, xi, eta)`` and
-    the constant gradients ``((-1,-1), (1,0), (0,1))``. The point must lie in
-    the closed reference triangle.
-    """
-    if xi < -1e-12 or eta < -1e-12 or xi + eta > 1.0 + 1e-12:
-        raise ValueError(f"({xi}, {eta}) outside the reference triangle")
-    return np.array([1.0 - xi - eta, xi, eta]), REFERENCE_GRADIENTS.copy()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -129,164 +100,6 @@ def quadrature_rule(order: int) -> QuadratureRule:
         ])
         return QuadratureRule(pts, np.full(3, 1.0 / 6.0))
     raise ValueError(f"unsupported quadrature order {order} (supported: 1, 2)")
-
-
-def element_jacobian(coords, normals, xi: float, eta: float,
-                     variant: str = "interpolated") -> np.ndarray:
-    """Jacobian of the normal-extended element map at ``(xi, eta)``.
-
-    Rows are the two constant facet tangents and the unit normal: the
-    renormalized linear interpolation of the nodal normals for
-    ``variant="interpolated"``, or the facet normal for ``variant="facet"``
-    (constant over the element).
-
-    Parameters
-    ----------
-    coords : (3, 3) array_like
-        Node positions, one row per node.
-    normals : (3, 3) array_like
-        Unit nodal normals, one row per node.
-
-    Raises
-    ------
-    SingularJacobianError
-        If the (interpolated) normal lies in the facet plane.
-    """
-    coords = np.asarray(coords, dtype=float)
-    normals = np.asarray(normals, dtype=float)
-    t_xi = coords[1] - coords[0]
-    t_eta = coords[2] - coords[0]
-    cross = np.cross(t_xi, t_eta)
-    cn = np.linalg.norm(cross)
-    if cn <= 1e-14 * np.linalg.norm(t_xi) * np.linalg.norm(t_eta):
-        raise SingularJacobianError("degenerate facet (zero area)")
-    if variant == "interpolated":
-        values, _ = shape_values_and_ref_gradients(xi, eta)
-        n0 = values @ normals
-        nn = np.linalg.norm(n0)
-        if nn <= 1e-12:
-            raise SingularJacobianError("interpolated normal vanishes")
-        nhat = n0 / nn
-    elif variant == "facet":
-        nhat = cross / cn
-    else:
-        raise ValueError(f"unknown geometry variant {variant!r}")
-    det = nhat @ cross
-    if abs(det) <= 1e-12 * cn:
-        raise SingularJacobianError(
-            f"normal lies in the facet plane (normal {nhat}, facet area {0.5 * cn:.3e})"
-        )
-    return np.vstack([t_xi, t_eta, nhat])
-
-
-def basis_surface_gradients(jacobian, ref_gradients=None) -> np.ndarray:
-    """Physical (surface) gradients of the three nodal basis functions.
-
-    Solves ``J g_i = (dphi_i/dxi, dphi_i/deta, 0)``; because the third row of
-    ``J`` is the unit normal, each gradient is exactly tangential and the
-    three gradients sum to zero.
-
-    Returns a (3, 3) array with ``g_i`` in row ``i``.
-    """
-    if ref_gradients is None:
-        rhs = _GRAD_RHS
-    else:
-        rhs = np.zeros((3, 3))
-        rhs[:2, :] = np.asarray(ref_gradients, dtype=float).T
-    try:
-        sol = np.linalg.solve(np.asarray(jacobian, dtype=float), rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularJacobianError(f"singular Jacobian: {exc}") from exc
-    return sol.T
-
-
-def strain_displacement(gradients, normal) -> np.ndarray:
-    """Per-dof tangential strain operators.
-
-    For dof ``k = 3*i + a`` (node ``i``, displacement component ``a``) the
-    returned ``(9, 3, 3)`` array holds the symmetrized tangential gradient
-    ``(e_a (x) g_i + g_i (x) e_a) / 2`` produced by a unit nodal displacement.
-    The gradients must be tangential to ``normal``.
-    """
-    g = np.asarray(gradients, dtype=float)
-    n = np.asarray(normal, dtype=float)
-    scale = np.abs(g).max()
-    if scale > 0 and np.abs(g @ n).max() > 1e-10 * scale:
-        raise ValueError("gradients are not tangential to the supplied normal")
-    B = np.zeros((9, 3, 3))
-    for i in range(3):
-        for a in range(3):
-            k = 3 * i + a
-            B[k, a, :] += 0.5 * g[i]
-            B[k, :, a] += 0.5 * g[i]
-    return B
-
-
-def element_stiffness(coords, normals, material, quad: QuadratureRule | None = None,
-                      variant: str = "interpolated") -> np.ndarray:
-    """9x9 membrane stiffness of one element (dof order: node-major x,y,z).
-
-    Integrates ``t * [2 mu e:e - 4 mu (e n).(e n) + lam (div u)(div v)]`` over
-    the facet with the given rule. The matrix is symmetric positive
-    semidefinite with the three translations in its kernel.
-    """
-    if quad is None:
-        quad = quadrature_rule(2)
-    coords = np.asarray(coords, dtype=float)
-    normals = np.asarray(normals, dtype=float)
-    mu = material.mu
-    lam = material.lame_effective
-    measure = np.linalg.norm(np.cross(coords[1] - coords[0], coords[2] - coords[0]))
-
-    K = np.zeros((9, 9))
-    for (xi, eta), w in zip(quad.points, quad.weights):
-        J = element_jacobian(coords, normals, xi, eta, variant)
-        g = basis_surface_gradients(J)
-        n = J[2]
-        B = strain_displacement(g, n)
-        Bn = np.einsum("kab,b->ka", B, n)
-        div = g.reshape(9)
-        dS = w * measure
-        K += dS * (
-            2.0 * mu * np.einsum("kab,lab->kl", B, B)
-            - 4.0 * mu * Bn @ Bn.T
-            + lam * np.outer(div, div)
-        )
-    return material.t * K
-
-
-def element_load(coords, normals, load_at, quad: QuadratureRule | None = None) -> np.ndarray:
-    """Consistent nodal load 9-vector ``int f . phi_i`` over the facet.
-
-    ``load_at`` maps points of shape ``(..., 3)`` to load vectors of the same
-    shape (force per unit midsurface area); it is evaluated at the mapped
-    quadrature points. No thickness factor is applied.
-    """
-    if quad is None:
-        quad = quadrature_rule(2)
-    coords = np.asarray(coords, dtype=float)
-    measure = np.linalg.norm(np.cross(coords[1] - coords[0], coords[2] - coords[0]))
-    phi = quad.shape_values()
-    points = phi @ coords
-    f = np.asarray(load_at(points), dtype=float).reshape(len(quad), 3)
-    return np.einsum("q,qi,qa->ia", quad.weights * measure, phi, f).reshape(9)
-
-
-@dataclasses.dataclass(frozen=True)
-class ElementMatrices:
-    """Stiffness (9x9) and consistent load (9,) of one element."""
-
-    stiffness: np.ndarray
-    load: np.ndarray
-
-
-def element_matrices(coords, normals, material, load_at,
-                     quad: QuadratureRule | None = None,
-                     variant: str = "interpolated") -> ElementMatrices:
-    return ElementMatrices(
-        stiffness=element_stiffness(coords, normals, material, quad, variant),
-        load=element_load(coords, normals, load_at, quad),
-    )
 
 
 @dataclasses.dataclass(frozen=True)

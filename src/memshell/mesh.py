@@ -8,7 +8,6 @@ benchmark surfaces with exact nodal normals and deterministic connectivity.
 """
 
 import dataclasses
-import math
 from pathlib import Path
 
 import numpy as np
@@ -19,8 +18,6 @@ __all__ = [
     "SurfaceMesh",
     "build_cylinder_mesh",
     "build_torus_mesh",
-    "compute_nodal_normals",
-    "boundary_components",
     "import_mesh",
     "mesh_size",
 ]
@@ -259,15 +256,6 @@ class SurfaceMesh:
         """Total facet area."""
         return float(self._facet_areas.sum())
 
-    def with_normals(self, nodal_normals) -> "SurfaceMesh":
-        """Copy of this mesh carrying a different nodal normal field."""
-        return SurfaceMesh(
-            self._vertices,
-            self._triangles,
-            nodal_normals=nodal_normals,
-            boundary_labels=[c.label for c in self._boundary],
-        )
-
 
 def build_cylinder_mesh(r: float, L: float, n_circ: int, n_axial: int) -> SurfaceMesh:
     """Structured triangulation of an open cylinder of radius ``r``, length ``L``.
@@ -372,39 +360,6 @@ def build_torus_mesh(R: float, r: float, n_tor: int, n_pol: int) -> SurfaceMesh:
     tris = np.stack([a, d, c, a, c, b], axis=-1).reshape(-1, 3)
 
     return SurfaceMesh(verts, tris, nodal_normals=normals)
-
-
-def compute_nodal_normals(mesh: SurfaceMesh, mode: str, surface=None) -> SurfaceMesh:
-    """Return a copy of ``mesh`` with recomputed nodal normals.
-
-    Parameters
-    ----------
-    mesh : SurfaceMesh
-    mode : {"exact", "averaged"}
-        ``"exact"`` evaluates the normal of ``surface`` (an analytic surface
-        providing ``normal_at``) at each vertex. ``"averaged"`` uses the
-        area-weighted average of incident facet normals, renormalized.
-    surface : optional
-        Required for ``mode="exact"``.
-    """
-    if mode == "exact":
-        if surface is None:
-            raise MeshError("mode='exact' requires an analytic surface")
-        normals = surface.normal_at(mesh.vertices)
-        return mesh.with_normals(normals)
-    if mode == "averaged":
-        cross = _facet_cross(mesh.vertices, mesh.triangles)
-        return mesh.with_normals(_averaged_normals(mesh.vertices, mesh.triangles, cross))
-    raise MeshError(f"unknown normal mode {mode!r}")
-
-
-def boundary_components(mesh: SurfaceMesh) -> list[BoundaryComponent]:
-    """Extract the closed boundary loops of ``mesh`` (freshly computed)."""
-    loops = _extract_boundary_loops(mesh.triangles, mesh.n_vertices)
-    return [
-        BoundaryComponent(_readonly(loop), f"boundary_{k}")
-        for k, loop in enumerate(loops)
-    ]
 
 
 def mesh_size(mesh: SurfaceMesh) -> float:

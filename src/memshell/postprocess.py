@@ -22,7 +22,6 @@ __all__ = [
     "stress_l2_error",
     "ConvergenceRecord",
     "fit_convergence",
-    "convergence_rate",
     "export_vtk",
     "write_convergence_csv",
 ]
@@ -60,9 +59,6 @@ class StressField:
     def n_elements(self) -> int:
         return self.weights.shape[0]
 
-    def total_area(self) -> float:
-        return float(self.weights.sum())
-
     def l2_norm(self) -> float:
         """Frobenius L2 norm of the field over the discrete surface."""
         sq = np.einsum("mqab,mqab->mq", self.stresses, self.stresses)
@@ -73,12 +69,6 @@ class StressField:
         wsum = self.weights.sum(axis=1)
         avg = np.einsum("mq,mqab->mab", self.weights, self.stresses)
         return avg / wsum[:, None, None]
-
-    def von_mises_cells(self) -> np.ndarray:
-        """(m,) von Mises equivalent stress of the element averages."""
-        s = self.cell_averages()
-        dev = s - (np.trace(s, axis1=1, axis2=2) / 3.0)[:, None, None] * np.eye(3)
-        return np.sqrt(1.5 * np.einsum("mab,mab->m", dev, dev))
 
 
 def recover_stress(mesh: SurfaceMesh, material: MaterialModel, displacement,
@@ -176,11 +166,6 @@ def fit_convergence(records) -> ConvergenceRecord:
     )
 
 
-def convergence_rate(records) -> float:
-    """Fitted slope of log(error) versus log(h) for >= 3 ``(h, error)`` pairs."""
-    return fit_convergence(records).slope
-
-
 def _fmt(x: float) -> str:
     return format(float(x), ".12e")
 
@@ -259,7 +244,7 @@ def export_vtk(mesh: SurfaceMesh, displacement, field: StressField, path,
 
     Points and triangle cells, point-data displacement vectors, cell-data
     stress components (xx, yy, zz, xy, yz, xz of the element-average tensor)
-    and the von Mises scalar.
+    and that tensor's von Mises scalar.
     """
     u = np.asarray(displacement, dtype=float)
     n = mesh.n_vertices
@@ -276,7 +261,8 @@ def export_vtk(mesh: SurfaceMesh, displacement, field: StressField, path,
         avg[:, 0, 0], avg[:, 1, 1], avg[:, 2, 2],
         avg[:, 0, 1], avg[:, 1, 2], avg[:, 0, 2],
     ])
-    vm = field.von_mises_cells()
+    dev = avg - (np.trace(avg, axis1=1, axis2=2) / 3.0)[:, None, None] * np.eye(3)
+    vm = np.sqrt(1.5 * np.einsum("mab,mab->m", dev, dev))
 
     points, disp, stress, mises = _row_texts(mesh.vertices, u, comps, vm[:, None])
     with open(path, "w") as fh:

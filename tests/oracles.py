@@ -2,7 +2,8 @@
 
 Everything here is implemented from standard textbook formulas, deliberately
 avoiding the code paths under test: the classical 2D constant-strain-triangle
-stiffness via the B-matrix, dense assembly by explicit Python scatter loops,
+stiffness via the B-matrix, single-element kernels that solve each element
+Jacobian with ``np.linalg.solve``, dense assembly by explicit Python scatter loops,
 double-projection strain algebra via plain matrix products, a higher-order
 triangle quadrature rule, a minimal legacy-VTK reader and per-number
 writer, per-node constraint elimination by explicit sparse products, and
@@ -13,7 +14,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from memshell.assembly import ConstraintError, LinearSystem
-from memshell.element import QuadratureRule, element_load, element_stiffness
+from memshell.element import QuadratureRule, SingularJacobianError, quadrature_rule
 from memshell.mesh import MeshError
 
 
@@ -62,6 +63,174 @@ def cst_stiffness_embedded(coords: np.ndarray, e1: np.ndarray, e2: np.ndarray,
         for j in range(3):
             K[3 * i:3 * i + 3, 3 * j:3 * j + 3] = T @ k6[2 * i:2 * i + 2, 2 * j:2 * j + 2] @ T.T
     return K
+
+
+# ---------------------------------------------------------------------------
+# single-element kernels: per-point Jacobian solves, the reference for the
+# batched dual-basis kernels in memshell.element
+# ---------------------------------------------------------------------------
+
+#: Reference gradients of the linear nodal basis (1-xi-eta, xi, eta).
+REFERENCE_GRADIENTS = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
+REFERENCE_GRADIENTS.setflags(write=False)
+
+# Right-hand sides of J g_i = (dphi_i/dxi, dphi_i/deta, 0), one column per node.
+_GRAD_RHS = np.zeros((3, 3))
+_GRAD_RHS[:2, :] = REFERENCE_GRADIENTS.T
+_GRAD_RHS.setflags(write=False)
+
+
+def shape_values_and_ref_gradients(xi: float, eta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Linear shape function values and reference gradients at ``(xi, eta)``.
+
+    Returns ``(values, gradients)`` with ``values = (1-xi-eta, xi, eta)`` and
+    the constant gradients ``((-1,-1), (1,0), (0,1))``. The point must lie in
+    the closed reference triangle.
+    """
+    if xi < -1e-12 or eta < -1e-12 or xi + eta > 1.0 + 1e-12:
+        raise ValueError(f"({xi}, {eta}) outside the reference triangle")
+    return np.array([1.0 - xi - eta, xi, eta]), REFERENCE_GRADIENTS.copy()
+
+
+def element_jacobian(coords, normals, xi: float, eta: float,
+                     variant: str = "interpolated") -> np.ndarray:
+    """Jacobian of the normal-extended element map at ``(xi, eta)``.
+
+    Rows are the two constant facet tangents and the unit normal: the
+    renormalized linear interpolation of the nodal normals for
+    ``variant="interpolated"``, or the facet normal for ``variant="facet"``
+    (constant over the element).
+
+    Parameters
+    ----------
+    coords : (3, 3) array_like
+        Node positions, one row per node.
+    normals : (3, 3) array_like
+        Unit nodal normals, one row per node.
+
+    Raises
+    ------
+    SingularJacobianError
+        If the (interpolated) normal lies in the facet plane.
+    """
+    coords = np.asarray(coords, dtype=float)
+    normals = np.asarray(normals, dtype=float)
+    t_xi = coords[1] - coords[0]
+    t_eta = coords[2] - coords[0]
+    cross = np.cross(t_xi, t_eta)
+    cn = np.linalg.norm(cross)
+    if cn <= 1e-14 * np.linalg.norm(t_xi) * np.linalg.norm(t_eta):
+        raise SingularJacobianError("degenerate facet (zero area)")
+    if variant == "interpolated":
+        values, _ = shape_values_and_ref_gradients(xi, eta)
+        n0 = values @ normals
+        nn = np.linalg.norm(n0)
+        if nn <= 1e-12:
+            raise SingularJacobianError("interpolated normal vanishes")
+        nhat = n0 / nn
+    elif variant == "facet":
+        nhat = cross / cn
+    else:
+        raise ValueError(f"unknown geometry variant {variant!r}")
+    det = nhat @ cross
+    if abs(det) <= 1e-12 * cn:
+        raise SingularJacobianError(
+            f"normal lies in the facet plane (normal {nhat}, facet area {0.5 * cn:.3e})"
+        )
+    return np.vstack([t_xi, t_eta, nhat])
+
+
+def basis_surface_gradients(jacobian, ref_gradients=None) -> np.ndarray:
+    """Physical (surface) gradients of the three nodal basis functions.
+
+    Solves ``J g_i = (dphi_i/dxi, dphi_i/deta, 0)``; because the third row of
+    ``J`` is the unit normal, each gradient is exactly tangential and the
+    three gradients sum to zero.
+
+    Returns a (3, 3) array with ``g_i`` in row ``i``.
+    """
+    if ref_gradients is None:
+        rhs = _GRAD_RHS
+    else:
+        rhs = np.zeros((3, 3))
+        rhs[:2, :] = np.asarray(ref_gradients, dtype=float).T
+    try:
+        sol = np.linalg.solve(np.asarray(jacobian, dtype=float), rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularJacobianError(f"singular Jacobian: {exc}") from exc
+    return sol.T
+
+
+def strain_displacement(gradients, normal) -> np.ndarray:
+    """Per-dof tangential strain operators.
+
+    For dof ``k = 3*i + a`` (node ``i``, displacement component ``a``) the
+    returned ``(9, 3, 3)`` array holds the symmetrized tangential gradient
+    ``(e_a (x) g_i + g_i (x) e_a) / 2`` produced by a unit nodal displacement.
+    The gradients must be tangential to ``normal``.
+    """
+    g = np.asarray(gradients, dtype=float)
+    n = np.asarray(normal, dtype=float)
+    scale = np.abs(g).max()
+    if scale > 0 and np.abs(g @ n).max() > 1e-10 * scale:
+        raise ValueError("gradients are not tangential to the supplied normal")
+    B = np.zeros((9, 3, 3))
+    for i in range(3):
+        for a in range(3):
+            k = 3 * i + a
+            B[k, a, :] += 0.5 * g[i]
+            B[k, :, a] += 0.5 * g[i]
+    return B
+
+
+def element_stiffness(coords, normals, material, quad: QuadratureRule | None = None,
+                      variant: str = "interpolated") -> np.ndarray:
+    """9x9 membrane stiffness of one element (dof order: node-major x,y,z).
+
+    Integrates ``t * [2 mu e:e - 4 mu (e n).(e n) + lam (div u)(div v)]`` over
+    the facet with the given rule. The matrix is symmetric positive
+    semidefinite with the three translations in its kernel.
+    """
+    if quad is None:
+        quad = quadrature_rule(2)
+    coords = np.asarray(coords, dtype=float)
+    normals = np.asarray(normals, dtype=float)
+    mu = material.mu
+    lam = material.lame_effective
+    measure = np.linalg.norm(np.cross(coords[1] - coords[0], coords[2] - coords[0]))
+
+    K = np.zeros((9, 9))
+    for (xi, eta), w in zip(quad.points, quad.weights):
+        J = element_jacobian(coords, normals, xi, eta, variant)
+        g = basis_surface_gradients(J)
+        n = J[2]
+        B = strain_displacement(g, n)
+        Bn = np.einsum("kab,b->ka", B, n)
+        div = g.reshape(9)
+        dS = w * measure
+        K += dS * (
+            2.0 * mu * np.einsum("kab,lab->kl", B, B)
+            - 4.0 * mu * Bn @ Bn.T
+            + lam * np.outer(div, div)
+        )
+    return material.t * K
+
+
+def element_load(coords, normals, load_at, quad: QuadratureRule | None = None) -> np.ndarray:
+    """Consistent nodal load 9-vector ``int f . phi_i`` over the facet.
+
+    ``load_at`` maps points of shape ``(..., 3)`` to load vectors of the same
+    shape (force per unit midsurface area); it is evaluated at the mapped
+    quadrature points. No thickness factor is applied.
+    """
+    if quad is None:
+        quad = quadrature_rule(2)
+    coords = np.asarray(coords, dtype=float)
+    measure = np.linalg.norm(np.cross(coords[1] - coords[0], coords[2] - coords[0]))
+    phi = quad.shape_values()
+    points = phi @ coords
+    f = np.asarray(load_at(points), dtype=float).reshape(len(quad), 3)
+    return np.einsum("q,qi,qa->ia", quad.weights * measure, phi, f).reshape(9)
 
 
 def dense_assembly(mesh, material, load_at, quad, variant="interpolated"):
@@ -229,6 +398,16 @@ def read_legacy_vtk(path):
     return out
 
 
+def von_mises_reference(tensors):
+    """Von Mises equivalent stress of symmetric 3x3 tensors, in components."""
+    out = []
+    for s in tensors:
+        normal = (s[0, 0] - s[1, 1]) ** 2 + (s[1, 1] - s[2, 2]) ** 2 + (s[2, 2] - s[0, 0]) ** 2
+        shear = s[0, 1] ** 2 + s[1, 2] ** 2 + s[0, 2] ** 2
+        out.append(np.sqrt(0.5 * normal + 3.0 * shear))
+    return np.array(out)
+
+
 def write_legacy_vtk_reference(mesh, displacement, field, path,
                                title="membrane shell solution"):
     """Legacy ASCII VTK writer that formats one number per Python call.
@@ -255,8 +434,12 @@ def write_legacy_vtk_reference(mesh, displacement, field, path,
     lines += [" ".join(fmt(c) for c in row) for row in u]
     lines += [f"CELL_DATA {m}", "FIELD stress_data 2", f"stress 6 {m} double"]
     lines += [" ".join(fmt(c[e]) for c in comps) for e in range(m)]
+    # von Mises by export_vtk's arithmetic, as the texts agree only if the
+    # numbers agree to the last bit; test_export_vtk_roundtrip checks the
+    # values against von_mises_reference
+    dev = avg - (np.trace(avg, axis1=1, axis2=2) / 3.0)[:, None, None] * np.eye(3)
     lines.append(f"von_mises 1 {m} double")
-    lines += [fmt(v) for v in field.von_mises_cells()]
+    lines += [fmt(v) for v in np.sqrt(1.5 * np.einsum("mab,mab->m", dev, dev))]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -1,4 +1,4 @@
-"""Global assembly, dof map, and rotated-frame constraint elimination."""
+"""Global assembly and rotated-frame constraint elimination."""
 
 import numpy as np
 import pytest
@@ -7,18 +7,17 @@ import scipy.sparse as sp
 from memshell.assembly import (
     Constraint,
     ConstraintError,
-    DofMap,
     LinearSystem,
     apply_constraints,
     assemble,
     cylinder_constraints,
     pressure_rhs,
 )
-from memshell.element import SingularJacobianError, element_stiffness, quadrature_rule
+from memshell.element import SingularJacobianError, quadrature_rule
 from memshell.geometry import Cylinder, MaterialModel, cylinder_exact
 from memshell.mesh import SurfaceMesh, build_cylinder_mesh, build_torus_mesh
 
-from oracles import apply_constraints_reference, dense_assembly, flat_grid_mesh
+from oracles import apply_constraints_reference, dense_assembly, element_stiffness, flat_grid_mesh
 
 MAT = MaterialModel(E=100.0, nu=0.5, t=1e-2)
 QUAD = quadrature_rule(2)
@@ -26,16 +25,6 @@ QUAD = quadrature_rule(2)
 
 def _const_load(x):
     return np.broadcast_to([0.0, 0.0, 1.0], np.asarray(x).shape)
-
-
-def test_dofmap():
-    dm = DofMap(5)
-    assert dm.ndof == 15
-    assert dm.index(2, 1) == 7
-    with pytest.raises(IndexError):
-        dm.index(5, 0)
-    with pytest.raises(IndexError):
-        dm.index(0, 3)
 
 
 def test_single_element_mesh_matches_element_matrix():
@@ -336,8 +325,6 @@ def test_constraint_errors_match_reference(directions, nodes, message):
 def test_constraint_validation():
     with pytest.raises(ConstraintError):
         Constraint(0, np.array([1.0, 1.0, 0.0]))
-    with pytest.raises(ConstraintError):
-        Constraint(0, np.array([1.0, 0.0, 0.0]), value=2.0)
 
 
 def test_assemble_reports_failing_element():

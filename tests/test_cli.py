@@ -167,6 +167,20 @@ def test_import_case_requires_mesh(capsys):
     assert "mesh" in capsys.readouterr().err.lower()
 
 
+@pytest.mark.parametrize("command", ["run", "convergence"])
+@pytest.mark.parametrize("case", ["cylinder", "torus"])
+def test_mesh_file_rejected_outside_import_case(tmp_path, capsys, command, case):
+    off = tmp_path / "t.off"
+    _write_off(build_torus_mesh(1.0, 0.5, 8, 4), off)
+    out = tmp_path / "out"
+    rc = main([command, "--case", case, "--mesh", str(off), "--out", str(out)])
+    assert rc != 0
+    err = capsys.readouterr().err
+    assert str(off) in err
+    assert repr(case) in err
+    assert not (out / "report.txt").exists()
+
+
 @pytest.mark.parametrize("case", ["cylinder", "torus", "import"])
 def test_solve_case_computes_quadrature_geometry_once(tmp_path, monkeypatch, case):
     real = element.quadrature_geometry

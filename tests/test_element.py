@@ -1,32 +1,29 @@
 """Reference element, Jacobians, strain operators, element matrices."""
 
-import math
-
 import numpy as np
 import pytest
 import sympy
 
 from memshell.element import (
     SingularJacobianError,
-    basis_surface_gradients,
     batch_element_loads,
     batch_element_stiffness,
-    element_jacobian,
-    element_load,
-    element_matrices,
-    element_stiffness,
     quadrature_geometry,
     quadrature_rule,
-    shape_values_and_ref_gradients,
-    strain_displacement,
 )
 from memshell.geometry import MaterialModel
 
 from oracles import (
+    basis_surface_gradients,
     cst_stiffness_embedded,
     double_projection,
+    element_jacobian,
+    element_load,
+    element_stiffness,
     random_rotation,
     random_valid_element,
+    shape_values_and_ref_gradients,
+    strain_displacement,
     tangential_strain,
 )
 
@@ -424,8 +421,3 @@ def test_batch_loads_match_single():
         single = element_load(coords[e], normals[e], f)
         assert np.abs(batch[e] - single).max() < 1e-13
 
-
-def test_element_matrices_bundle():
-    em = element_matrices(FLAT_COORDS, FLAT_NORMALS, MAT, lambda x: np.zeros_like(x))
-    assert em.stiffness.shape == (9, 9)
-    assert em.load.shape == (9,)

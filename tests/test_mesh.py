@@ -5,15 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from memshell.geometry import Cylinder, Torus
+from memshell.geometry import Torus
 from memshell.mesh import (
     MeshError,
     _extract_boundary_loops,
     SurfaceMesh,
-    boundary_components,
     build_cylinder_mesh,
     build_torus_mesh,
-    compute_nodal_normals,
     import_mesh,
     mesh_size,
 )
@@ -126,7 +124,7 @@ def test_torus_area_converges():
 
 def test_averaged_normals_flat_mesh():
     mesh = flat_grid_mesh(3, 3)
-    out = compute_nodal_normals(mesh, "averaged")
+    out = SurfaceMesh(mesh.vertices, mesh.triangles)
     assert np.abs(out.nodal_normals - np.array([0.0, 0.0, 1.0])).max() < 1e-14
 
 
@@ -135,7 +133,7 @@ def test_averaged_normals_unit_and_converging():
     prev = None
     for n in (8, 16, 32):
         mesh = build_torus_mesh(1.0, 0.5, 2 * n, n)
-        averaged = compute_nodal_normals(mesh, "averaged")
+        averaged = SurfaceMesh(mesh.vertices, mesh.triangles)
         norms = np.linalg.norm(averaged.nodal_normals, axis=1)
         assert np.abs(norms - 1.0).max() < 1e-12
         exact = surface.normal_at(mesh.vertices)
@@ -144,21 +142,6 @@ def test_averaged_normals_unit_and_converging():
         if prev is not None:
             assert dev < prev
         prev = dev
-
-
-def test_exact_normals_mode():
-    mesh = build_cylinder_mesh(1.0, 4.0, 8, 4)
-    # perturb: start from averaged normals, then restore exact ones
-    averaged = compute_nodal_normals(mesh, "averaged")
-    restored = compute_nodal_normals(averaged, "exact", surface=Cylinder(1.0, 4.0))
-    expected = np.zeros_like(mesh.vertices)
-    expected[:, 1] = mesh.vertices[:, 1]
-    expected[:, 2] = mesh.vertices[:, 2]
-    assert np.abs(restored.nodal_normals - expected).max() < 1e-12
-    with pytest.raises(MeshError):
-        compute_nodal_normals(mesh, "exact")
-    with pytest.raises(MeshError):
-        compute_nodal_normals(mesh, "sideways")
 
 
 def test_averaged_normals_folded_surface_error():
@@ -178,14 +161,14 @@ def test_averaged_normals_folded_surface_error():
 def test_boundary_components_single_triangle():
     verts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     mesh = SurfaceMesh(verts, np.array([[0, 1, 2]]))
-    comps = boundary_components(mesh)
+    comps = mesh.boundary_components
     assert len(comps) == 1
     assert len(comps[0]) == 3
 
 
 def test_boundary_loops_disjoint_cover_all_boundary_edges():
     mesh = build_cylinder_mesh(1.0, 4.0, 7, 3)
-    comps = boundary_components(mesh)
+    comps = mesh.boundary_components
     seen = set()
     for comp in comps:
         for v in comp.vertices:
