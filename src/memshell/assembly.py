@@ -43,8 +43,9 @@ class Constraint:
         d = np.asarray(self.direction, dtype=float)
         if d.shape != (3,):
             raise ConstraintError(f"constraint direction must be a 3-vector, got {d.shape}")
-        if abs(np.linalg.norm(d) - 1.0) > 1e-12:
-            raise ConstraintError(f"constraint direction must be unit length, |q|={np.linalg.norm(d)}")
+        norm = float(np.sqrt(d @ d))
+        if abs(norm - 1.0) > 1e-12:
+            raise ConstraintError(f"constraint direction must be unit length, |q|={norm}")
         d.setflags(write=False)
         object.__setattr__(self, "direction", d)
 
@@ -102,7 +103,8 @@ def assemble(mesh: SurfaceMesh, material, load_at=None,
     coords = mesh.vertices[tris]
     normals = mesh.nodal_normals[tris]
 
-    ke = batch_element_stiffness(coords, normals, material, quad, variant, geometry)
+    geo = quadrature_geometry(coords, normals, quad, variant) if geometry is None else geometry
+    ke = batch_element_stiffness(coords, normals, material, geometry=geo)
     dofs = _element_dofs(tris).astype(np.int32)  # scipy's index type below 2^31 dofs
     rows = np.repeat(dofs, 9, axis=1).ravel()
     cols = np.tile(dofs, (1, 9)).ravel()
@@ -111,7 +113,7 @@ def assemble(mesh: SurfaceMesh, material, load_at=None,
 
     rhs = np.zeros(ndof)
     if load_at is not None:
-        fe = batch_element_loads(coords, normals, load_at, quad)
+        fe = batch_element_loads(coords, normals, load_at, quad, geo)
         np.add.at(rhs, dofs.ravel(), fe.ravel())
     return LinearSystem(matrix, rhs)
 
@@ -156,14 +158,15 @@ def cylinder_constraints(mesh: SurfaceMesh) -> list[Constraint]:
     if low is high:
         raise ConstraintError("boundary rings coincide along the axis")
 
-    constraints = [Constraint(int(node), np.array([1.0, 0.0, 0.0])) for node in low.vertices]
-    for node in high.vertices:
-        yz = mesh.vertices[node, 1:]
-        rho = np.linalg.norm(yz)
-        if rho <= 0:
-            raise ConstraintError(f"node {node} lies on the axis, radial direction undefined")
-        constraints.append(Constraint(int(node), np.array([0.0, yz[0] / rho, yz[1] / rho])))
-    return constraints
+    radial = mesh.vertices[high.vertices] * [0.0, 1.0, 1.0]
+    rho = np.linalg.norm(radial, axis=1)
+    if np.any(rho <= 0):
+        node = high.vertices[np.argmax(rho <= 0)]
+        raise ConstraintError(f"node {node} lies on the axis, radial direction undefined")
+    radial /= rho[:, None]
+    axial = np.array([1.0, 0.0, 0.0])
+    return ([Constraint(node, axial) for node in low.vertices.tolist()]
+            + [Constraint(node, q) for node, q in zip(high.vertices.tolist(), radial)])
 
 
 def _node_frames(nodes: np.ndarray, directions: np.ndarray):

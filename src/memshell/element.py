@@ -18,8 +18,10 @@ double-projected in-plane strain energy because the normal-normal strain
 component vanishes for tangential gradients.
 
 Every kernel works on all elements at once and backs the global assembly and
-the stress recovery. The per-element ``np.linalg.solve`` reference that the
-tests compare them with lives in ``tests/oracles.py``.
+the stress recovery. The stiffness and load kernels share the batch's
+:func:`quadrature_geometry`; the load kernel reads its points and measures.
+The per-element ``np.linalg.solve`` reference that the tests compare them
+with lives in ``tests/oracles.py``.
 """
 
 import dataclasses
@@ -35,9 +37,6 @@ __all__ = [
     "batch_element_stiffness",
     "batch_element_loads",
 ]
-
-_EYE3 = np.eye(3)
-_EYE3.setflags(write=False)
 
 
 class SingularJacobianError(ValueError):
@@ -124,6 +123,12 @@ class QuadraturePointData:
     measures: np.ndarray
     points: np.ndarray
 
+    def projectors(self) -> np.ndarray:
+        """(m, nq, 3, 3) tangent-plane projectors ``P = I - n n^T``."""
+        proj = self.normals[..., :, None] @ -self.normals[..., None, :]
+        proj.reshape(-1, 9)[:, ::4] += 1.0
+        return proj
+
 
 def quadrature_geometry(coords, normals, quad: QuadratureRule | None = None,
                         variant: str = "interpolated") -> QuadraturePointData:
@@ -155,7 +160,7 @@ def quadrature_geometry(coords, normals, quad: QuadratureRule | None = None,
 
     phi = quad.shape_values()
     if variant == "interpolated":
-        n0 = np.einsum("qi,mia->mqa", phi, normals)
+        n0 = phi @ normals
         nn = np.linalg.norm(n0, axis=2)
         if np.any(nn <= 1e-12):
             e = int(np.nonzero(nn <= 1e-12)[0][0])
@@ -179,7 +184,7 @@ def quadrature_geometry(coords, normals, quad: QuadratureRule | None = None,
     gradients[:, :, 0] -= gradients[:, :, 2]
 
     measures = quad.weights[None, :] * cn[:, None]
-    points = np.einsum("qi,mia->mqa", phi, coords)
+    points = phi @ coords
     return QuadraturePointData(gradients=gradients, normals=nhat,
                                measures=measures, points=points)
 
@@ -207,7 +212,6 @@ def batch_element_stiffness(coords, normals, material,
     geo = quadrature_geometry(coords, normals, quad, variant) if geometry is None else geometry
     m, nq = geo.measures.shape
     g = geo.gradients.reshape(m, nq, 9)
-    n = geo.normals
     w = geo.measures[:, None, :]
     mu_t = material.t * material.mu
     lam_t = material.t * material.lame_effective
@@ -221,7 +225,7 @@ def batch_element_stiffness(coords, normals, material,
     K5 += buf5.transpose(0, 3, 2, 1, 4)
 
     gram = geo.gradients @ geo.gradients.swapaxes(-1, -2)
-    proj = _EYE3 - n[..., :, None] * n[..., None, :]
+    proj = geo.projectors()
     np.matmul(w * gram.reshape(m, nq, 9).swapaxes(1, 2), proj.reshape(m, nq, 9), out=buf)  # GP
     buf *= mu_t
     K5 += buf5.transpose(0, 1, 3, 2, 4)
@@ -229,16 +233,19 @@ def batch_element_stiffness(coords, normals, material,
 
 
 def batch_element_loads(coords, normals, load_at,
-                        quad: QuadratureRule | None = None) -> np.ndarray:
-    """Consistent nodal loads of a batch of elements, shape (m, 9)."""
+                        quad: QuadratureRule | None = None,
+                        geometry: QuadraturePointData | None = None) -> np.ndarray:
+    """Consistent nodal loads of a batch of elements, shape (m, 9).
+
+    Only the points and measures of ``geometry``, the batch's
+    :func:`quadrature_geometry` for ``quad``, are read. If it is None the
+    full interpolated geometry is computed, which raises
+    :class:`SingularJacobianError` on a zero-area facet or a nodal normal
+    in the facet plane.
+    """
     if quad is None:
         quad = quadrature_rule(2)
-    coords = np.asarray(coords, dtype=float)
-    m = coords.shape[0]
-    cross = np.cross(coords[:, 1] - coords[:, 0], coords[:, 2] - coords[:, 0])
-    cn = np.linalg.norm(cross, axis=1)
-    phi = quad.shape_values()
-    points = np.einsum("qi,mia->mqa", phi, coords)
-    f = np.asarray(load_at(points.reshape(-1, 3)), dtype=float).reshape(m, len(quad), 3)
-    measures = quad.weights[None, :] * cn[:, None]
-    return np.einsum("mq,qi,mqa->mia", measures, phi, f).reshape(m, 9)
+    geo = quadrature_geometry(coords, normals, quad) if geometry is None else geometry
+    m, nq = geo.measures.shape
+    f = np.asarray(load_at(geo.points.reshape(-1, 3)), dtype=float).reshape(m, nq, 3)
+    return (quad.shape_values().T @ (geo.measures[..., None] * f)).reshape(m, 9)

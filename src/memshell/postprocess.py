@@ -71,6 +71,15 @@ class StressField:
         return avg / wsum[:, None, None]
 
 
+def _nodal_displacements(mesh: SurfaceMesh, displacement) -> np.ndarray:
+    """A flat dof vector or an (n_vertices, 3) array, as (n_vertices, 3)."""
+    u = np.asarray(displacement, dtype=float)
+    n = mesh.n_vertices
+    if u.shape not in ((3 * n,), (n, 3)):
+        raise ValueError(f"displacement shape {u.shape} does not match {n} vertices")
+    return u.reshape(n, 3)
+
+
 def recover_stress(mesh: SurfaceMesh, material: MaterialModel, displacement,
                    quad: QuadratureRule | None = None,
                    variant: str = "interpolated",
@@ -84,26 +93,19 @@ def recover_stress(mesh: SurfaceMesh, material: MaterialModel, displacement,
     """
     if quad is None:
         quad = quadrature_rule(2)
-    u = np.asarray(displacement, dtype=float)
-    n = mesh.n_vertices
-    if u.shape == (3 * n,):
-        u = u.reshape(n, 3)
-    elif u.shape != (n, 3):
-        raise ValueError(f"displacement shape {u.shape} does not match {n} vertices")
-
+    u = _nodal_displacements(mesh, displacement)
     tris = mesh.triangles
     geo = (quadrature_geometry(mesh.vertices[tris], mesh.nodal_normals[tris], quad, variant)
            if geometry is None else geometry)
     ue = u[tris]
 
-    grad = np.einsum("mia,mqib->mqab", ue, geo.gradients)
-    eps = 0.5 * (grad + grad.swapaxes(-1, -2))
-    nh = geo.normals
-    proj = np.eye(3) - nh[..., :, None] * nh[..., None, :]
-    eps_p = proj @ eps @ proj
+    proj = geo.projectors()
+    # the basis gradients are tangential (grad n = 0), so P eps P = sym(P grad)
+    grad = proj @ (ue.swapaxes(1, 2)[:, None] @ geo.gradients)
+    eps_p = 0.5 * (grad + grad.swapaxes(-1, -2))
     tr = np.trace(eps_p, axis1=-2, axis2=-1)
     sigma = 2.0 * material.mu * eps_p + material.lame_effective * tr[..., None, None] * proj
-    return StressField(sigma, geo.points, geo.measures, nh)
+    return StressField(sigma, geo.points, geo.measures, geo.normals)
 
 
 def stress_l2_error(field: StressField, exact: ExactSolution) -> float:
@@ -246,13 +248,8 @@ def export_vtk(mesh: SurfaceMesh, displacement, field: StressField, path,
     stress components (xx, yy, zz, xy, yz, xz of the element-average tensor)
     and that tensor's von Mises scalar.
     """
-    u = np.asarray(displacement, dtype=float)
-    n = mesh.n_vertices
-    if u.shape == (3 * n,):
-        u = u.reshape(n, 3)
-    elif u.shape != (n, 3):
-        raise ValueError(f"displacement shape {u.shape} does not match {n} vertices")
-    m = mesh.n_triangles
+    u = _nodal_displacements(mesh, displacement)
+    n, m = mesh.n_vertices, mesh.n_triangles
     if field.n_elements != m:
         raise ValueError("stress field does not match the mesh")
 

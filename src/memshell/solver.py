@@ -7,14 +7,26 @@ plane and soft along the normal. The preconditioner inverts every such block,
 which makes CG invariant under a rigid rotation of the problem; scaling the
 x, y and z dofs separately would not be. Each block must be symmetric
 positive definite; a singular or indefinite block is reported with its node
-before the first iteration.
+before the first iteration. A block whose three leading minors (``a00``,
+``a00 a11 - a10^2``, ``det``) are positive is positive definite (Sylvester's
+criterion), so ``lmin/lmax >= det/tr^3``; such blocks with
+``det > 1e-6 tr^3`` are inverted in closed form. Only the others go through
+``eigh``, which decides and words any failure.
 
 Closed-surface membrane systems are symmetric positive semidefinite with the
 three global translations in the kernel (and, depending on geometry, further
 low-energy modes). For a consistent right-hand side CG converges in the range
-space; deflation projects the rhs and every iterate against the translations
-so the returned solution carries no translation component. Negative curvature
-(an indefinite matrix) aborts with the iteration index.
+space; deflation projects the rhs and every residual against the
+translations. The iterate's translation part never reaches the residual, so
+it is projected out only where the iterate is read (the true-residual check
+and the exit): the same iterates in exact arithmetic, and a returned solution
+without translation component. Negative curvature (an indefinite matrix)
+aborts with the iteration index.
+
+An iteration costs one matvec, one preconditioner apply (a CSR copy of the
+block-diagonal inverse), three dot products, one deflation and in-place
+vector updates. The stop test ``r . r <= (tol ||b||)^2`` is confirmed on the
+recomputed true residual, from which CG restarts if it fails.
 """
 
 import dataclasses
@@ -92,30 +104,37 @@ def translation_basis(system: LinearSystem) -> np.ndarray:
     return q[:, keep]
 
 
-def _nodal_block_inverse(A) -> sp.bsr_matrix:
-    """Block-diagonal inverse of the 3x3 nodal diagonal blocks of ``A``.
+def _nodal_block_inverse(A) -> sp.csr_matrix:
+    """Block-diagonal inverse of the 3x3 nodal diagonal blocks of ``A`` (CSR).
 
-    Raises SolverError naming the first node whose block has smallest
-    eigenvalue <= 1e-12 times its largest (singular or indefinite).
+    Reads the lower triangle of each block, so the inverse is exactly
+    symmetric. Raises SolverError naming the first node whose block has
+    smallest eigenvalue <= 1e-12 times its largest (singular or indefinite).
     """
     ndof = A.shape[0]
-    blocks = np.empty((ndof // 3, 3, 3))
-    for a in range(3):
-        for b in range(3):
-            # A[3n+a, 3n+b] lies on diagonal b-a, starting at row/column min(a, b)
-            blocks[:, a, b] = A.diagonal(b - a)[min(a, b)::3]
-    lam, vec = np.linalg.eigh(blocks)
-    bad = np.flatnonzero(lam[:, 0] <= 1e-12 * lam[:, 2])
-    if bad.size:
-        node = int(bad[0])
-        lo, hi = lam[node, 0], lam[node, 2]
-        ratio = lo / hi if hi > 0 else -math.inf
-        raise SolverError(
-            f"nodal block of node {node} is not positive definite: smallest/largest "
-            f"eigenvalue ratio {ratio:.3e}; {bad.size} of {len(blocks)} nodal blocks fail"
-        )
-    inv = (vec / lam[:, None, :]) @ vec.transpose(0, 2, 1)
-    return sp.bsr_matrix((inv, np.arange(len(inv)), np.arange(len(inv) + 1)), shape=(ndof, ndof))
+    d0, d1, d2 = (A.diagonal(-k) for k in range(3))
+    a00, a10, a11, a20, a21, a22 = lower = (d0[::3], d1[::3], d0[1::3], d2[::3], d1[1::3], d0[2::3])
+    cof = np.stack([a11 * a22 - a21 * a21, a20 * a21 - a10 * a22, a10 * a21 - a11 * a20,
+                    a00 * a22 - a20 * a20, a10 * a20 - a00 * a21, a00 * a11 - a10 * a10], axis=1)
+    det = a00 * cof[:, 0] + a10 * cof[:, 1] + a20 * cof[:, 2]
+    closed = (a00 > 0) & (cof[:, 5] > 0) & (det > 0) & (det > 1e-6 * (a00 + a11 + a22) ** 3)
+    cof /= np.where(closed, det, 1.0)[:, None]
+    inv = cof[:, [0, 1, 2, 1, 3, 4, 2, 4, 5]].reshape(-1, 3, 3)
+    rest = np.flatnonzero(~closed)
+    if rest.size:
+        blocks = np.stack([v[rest] for v in lower], axis=1)[:, [0, 1, 3, 1, 2, 4, 3, 4, 5]]
+        lam, vec = np.linalg.eigh(blocks.reshape(-1, 3, 3))
+        bad = np.flatnonzero(lam[:, 0] <= 1e-12 * lam[:, 2])
+        if bad.size:
+            lo, hi = lam[bad[0], 0], lam[bad[0], 2]
+            ratio = lo / hi if hi > 0 else -math.inf
+            raise SolverError(
+                f"nodal block of node {rest[bad[0]]} is not positive definite: smallest/largest "
+                f"eigenvalue ratio {ratio:.3e}; {bad.size} of {len(inv)} nodal blocks fail"
+            )
+        inv[rest] = (vec / lam[:, None, :]) @ vec.transpose(0, 2, 1)
+    ptr = np.arange(len(inv) + 1)
+    return sp.bsr_matrix((inv, ptr[:-1], ptr), shape=(ndof, ndof)).tocsr()
 
 
 def solve(system: LinearSystem, tol: float = 1e-10, max_iter: int | None = None,
@@ -134,8 +153,8 @@ def solve(system: LinearSystem, tol: float = 1e-10, max_iter: int | None = None,
     max_iter : int, optional
         Defaults to ``ceil(50 * sqrt(ndof))``.
     deflate_translations : bool
-        Project the rhs and all iterates against the rigid translations
-        (use for closed surfaces, where they span the kernel).
+        Project the rhs, the residuals and the solution against the rigid
+        translations (use for closed surfaces, where they span the kernel).
     x0 : array, optional
         Initial guess (default zero; any translation component is removed
         when deflating).
@@ -156,7 +175,7 @@ def solve(system: LinearSystem, tol: float = 1e-10, max_iter: int | None = None,
         carries the last iterate and its report).
     """
     A = system.matrix
-    b = system.rhs.astype(float).copy()
+    b = system.rhs.astype(float)
     ndof = system.ndof
     if ndof % 3:
         raise SolverError(f"system has {ndof} dofs; a node-major system needs a multiple of 3")
@@ -181,14 +200,13 @@ def solve(system: LinearSystem, tol: float = 1e-10, max_iter: int | None = None,
     x = np.zeros(ndof) if x0 is None else np.asarray(x0, dtype=float).copy()
     if x.shape != (ndof,):
         raise SolverError(f"initial guess has wrong shape {x.shape}")
-    x = deflate(x)
-
-    r = deflate(b - A @ x)
+    r = b.copy() if x0 is None else deflate(b - A @ deflate(x))
+    tol2 = (tol * bnorm) ** 2
     z = M @ r
-    p = z.copy()
+    p = z
     rz = float(r @ z)
     iterations = 0
-    converged = float(np.linalg.norm(r)) <= tol * bnorm
+    converged = float(r @ r) <= tol2
 
     while not converged and iterations < max_iter:
         iterations += 1
@@ -201,29 +219,29 @@ def solve(system: LinearSystem, tol: float = 1e-10, max_iter: int | None = None,
             )
         alpha = rz / pAp
         x += alpha * p
-        r -= alpha * Ap
-        x = deflate(x)
-        r = deflate(r)
-        if float(np.linalg.norm(r)) <= tol * bnorm:
+        Ap *= alpha
+        r -= Ap
+        deflate(r)
+        if restart := float(r @ r) <= tol2:
             # guard against recurrence drift: recompute the true residual
-            r = deflate(b - A @ x)
-            if float(np.linalg.norm(r)) <= tol * bnorm:
+            r = deflate(b - A @ deflate(x))
+            if float(r @ r) <= tol2:
                 converged = True
                 break
-            z = M @ r
-            p = z.copy()
-            rz = float(r @ z)
-            continue
         z = M @ r
         rz_new = float(r @ z)
-        beta = rz_new / rz
-        p = z + beta * p
+        if restart:
+            p = z
+        else:
+            p *= rz_new / rz
+            p += z
         rz = rz_new
 
-    final = deflate(b - A @ x)
+    if not converged:
+        r = deflate(b - A @ deflate(x))
     report = SolveReport(
         iterations=iterations,
-        relative_residual=float(np.linalg.norm(final)) / bnorm,
+        relative_residual=float(np.linalg.norm(r)) / bnorm,
         deflated_dimension=kdim,
         converged=converged,
     )

@@ -127,6 +127,15 @@ def test_cylinder_constraints_counts_and_directions():
             assert np.allclose(c.direction, [0.0, *(yz / np.linalg.norm(yz))], atol=1e-12)
 
 
+def test_cylinder_constraints_name_first_node_on_axis():
+    mesh = build_cylinder_mesh(1.0, 4.0, 6, 2)
+    v = mesh.vertices.copy()
+    v[[13, 15], 1:] = 0.0  # the x=L ring's loop visits 12, 17, 16, 15, 14, 13
+    with pytest.raises(ConstraintError) as err:
+        cylinder_constraints(SurfaceMesh(v, mesh.triangles))
+    assert str(err.value) == "node 15 lies on the axis, radial direction undefined"
+
+
 def test_cylinder_constraints_require_two_rings():
     torus = build_torus_mesh(1.0, 0.5, 6, 4)
     with pytest.raises(ConstraintError, match="boundary"):
@@ -323,7 +332,7 @@ def test_constraint_errors_match_reference(directions, nodes, message):
 
 
 def test_constraint_validation():
-    with pytest.raises(ConstraintError):
+    with pytest.raises(ConstraintError, match=r"unit length, \|q\|=1\.4142135623730951$"):
         Constraint(0, np.array([1.0, 1.0, 0.0]))
 
 

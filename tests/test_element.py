@@ -12,6 +12,7 @@ from memshell.element import (
     quadrature_rule,
 )
 from memshell.geometry import MaterialModel
+from memshell.mesh import build_cylinder_mesh, build_torus_mesh
 
 from oracles import (
     basis_surface_gradients,
@@ -421,3 +422,17 @@ def test_batch_loads_match_single():
         single = element_load(coords[e], normals[e], f)
         assert np.abs(batch[e] - single).max() < 1e-13
 
+
+
+@pytest.mark.parametrize("variant", ["interpolated", "facet"])
+def test_batch_loads_reuse_geometry(variant):
+    def f(pts):
+        return np.stack([pts[..., 0] ** 2, np.sin(pts[..., 1]), pts[..., 2] - 0.5], axis=-1)
+
+    quad = quadrature_rule(2)
+    for mesh in (build_cylinder_mesh(1.0, 4.0, 7, 5), build_torus_mesh(1.0, 0.5, 10, 6)):
+        coords, normals = mesh.vertices[mesh.triangles], mesh.nodal_normals[mesh.triangles]
+        geo = quadrature_geometry(coords, normals, quad, variant)
+        shared = batch_element_loads(coords, normals, f, quad, geometry=geo)
+        own = batch_element_loads(coords, normals, f, quad)
+        assert np.abs(shared - own).max() <= 1e-15 * np.abs(own).max()

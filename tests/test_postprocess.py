@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from memshell.assembly import apply_constraints, assemble, cylinder_constraints
-from memshell.element import quadrature_rule
+from memshell.cli import RunConfig, solve_case
+from memshell.element import quadrature_geometry, quadrature_rule
 from memshell.geometry import (
     Cylinder,
     ExactSolution,
@@ -27,9 +28,11 @@ from memshell.solver import solve
 
 from oracles import (
     DEGREE4_RULE,
+    double_projection,
     flat_grid_mesh,
     random_rotation,
     read_legacy_vtk,
+    tangential_strain,
     von_mises_reference,
     write_legacy_vtk_reference,
 )
@@ -324,3 +327,24 @@ def test_recover_stress_dimension_mismatch():
     mesh = flat_grid_mesh(1, 1)
     with pytest.raises(ValueError, match="displacement"):
         recover_stress(mesh, MAT, np.zeros(7), QUAD)
+
+
+@pytest.mark.parametrize("case", ["cylinder", "torus"])
+@pytest.mark.parametrize("variant", ["interpolated", "facet"])
+def test_recover_stress_matches_double_projection_reference(case, variant):
+    config = RunConfig(case=case, variant=variant)
+    result = solve_case(config, 6)
+    mesh, field = result.mesh, result.field
+    tris = mesh.triangles
+    geo = quadrature_geometry(mesh.vertices[tris], mesh.nodal_normals[tris], QUAD, variant)
+    ue = result.displacement.reshape(-1, 3)[tris]
+    mat = MaterialModel(config.E, config.nu, config.t, config.mode)
+    ref = np.empty_like(field.stresses)
+    for e in range(len(tris)):
+        for q in range(len(QUAD)):
+            n = geo.normals[e, q]
+            eps_p = double_projection(tangential_strain(ue[e], geo.gradients[e, q]), n)
+            proj = np.eye(3) - np.outer(n, n)
+            ref[e, q] = 2.0 * mat.mu * eps_p + mat.lame_effective * np.trace(eps_p) * proj
+    assert np.abs(field.stresses - ref).max() <= 1e-13 * np.abs(ref).max()
+

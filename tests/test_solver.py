@@ -16,6 +16,7 @@ from memshell.solver import (
     IterationLimitError,
     NegativeCurvatureError,
     SolverError,
+    _nodal_block_inverse,
     solve,
     translation_basis,
 )
@@ -207,3 +208,151 @@ def test_cylinder_iteration_counts_stay_low():
         report = solve_case(config, n).report
         assert report.converged
         assert report.iterations <= limit, (n, report.iterations)
+
+
+def _diagonal_blocks(matrix):
+    """(N, 3, 3) nodal diagonal blocks of a node-major sparse matrix."""
+    bsr = sp.csr_matrix(matrix).tobsr((3, 3))
+    row = np.repeat(np.arange(bsr.shape[0] // 3), np.diff(bsr.indptr))
+    return bsr.data[row == bsr.indices]
+
+
+def _benchmark_system(case, variant, n):
+    config = RunConfig(case=case, variant=variant)
+    if case == "cylinder":
+        mesh = build_cylinder_mesh(1.0, config.L, n, n)
+        system = assemble(mesh, MAT, None, QUAD, variant)
+        return apply_constraints(system, cylinder_constraints(mesh))
+    return assemble(build_torus_mesh(config.R, 0.5, 2 * n, n), MAT, None, QUAD, variant)
+
+
+@pytest.mark.parametrize("case", ["cylinder", "torus"])
+@pytest.mark.parametrize("variant", ["interpolated", "facet"])
+def test_closed_form_block_inverse_matches_inverse(case, variant, monkeypatch):
+    A = _benchmark_system(case, variant, 12).matrix
+
+    def no_eigh(blocks):
+        raise AssertionError(f"eigh called on {len(blocks)} blocks")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    M = _nodal_block_inverse(A)
+    monkeypatch.undo()
+    assert (M != M.T).nnz == 0
+    assert M.nnz == 3 * A.shape[0]
+    inv = _diagonal_blocks(M)
+    ref = np.linalg.inv(_diagonal_blocks(A))
+    rel = np.abs(inv - ref).max(axis=(1, 2)) / np.abs(ref).max(axis=(1, 2))
+    assert rel.max() <= 1e-12
+
+
+def test_ill_conditioned_block_takes_eigh_path(monkeypatch):
+    # A = S kron(T, I3) S with S = blockdiag(I, B^(1/2), I): SPD, node 1's
+    # block 2B has eigenvalue ratio 1e-9, and block Jacobi makes it benign
+    Q = random_rotation(np.random.default_rng(7))
+    half = Q @ np.diag([1.0, 1.0, math.sqrt(1e-9)]) @ Q.T
+    S = sp.block_diag([np.eye(3), half, np.eye(3)])
+    A = (S @ sp.csr_matrix(_nodal([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]])) @ S).tocsr()
+    x_true = np.arange(1.0, 10.0)
+    b = A @ x_true
+
+    calls = []
+    eigh = np.linalg.eigh
+
+    def recording_eigh(blocks):
+        calls.append(blocks.copy())
+        return eigh(blocks)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    u, report = solve(_system(A.toarray(), b), tol=1e-12)
+    monkeypatch.undo()
+    assert len(calls) == 1 and calls[0].shape == (1, 3, 3)
+    assert np.abs(calls[0][0] - 2.0 * half @ half).max() <= 1e-15
+    lam = np.linalg.eigvalsh(calls[0][0])
+    assert 0.5e-9 <= lam[0] / lam[2] <= 2e-9
+    assert report.converged and report.relative_residual <= 1e-12
+    assert np.abs(A @ u - b).max() <= 1e-11 * np.abs(b).max()
+
+
+@pytest.mark.parametrize("blocks, message", [
+    ([np.eye(3), np.diag([1.0, 1.0, -0.5]), np.eye(3), np.diag([2.0, 0.0, 1.0])],
+     "nodal block of node 1 is not positive definite: smallest/largest eigenvalue "
+     "ratio -5.000e-01; 2 of 4 nodal blocks fail"),
+    ([np.eye(3), np.diag([-1.0, 2.0, 3.0])],
+     "nodal block of node 1 is not positive definite: smallest/largest eigenvalue "
+     "ratio -3.333e-01; 1 of 2 nodal blocks fail"),
+    ([np.diag([-1.0, -2.0, -3.0]), 2.0 * np.eye(3), np.diag([1.0, 1e-13, 1.0])],
+     "nodal block of node 0 is not positive definite: smallest/largest eigenvalue "
+     "ratio -inf; 2 of 3 nodal blocks fail"),
+    ([np.eye(3), np.diag([-1.0, -1.0, 5.0]), [[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, -1.0]]],
+     "nodal block of node 1 is not positive definite: smallest/largest eigenvalue "
+     "ratio -2.000e-01; 2 of 3 nodal blocks fail"),
+    ([np.eye(3), np.diag([1.0, 1.0, -2002.0])],
+     "nodal block of node 1 is not positive definite: smallest/largest eigenvalue "
+     "ratio -2.002e+03; 1 of 2 nodal blocks fail"),
+])
+def test_non_positive_definite_block_message(blocks, message):
+    # det > 1e-6 tr^3 alone certifies none of them: node 1 of the first case has
+    # a00 > 0 and a positive 2x2 minor but det < 0; in the fourth case node 1 has
+    # a00 < 0 and node 2 a negative 2x2 minor, both with det > 0; in the last
+    # case tr < 0, so det = -2002 > 1e-6 tr^3 although the block is indefinite
+    A = sp.block_diag(blocks, format="csr")
+    with pytest.raises(SolverError) as err:
+        solve(LinearSystem(A, np.ones(A.shape[0])))
+    assert str(err.value) == message
+
+
+def test_deflated_solution_and_limit_iterate_carry_no_translation():
+    # a random load breaks the torus symmetry, so the preconditioned
+    # directions, and with them the iterate, pick up translations
+    mesh = build_torus_mesh(1.0, 0.5, 12, 6)
+    K = assemble(mesh, MAT, None, QUAD).matrix
+    system = LinearSystem(K, np.random.default_rng(2).standard_normal(3 * mesh.n_vertices))
+    Z = translation_basis(system)
+    shift = np.tile([0.3, -1.0, 2.0], mesh.n_vertices)
+    u, report = solve(system, deflate_translations=True, x0=shift)
+    assert report.converged
+    with pytest.raises(IterationLimitError) as err:
+        solve(system, deflate_translations=True, max_iter=7)
+    for v in (u, err.value.solution):
+        assert np.abs(Z.T @ v).max() <= 1e-12 * np.linalg.norm(v)
+
+
+class _DriftingMatrix:
+    """``A`` whose first ``drifted`` products are off by a relative 1e-6; records every input."""
+
+    def __init__(self, A, drifted):
+        self.A, self.shape, self.drifted, self.inputs = A, A.shape, drifted, []
+
+    def diagonal(self, k=0):
+        return self.A.diagonal(k)
+
+    def __matmul__(self, v):
+        self.inputs.append(v.copy())
+        out = self.A @ v
+        if len(self.inputs) <= self.drifted:
+            out[0] += 1e-6 * np.linalg.norm(out)
+        return out
+
+
+def test_true_residual_restart_resets_the_direction():
+    # the perturbed first products make the recurrence residual pass the stop
+    # test while the true residual does not; CG must then restart with p = M r,
+    # exactly as a fresh solve started from the iterate at the restart
+    rng = np.random.default_rng(5)
+    B = rng.standard_normal((30, 30))
+    A = sp.csr_matrix(B @ B.T + 30.0 * np.eye(30))
+    b = rng.standard_normal(30)
+    system = LinearSystem(A, b)
+    system.matrix = drifting = _DriftingMatrix(A, drifted=3)
+    u, report = solve(system, tol=1e-10)
+    assert report.converged and np.linalg.norm(A @ u - b) <= 1e-10 * np.linalg.norm(b)
+    calls = drifting.inputs
+    assert len(calls) == report.iterations + 2  # one failed and one passed true-residual check
+
+    M = _nodal_block_inverse(A)
+    restart = [j for j in range(len(calls) - 1)
+               if np.allclose(calls[j + 1], M @ (b - A @ calls[j]), rtol=1e-13, atol=0.0)]
+    assert len(restart) == 1
+    fresh, fresh_report = solve(LinearSystem(A, b), tol=1e-10, x0=calls[restart[0]])
+    assert fresh_report.iterations == report.iterations - restart[0]
+    assert np.array_equal(fresh, u)
