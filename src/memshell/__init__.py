@@ -19,7 +19,13 @@ from .assembly import (
     cylinder_constraints,
     pressure_rhs,
 )
-from .element import QuadratureRule, SingularJacobianError, quadrature_rule
+from .element import (
+    QuadraturePointData,
+    QuadratureRule,
+    SingularJacobianError,
+    quadrature_geometry,
+    quadrature_rule,
+)
 from .geometry import (
     AnalyticSurface,
     Cylinder,
@@ -68,6 +74,7 @@ __all__ = [
     "ExactSolution", "projector", "cylinder_exact", "torus_exact",
     # element
     "SingularJacobianError", "QuadratureRule", "quadrature_rule",
+    "QuadraturePointData", "quadrature_geometry",
     # assembly
     "ConstraintError", "Constraint", "LinearSystem", "assemble",
     "pressure_rhs", "cylinder_constraints", "apply_constraints",

@@ -1,5 +1,9 @@
 """Global sparse assembly and rotated-frame Dirichlet constraints.
 
+The stiffness and load vector are assembled from the mesh's
+:class:`~memshell.element.QuadraturePointData`, which fixes the quadrature
+rule and the variant; nothing here reads either.
+
 Degrees of freedom are node-major: dof ``3*node + component`` with components
 0..2 the global x, y, z displacements. Homogeneous directional constraints
 ``q . u = 0`` are imposed by rotating each constrained node's 3-dof block into
@@ -13,8 +17,7 @@ import dataclasses
 import numpy as np
 import scipy.sparse as sp
 
-from .element import (QuadraturePointData, QuadratureRule, batch_element_loads,
-                      batch_element_stiffness, quadrature_geometry, quadrature_rule)
+from .element import QuadraturePointData, batch_element_loads, batch_element_stiffness
 from .mesh import SurfaceMesh
 
 __all__ = [
@@ -85,27 +88,17 @@ def _element_dofs(triangles: np.ndarray) -> np.ndarray:
     return (3 * triangles[:, :, None] + np.arange(3)[None, None, :]).reshape(-1, 9)
 
 
-def assemble(mesh: SurfaceMesh, material, load_at=None,
-             quad: QuadratureRule | None = None,
-             variant: str = "interpolated",
-             geometry: QuadraturePointData | None = None) -> LinearSystem:
+def assemble(mesh: SurfaceMesh, material, geo: QuadraturePointData, load_at=None) -> LinearSystem:
     """Assemble the global stiffness and consistent load vector.
 
-    ``load_at`` maps positions (k, 3) to load vectors (k, 3) (force per unit
-    midsurface area); ``None`` gives a zero right-hand side. Element failures
-    carry the offending element index. ``geometry`` is the mesh's
-    :func:`~memshell.element.quadrature_geometry` for ``quad`` and
-    ``variant``, if the caller already has it.
+    ``geo`` is the mesh's :func:`~memshell.element.quadrature_geometry`; it
+    fixes the quadrature rule and the variant. ``load_at`` maps positions
+    (k, 3) to load vectors (k, 3) (force per unit midsurface area); ``None``
+    gives a zero right-hand side.
     """
-    if quad is None:
-        quad = quadrature_rule(2)
-    tris = mesh.triangles
-    coords = mesh.vertices[tris]
-    normals = mesh.nodal_normals[tris]
-
-    geo = quadrature_geometry(coords, normals, quad, variant) if geometry is None else geometry
-    ke = batch_element_stiffness(coords, normals, material, geometry=geo)
-    dofs = _element_dofs(tris).astype(np.int32)  # scipy's index type below 2^31 dofs
+    geo.require_elements(mesh.n_triangles)
+    ke = batch_element_stiffness(geo, material)
+    dofs = _element_dofs(mesh.triangles).astype(np.int32)  # scipy's index type below 2^31 dofs
     rows = np.repeat(dofs, 9, axis=1).ravel()
     cols = np.tile(dofs, (1, 9)).ravel()
     ndof = 3 * mesh.n_vertices
@@ -113,30 +106,22 @@ def assemble(mesh: SurfaceMesh, material, load_at=None,
 
     rhs = np.zeros(ndof)
     if load_at is not None:
-        fe = batch_element_loads(coords, normals, load_at, quad, geo)
+        fe = batch_element_loads(geo, load_at)
         np.add.at(rhs, dofs.ravel(), fe.ravel())
     return LinearSystem(matrix, rhs)
 
 
-def pressure_rhs(mesh: SurfaceMesh, p: float,
-                 quad: QuadratureRule | None = None,
-                 variant: str = "interpolated",
-                 geometry: QuadraturePointData | None = None) -> np.ndarray:
+def pressure_rhs(mesh: SurfaceMesh, p: float, geo: QuadraturePointData) -> np.ndarray:
     """Consistent load vector of the discrete pressure load ``p * n_h``.
 
-    Uses the mesh's own (interpolated or facet) normal at each quadrature
-    point, for surfaces without a closed-form normal field. ``geometry`` is
-    as in :func:`assemble`.
+    Uses the normal of ``geo``, the mesh's interpolated or facet normal at
+    each quadrature point, for surfaces without a closed-form normal field.
     """
-    if quad is None:
-        quad = quadrature_rule(2)
-    tris = mesh.triangles
-    geo = (quadrature_geometry(mesh.vertices[tris], mesh.nodal_normals[tris], quad, variant)
-           if geometry is None else geometry)
-    phi = quad.shape_values()
-    fe = p * np.einsum("mq,qi,mqa->mia", geo.measures, phi, geo.normals).reshape(-1, 9)
+    geo.require_elements(mesh.n_triangles)
+    fe = p * np.einsum("mq,qi,mqa->mia", geo.measures, geo.shape_values,
+                       geo.normals).reshape(-1, 9)
     rhs = np.zeros(3 * mesh.n_vertices)
-    np.add.at(rhs, _element_dofs(tris).ravel(), fe.ravel())
+    np.add.at(rhs, _element_dofs(mesh.triangles).ravel(), fe.ravel())
     return rhs
 
 

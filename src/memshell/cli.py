@@ -21,6 +21,7 @@ torus R=1, r=1/2). The resolution parameter ``n`` maps to
 import argparse
 import dataclasses
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -107,7 +108,6 @@ def _rotation_fraction(msh, u: np.ndarray) -> float:
 def solve_case(config: RunConfig, n: int | None = None) -> CaseResult:
     """Assemble, constrain, solve, and recover stresses for one resolution."""
     n = config.n if n is None else n
-    quad = quadrature_rule(2)
     if config.case == "import":
         if not config.mesh_path:
             raise ValueError("case 'import' requires a mesh file (--mesh)")
@@ -120,10 +120,11 @@ def solve_case(config: RunConfig, n: int | None = None) -> CaseResult:
     else:
         msh, material, load_at, constrain, deflate, exact = _build_case(config, n)
     tris = msh.triangles
-    geo = quadrature_geometry(msh.vertices[tris], msh.nodal_normals[tris], quad, config.variant)
-    system = assembly.assemble(msh, material, load_at, quad, config.variant, geo)
+    geo = quadrature_geometry(msh.vertices[tris], msh.nodal_normals[tris], quadrature_rule(2),
+                              config.variant)
+    system = assembly.assemble(msh, material, geo, load_at)
     if config.case == "import":
-        system.rhs[:] = assembly.pressure_rhs(msh, config.p, quad, config.variant, geo)
+        system.rhs[:] = assembly.pressure_rhs(msh, config.p, geo)
     if constrain:
         system = assembly.apply_constraints(system, assembly.cylinder_constraints(msh))
     u_sys, report = solver.solve(
@@ -133,7 +134,7 @@ def solve_case(config: RunConfig, n: int | None = None) -> CaseResult:
         deflate_translations=deflate,
     )
     u = system.recover(u_sys)
-    field = postprocess.recover_stress(msh, material, u, quad, config.variant, geo)
+    field = postprocess.recover_stress(msh, material, u, geo)
     error = postprocess.stress_l2_error(field, exact) if exact is not None else None
     rot = _rotation_fraction(msh, u) if deflate else None
     return CaseResult(
@@ -189,14 +190,16 @@ def run_convergence(config: RunConfig, resolutions=None) -> tuple[
         "postprocess.ConvergenceRecord", list[CaseResult]]:
     """Run a refinement ladder and fit the stress-error rate.
 
-    The CSV table is rewritten after each resolution, so a failing level leaves
-    the completed rows on disk.
+    The ladder is checked before any level is solved: it needs at least 3
+    strictly increasing resolutions. The CSV table is rewritten after each
+    resolution, so a failing level leaves the completed rows on disk.
     """
     if config.case not in ("cylinder", "torus"):
         raise ValueError("convergence studies require case 'cylinder' or 'torus'")
     resolutions = list(resolutions) if resolutions is not None else list(DEFAULT_RESOLUTIONS)
-    if len(resolutions) < 3:
-        raise ValueError("need at least 3 resolutions for a rate fit")
+    if len(resolutions) < 3 or any(a >= b for a, b in zip(resolutions, resolutions[1:])):
+        raise ValueError(f"resolution ladder {','.join(map(str, resolutions))}: a rate fit "
+                         "needs at least 3 strictly increasing resolutions")
     outdir = Path(config.out)
     outdir.mkdir(parents=True, exist_ok=True)
     csv_path = outdir / "convergence.csv"
@@ -241,7 +244,13 @@ def _mesh_info_lines(msh) -> list[str]:
 
 
 def _read_config_file(path: str) -> dict:
-    """Parse a minimal ``key = value`` file (one pair per line, # comments)."""
+    """Parse a minimal ``key = value`` file (one pair per line, # comments).
+
+    Each value is converted with the type of its :class:`RunConfig` field, as
+    its flag would be; an unknown key or a value that does not convert is an
+    error naming the key.
+    """
+    field_types = {f.name: f.type for f in dataclasses.fields(RunConfig)}
     values: dict[str, object] = {}
     for raw in Path(path).read_text().splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -251,14 +260,16 @@ def _read_config_file(path: str) -> dict:
             raise ValueError(f"invalid config line: {raw.strip()!r}")
         key, _, val = line.partition("=")
         key = key.strip().replace("-", "_")
+        key = "mesh_path" if key == "mesh" else key
+        if key not in field_types:
+            raise ValueError(f"unknown config key {key!r}")
+        cast = next((t for t in typing.get_args(field_types[key]) if t is not type(None)),
+                    field_types[key])
         val = val.strip().strip("\"'")
-        for cast in (int, float):
-            try:
-                val = cast(val)
-                break
-            except ValueError:
-                continue
-        values[key] = val
+        try:
+            values[key] = cast(val)
+        except ValueError:
+            raise ValueError(f"config key {key!r}: invalid {cast.__name__} value {val!r}") from None
     return values
 
 
@@ -283,16 +294,7 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig()
-    if getattr(args, "config", None):
-        file_values = _read_config_file(args.config)
-        valid = {f.name for f in dataclasses.fields(RunConfig)}
-        for key, value in file_values.items():
-            if key == "mesh":
-                key = "mesh_path"
-            if key not in valid:
-                raise ValueError(f"unknown config key {key!r}")
-            setattr(config, key, value)
+    config = RunConfig(**(_read_config_file(args.config) if getattr(args, "config", None) else {}))
     for f in dataclasses.fields(RunConfig):
         value = getattr(args, f.name, None)
         if value is not None:

@@ -18,10 +18,12 @@ double-projected in-plane strain energy because the normal-normal strain
 component vanishes for tangential gradients.
 
 Every kernel works on all elements at once and backs the global assembly and
-the stress recovery. The stiffness and load kernels share the batch's
-:func:`quadrature_geometry`; the load kernel reads its points and measures.
-The per-element ``np.linalg.solve`` reference that the tests compare them
-with lives in ``tests/oracles.py``.
+the stress recovery. :func:`quadrature_geometry` is the one place that reads a
+quadrature rule and a variant; the kernels, the assembly and the stress
+recovery all take its :class:`QuadraturePointData`. The load kernel reads
+only its points, measures and shape values. The per-element
+``np.linalg.solve`` reference that the tests compare them with lives in
+``tests/oracles.py``.
 """
 
 import dataclasses
@@ -105,6 +107,10 @@ def quadrature_rule(order: int) -> QuadratureRule:
 class QuadraturePointData:
     """Per-element, per-quadrature-point geometry of a batch of elements.
 
+    Built by :func:`quadrature_geometry` for one quadrature rule and one
+    variant, it is the only geometry argument of the element kernels, the
+    assembly and the stress recovery.
+
     Attributes
     ----------
     gradients : (m, nq, 3, 3)
@@ -116,12 +122,21 @@ class QuadraturePointData:
         ``measures * integrand`` integrates over the discrete surface).
     points : (m, nq, 3)
         Mapped quadrature point positions.
+    shape_values : (nq, 3)
+        Linear shape function values at the rule's points.
     """
 
     gradients: np.ndarray
     normals: np.ndarray
     measures: np.ndarray
     points: np.ndarray
+    shape_values: np.ndarray
+
+    def require_elements(self, m: int) -> None:
+        """Raise ValueError unless the geometry covers exactly ``m`` elements."""
+        if self.measures.shape[0] != m:
+            raise ValueError(f"quadrature geometry covers {self.measures.shape[0]} elements, "
+                             f"the mesh has {m}")
 
     def projectors(self) -> np.ndarray:
         """(m, nq, 3, 3) tangent-plane projectors ``P = I - n n^T``."""
@@ -130,8 +145,7 @@ class QuadraturePointData:
         return proj
 
 
-def quadrature_geometry(coords, normals, quad: QuadratureRule | None = None,
-                        variant: str = "interpolated") -> QuadraturePointData:
+def quadrature_geometry(coords, normals, quad: QuadratureRule, variant: str) -> QuadraturePointData:
     """Batched element geometry at the quadrature points.
 
     ``coords`` and ``normals`` have shape (m, 3, 3): element, node, xyz.
@@ -140,8 +154,6 @@ def quadrature_geometry(coords, normals, quad: QuadratureRule | None = None,
     ``d_eta = (n x t_xi)/det``, ``det = n . (t_xi x t_eta)``, are the dual
     basis, so ``g_0 = -d_xi - d_eta``, ``g_1 = d_xi`` and ``g_2 = d_eta``.
     """
-    if quad is None:
-        quad = quadrature_rule(2)
     coords = np.asarray(coords, dtype=float)
     normals = np.asarray(normals, dtype=float)
     m = coords.shape[0]
@@ -185,18 +197,12 @@ def quadrature_geometry(coords, normals, quad: QuadratureRule | None = None,
 
     measures = quad.weights[None, :] * cn[:, None]
     points = phi @ coords
-    return QuadraturePointData(gradients=gradients, normals=nhat,
-                               measures=measures, points=points)
+    return QuadraturePointData(gradients=gradients, normals=nhat, measures=measures,
+                               points=points, shape_values=phi)
 
 
-def batch_element_stiffness(coords, normals, material,
-                            quad: QuadratureRule | None = None,
-                            variant: str = "interpolated",
-                            geometry: QuadraturePointData | None = None) -> np.ndarray:
-    """Stiffness matrices of a batch of elements, shape (m, 9, 9).
-
-    ``geometry`` is the batch's :func:`quadrature_geometry`, if the caller
-    already has it (it then stands for ``quad`` and ``variant``).
+def batch_element_stiffness(geo: QuadraturePointData, material) -> np.ndarray:
+    """Stiffness matrices of the batch ``geo`` describes, shape (m, 9, 9).
 
     Uses the contracted form of the energy density: with ``g_i`` the
     tangential basis gradients, ``G_ij = g_i . g_j`` and ``P = I - n n^T``,
@@ -209,7 +215,6 @@ def batch_element_stiffness(coords, normals, material,
     ``GP[(i,j),(a,b)] = sum_q w G_ij P_ab``. Then, with the index moves
     written out, ``K[i,a,j,b] = t (mu GP[i,j,a,b] + mu H[j,a,i,b] + lam H[i,a,j,b])``.
     """
-    geo = quadrature_geometry(coords, normals, quad, variant) if geometry is None else geometry
     m, nq = geo.measures.shape
     g = geo.gradients.reshape(m, nq, 9)
     w = geo.measures[:, None, :]
@@ -232,20 +237,13 @@ def batch_element_stiffness(coords, normals, material,
     return K
 
 
-def batch_element_loads(coords, normals, load_at,
-                        quad: QuadratureRule | None = None,
-                        geometry: QuadraturePointData | None = None) -> np.ndarray:
-    """Consistent nodal loads of a batch of elements, shape (m, 9).
+def batch_element_loads(geo: QuadraturePointData, load_at) -> np.ndarray:
+    """Consistent nodal loads of the batch ``geo`` describes, shape (m, 9).
 
-    Only the points and measures of ``geometry``, the batch's
-    :func:`quadrature_geometry` for ``quad``, are read. If it is None the
-    full interpolated geometry is computed, which raises
-    :class:`SingularJacobianError` on a zero-area facet or a nodal normal
-    in the facet plane.
+    ``load_at`` maps positions (k, 3) to load vectors (k, 3); it is evaluated
+    at the quadrature points. Only the points, measures and shape values of
+    ``geo`` are read, so the variant does not matter.
     """
-    if quad is None:
-        quad = quadrature_rule(2)
-    geo = quadrature_geometry(coords, normals, quad) if geometry is None else geometry
     m, nq = geo.measures.shape
     f = np.asarray(load_at(geo.points.reshape(-1, 3)), dtype=float).reshape(m, nq, 3)
-    return (quad.shape_values().T @ (geo.measures[..., None] * f)).reshape(m, 9)
+    return (geo.shape_values.T @ (geo.measures[..., None] * f)).reshape(m, 9)

@@ -3,8 +3,9 @@
 The recovered stress is the in-plane tensor obtained by double projection of
 the tangential strain followed by the membrane constitutive law
 ``sigma = 2 mu e_P + lam tr(e_P) P``; it is symmetric and annihilates the
-element normal by construction. Errors are integrated over the discrete
-surface with the field's own quadrature weights.
+element normal by construction. It is sampled at the quadrature points of
+the mesh's :class:`~memshell.element.QuadraturePointData`, and errors are
+integrated over the discrete surface with the field's own weights.
 """
 
 import dataclasses
@@ -12,7 +13,7 @@ import math
 
 import numpy as np
 
-from .element import QuadraturePointData, QuadratureRule, quadrature_geometry, quadrature_rule
+from .element import QuadraturePointData
 from .geometry import ExactSolution, MaterialModel
 from .mesh import SurfaceMesh
 
@@ -81,23 +82,17 @@ def _nodal_displacements(mesh: SurfaceMesh, displacement) -> np.ndarray:
 
 
 def recover_stress(mesh: SurfaceMesh, material: MaterialModel, displacement,
-                   quad: QuadratureRule | None = None,
-                   variant: str = "interpolated",
-                   geometry: QuadraturePointData | None = None) -> StressField:
+                   geo: QuadraturePointData) -> StressField:
     """Project the discrete strain and apply the membrane constitutive law.
 
     ``displacement`` may be a flat dof vector of length ``3*n_vertices`` or an
     ``(n_vertices, 3)`` array of nodal displacements (global components).
-    ``geometry`` is the mesh's :func:`~memshell.element.quadrature_geometry`
-    for ``quad`` and ``variant``, if the caller already has it.
+    ``geo`` is the mesh's :func:`~memshell.element.quadrature_geometry`: the
+    stresses are sampled at its points, with its normals and measures.
     """
-    if quad is None:
-        quad = quadrature_rule(2)
     u = _nodal_displacements(mesh, displacement)
-    tris = mesh.triangles
-    geo = (quadrature_geometry(mesh.vertices[tris], mesh.nodal_normals[tris], quad, variant)
-           if geometry is None else geometry)
-    ue = u[tris]
+    geo.require_elements(mesh.n_triangles)
+    ue = u[mesh.triangles]
 
     proj = geo.projectors()
     # the basis gradients are tangential (grad n = 0), so P eps P = sym(P grad)

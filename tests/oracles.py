@@ -14,7 +14,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from memshell.assembly import ConstraintError, LinearSystem
-from memshell.element import QuadratureRule, SingularJacobianError, quadrature_rule
+from memshell.element import (QuadraturePointData, QuadratureRule, SingularJacobianError,
+                              quadrature_geometry, quadrature_rule)
 from memshell.mesh import MeshError
 
 
@@ -231,6 +232,18 @@ def element_load(coords, normals, load_at, quad: QuadratureRule | None = None) -
     points = phi @ coords
     f = np.asarray(load_at(points), dtype=float).reshape(len(quad), 3)
     return np.einsum("q,qi,qa->ia", quad.weights * measure, phi, f).reshape(9)
+
+
+def geometry_of(mesh, quad: QuadratureRule | None = None,
+                variant: str = "interpolated") -> QuadraturePointData:
+    """The mesh's quadrature geometry, by default for the three-point rule.
+
+    A convenience for the tests, not an oracle: it calls the kernel under
+    test, :func:`memshell.element.quadrature_geometry`, on every element.
+    """
+    tris = mesh.triangles
+    return quadrature_geometry(mesh.vertices[tris], mesh.nodal_normals[tris],
+                               quadrature_rule(2) if quad is None else quad, variant)
 
 
 def dense_assembly(mesh, material, load_at, quad, variant="interpolated"):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib
+import inspect
 import re
 import sys
 import types
@@ -11,6 +12,7 @@ import pytest
 
 from memshell import mesh
 from memshell.assembly import Constraint
+from memshell.element import QuadraturePointData
 
 ROOT = Path(__file__).resolve().parents[1]
 SUBMODULES = ("assembly", "cli", "element", "geometry", "mesh", "postprocess", "solver")
@@ -65,3 +67,19 @@ def test_benchmark_traced_names_exist():
     absent = [f"{module}.{attr}" for module, attr in targets
               if not callable(getattr(importlib.import_module(module), attr, None))]
     assert absent == []
+
+
+@pytest.mark.parametrize("module, name", [
+    ("element", "batch_element_stiffness"),
+    ("element", "batch_element_loads"),
+    ("assembly", "assemble"),
+    ("assembly", "pressure_rhs"),
+    ("postprocess", "recover_stress"),
+])
+def test_geometry_consumers_take_only_the_geometry(module, name):
+    # quadrature_geometry is the one place that reads a rule or a variant
+    consumer = getattr(importlib.import_module(f"memshell.{module}"), name)
+    params = inspect.signature(consumer).parameters
+    assert {"quad", "variant", "geometry"}.isdisjoint(params)
+    assert params["geo"].annotation is QuadraturePointData
+    assert params["geo"].default is inspect.Parameter.empty

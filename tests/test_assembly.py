@@ -16,8 +16,10 @@ from memshell.assembly import (
 from memshell.element import SingularJacobianError, quadrature_rule
 from memshell.geometry import Cylinder, MaterialModel, cylinder_exact
 from memshell.mesh import SurfaceMesh, build_cylinder_mesh, build_torus_mesh
+from memshell.postprocess import recover_stress
 
-from oracles import apply_constraints_reference, dense_assembly, element_stiffness, flat_grid_mesh
+from oracles import (apply_constraints_reference, dense_assembly, element_stiffness,
+                     flat_grid_mesh, geometry_of)
 
 MAT = MaterialModel(E=100.0, nu=0.5, t=1e-2)
 QUAD = quadrature_rule(2)
@@ -30,14 +32,14 @@ def _const_load(x):
 def test_single_element_mesh_matches_element_matrix():
     verts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     mesh = SurfaceMesh(verts, np.array([[0, 1, 2]]))
-    system = assemble(mesh, MAT, _const_load, QUAD)
+    system = assemble(mesh, MAT, geometry_of(mesh), _const_load)
     ke = element_stiffness(verts, mesh.nodal_normals, MAT, QUAD)
     assert np.abs(system.matrix.toarray() - ke).max() <= 1e-15 * np.abs(ke).max()
 
 
 def test_sparse_assembly_matches_dense_oracle_flat_square():
     mesh = flat_grid_mesh(1, 1)  # two triangles sharing the diagonal
-    system = assemble(mesh, MAT, _const_load, QUAD)
+    system = assemble(mesh, MAT, geometry_of(mesh), _const_load)
     K_oracle, rhs_oracle = dense_assembly(mesh, MAT, _const_load, QUAD)
     scale = np.abs(K_oracle).max()
     assert np.abs(system.matrix.toarray() - K_oracle).max() <= 1e-13 * scale
@@ -54,7 +56,7 @@ def test_sparse_assembly_matches_dense_oracle_small_meshes(mesh_builder):
     assert mesh.n_vertices <= 50
     surf = Cylinder(1.0, 4.0)
     load = cylinder_exact(1.0, MAT, surf).load_at
-    system = assemble(mesh, MAT, load, QUAD)
+    system = assemble(mesh, MAT, geometry_of(mesh), load)
     K_oracle, rhs_oracle = dense_assembly(mesh, MAT, load, QUAD)
     scale = np.abs(K_oracle).max()
     assert np.abs(system.matrix.toarray() - K_oracle).max() <= 1e-13 * scale
@@ -63,7 +65,7 @@ def test_sparse_assembly_matches_dense_oracle_small_meshes(mesh_builder):
 
 def test_assembled_matrix_symmetric_and_psd_behaviour():
     mesh = build_cylinder_mesh(1.0, 4.0, 8, 6)
-    system = assemble(mesh, MAT, None, QUAD)
+    system = assemble(mesh, MAT, geometry_of(mesh))
     K = system.matrix
     asym = (K - K.T).toarray()
     assert np.abs(asym).max() <= 1e-12 * np.abs(K.toarray()).max()
@@ -87,7 +89,7 @@ def test_cylinder_total_axial_load():
     for n in (16, 32, 64):
         mesh = build_cylinder_mesh(1.0, 4.0, n, n)
         load = cylinder_exact(F, MAT, Cylinder(1.0, 4.0)).load_at
-        system = assemble(mesh, MAT, load, QUAD)
+        system = assemble(mesh, MAT, geometry_of(mesh), load)
         total = system.rhs[0::3].sum()
         devs.append(abs(total - F / 2.0))
     assert devs[1] <= 1e-3  # n=32
@@ -97,12 +99,32 @@ def test_cylinder_total_axial_load():
     assert abs(devs[1] - predicted) < 0.05 * predicted
 
 
+def test_geometry_of_another_mesh_rejected():
+    mesh = build_torus_mesh(1.0, 0.5, 8, 4)
+    geo = geometry_of(build_torus_mesh(1.0, 0.5, 10, 4))
+    calls = (lambda: assemble(mesh, MAT, geo), lambda: pressure_rhs(mesh, 1.0, geo),
+             lambda: recover_stress(mesh, MAT, np.zeros(3 * mesh.n_vertices), geo))
+    for call in calls:
+        with pytest.raises(ValueError, match="covers 80 elements, the mesh has 64"):
+            call()
+
+
 def test_pressure_rhs_closed_surface_self_equilibrated():
     mesh = build_torus_mesh(1.0, 0.5, 16, 8)
-    rhs = pressure_rhs(mesh, 1.0, QUAD)
+    rhs = pressure_rhs(mesh, 1.0, geometry_of(mesh))
     # net force from a constant pressure on a closed surface vanishes
     net = np.array([rhs[c::3].sum() for c in range(3)])
     assert np.abs(net).max() < 1e-12 * np.abs(rhs).max() * mesh.n_vertices**0.5
+
+
+@pytest.mark.parametrize("variant", ["interpolated", "facet"])
+def test_pressure_rhs_matches_load_kernel_on_the_geometry_normals(variant):
+    # the load kernel's matmul path, fed the normals at the quadrature points
+    mesh = build_torus_mesh(1.0, 0.5, 16, 8)
+    geo = geometry_of(mesh, variant=variant)
+    expected = assemble(mesh, MAT, geo, lambda x: 2.0 * geo.normals.reshape(-1, 3)).rhs
+    rhs = pressure_rhs(mesh, 2.0, geo)
+    assert np.abs(rhs - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
 # ---------------------------------------------------------------------------
@@ -144,13 +166,13 @@ def test_cylinder_constraints_require_two_rings():
 
 def test_apply_constraints_noop_without_constraints():
     mesh = flat_grid_mesh(2, 2)
-    system = assemble(mesh, MAT, _const_load, QUAD)
+    system = assemble(mesh, MAT, geometry_of(mesh), _const_load)
     assert apply_constraints(system, []) is system
 
 
 def test_apply_constraints_all_directions_gives_zero_solution():
     mesh = flat_grid_mesh(2, 2)
-    system = assemble(mesh, MAT, _const_load, QUAD)
+    system = assemble(mesh, MAT, geometry_of(mesh), _const_load)
     cons = []
     for node in range(mesh.n_vertices):
         for c in range(3):
@@ -166,7 +188,7 @@ def test_axis_aligned_constraint_equals_direct_elimination():
     # with q = e_x the completed frame is the identity, so the rotated
     # elimination must coincide with zeroing row/column of dof x by hand
     mesh = flat_grid_mesh(1, 1)
-    system = assemble(mesh, MAT, _const_load, QUAD)
+    system = assemble(mesh, MAT, geometry_of(mesh), _const_load)
     node = 0
     fixed = apply_constraints(system, [Constraint(node, np.array([1.0, 0.0, 0.0]))])
 
@@ -187,7 +209,7 @@ def test_rotated_constraint_matches_nullspace_reduction():
     # removes the rigid modes of the floating patch in both paths)
     rng = np.random.default_rng(19)
     mesh = flat_grid_mesh(2, 1)
-    base = assemble(mesh, MAT, _const_load, QUAD)
+    base = assemble(mesh, MAT, geometry_of(mesh), _const_load)
     ndof = base.ndof
     shift = 1e-3 * np.abs(base.matrix.data).max()
     K = base.matrix.toarray() + shift * np.eye(ndof)
@@ -216,7 +238,7 @@ def test_rotated_constraint_matches_nullspace_reduction():
 def test_apply_constraints_preserves_symmetry_and_far_rows():
     mesh = build_cylinder_mesh(1.0, 4.0, 6, 4)
     surf = Cylinder(1.0, 4.0)
-    system = assemble(mesh, MAT, cylinder_exact(1.0, MAT, surf).load_at, QUAD)
+    system = assemble(mesh, MAT, geometry_of(mesh), cylinder_exact(1.0, MAT, surf).load_at)
     fixed = apply_constraints(system, cylinder_constraints(mesh))
     Kc = fixed.matrix
     scale = np.abs(Kc.data).max()
@@ -238,7 +260,7 @@ def test_apply_constraints_preserves_symmetry_and_far_rows():
 
 def test_dependent_constraint_directions_rejected():
     mesh = flat_grid_mesh(1, 1)
-    system = assemble(mesh, MAT, _const_load, QUAD)
+    system = assemble(mesh, MAT, geometry_of(mesh), _const_load)
     cons = [
         Constraint(0, np.array([1.0, 0.0, 0.0])),
         Constraint(0, np.array([1.0, 0.0, 0.0])),
@@ -262,7 +284,7 @@ def _assert_matches_reference(system, constraints):
 def test_apply_constraints_matches_reference_on_cylinders(n):
     mesh = build_cylinder_mesh(1.0, 4.0, n, n)
     load = cylinder_exact(1.0, MAT, Cylinder(1.0, 4.0)).load_at
-    system = assemble(mesh, MAT, load, QUAD)
+    system = assemble(mesh, MAT, geometry_of(mesh), load)
     _assert_matches_reference(system, cylinder_constraints(mesh))
 
 
@@ -296,7 +318,7 @@ def _random_constraints(rng, n_nodes, n_constrained):
 def test_apply_constraints_matches_reference_on_random_sets(seed):
     rng = np.random.default_rng(seed)
     mesh = build_torus_mesh(2.0, 0.7, 8, 5)
-    system = assemble(mesh, MAT, _const_load, QUAD)
+    system = assemble(mesh, MAT, geometry_of(mesh), _const_load)
     for _ in range(10):
         _assert_matches_reference(system, _random_constraints(rng, mesh.n_vertices, 12))
 
@@ -323,7 +345,7 @@ def test_apply_constraints_matches_reference_without_stored_diagonal_block():
 ])
 def test_constraint_errors_match_reference(directions, nodes, message):
     mesh = flat_grid_mesh(1, 1)
-    system = assemble(mesh, MAT, _const_load, QUAD)
+    system = assemble(mesh, MAT, geometry_of(mesh), _const_load)
     cons = [Constraint(n, np.array(d, dtype=float)) for n, d in zip(nodes, directions)]
     for apply in (apply_constraints, apply_constraints_reference):
         with pytest.raises(ConstraintError) as err:
@@ -347,5 +369,5 @@ def test_assemble_reports_failing_element():
     ])
     mesh = SurfaceMesh(verts, tris, nodal_normals=normals)
     with pytest.raises(SingularJacobianError, match="element 1"):
-        assemble(mesh, MAT, None, QUAD)
+        assemble(mesh, MAT, geometry_of(mesh))
 

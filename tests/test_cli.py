@@ -161,6 +161,34 @@ def test_config_file_unknown_key(tmp_path, capsys):
     assert "flux_capacitance" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line, key", [
+    ("n = 8.5", "n"),
+    ("tol = abc", "tol"),
+    ("max_iter = 1e3", "max_iter"),
+    ("r =", "r"),
+])
+def test_config_file_values_type_checked_like_flags(tmp_path, capsys, line, key):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"case = torus\n{line}\n")
+    out = tmp_path / "out"
+    rc = main(["run", "--config", str(cfg), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"config key {key!r}" in err
+    assert repr(line.partition("=")[2].strip()) in err
+    assert not (out / "report.txt").exists()
+
+
+def test_config_file_mesh_key_names_the_import_mesh(tmp_path):
+    off = tmp_path / "t.off"
+    _write_off(build_torus_mesh(1.0, 0.5, 12, 6), off)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"case = import\nmesh = {off}\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    assert "vertices: 72" in (out / "report.txt").read_text()
+
+
 def test_import_case_requires_mesh(capsys):
     rc = main(["run", "--case", "import"])
     assert rc != 0
@@ -221,3 +249,16 @@ def test_failing_ladder_level_leaves_completed_rows(tmp_path, monkeypatch):
     assert lines[0] == "h,error,rate"
     assert lines[1].endswith(",")
     assert float(lines[2].split(",")[2]) > 0.0
+
+
+@pytest.mark.parametrize("ladder", ["8,8,12", "16,8,12", "8,16"])
+def test_bad_ladder_rejected_before_any_level(tmp_path, capsys, monkeypatch, ladder):
+    def never(config, n=None):
+        raise AssertionError("solve_case called")
+
+    monkeypatch.setattr(cli, "solve_case", never)
+    out = tmp_path / "out"
+    rc = main(["convergence", "--case", "cylinder", "--resolutions", ladder, "--out", str(out)])
+    assert rc == 1
+    assert f"resolution ladder {ladder}:" in capsys.readouterr().err
+    assert not (out / "convergence.csv").exists()

@@ -7,7 +7,7 @@ import pytest
 
 from memshell.assembly import apply_constraints, assemble, cylinder_constraints
 from memshell.cli import RunConfig, solve_case
-from memshell.element import quadrature_geometry, quadrature_rule
+from memshell.element import quadrature_rule
 from memshell.geometry import (
     Cylinder,
     ExactSolution,
@@ -30,6 +30,7 @@ from oracles import (
     DEGREE4_RULE,
     double_projection,
     flat_grid_mesh,
+    geometry_of,
     random_rotation,
     read_legacy_vtk,
     tangential_strain,
@@ -44,7 +45,7 @@ QUAD = quadrature_rule(2)
 def test_rigid_translation_zero_stress():
     mesh = flat_grid_mesh(2, 2)
     u = np.tile([0.3, -0.7, 1.1], mesh.n_vertices)
-    field = recover_stress(mesh, MAT, u, QUAD)
+    field = recover_stress(mesh, MAT, u, geometry_of(mesh))
     assert np.abs(field.stresses).max() < 1e-13 * MAT.E
 
 
@@ -54,7 +55,7 @@ def test_uniaxial_stretch_matches_plane_stress_constitutive():
     alpha = 1e-3
     u = np.zeros((mesh.n_vertices, 3))
     u[:, 0] = alpha * mesh.vertices[:, 0]
-    field = recover_stress(mesh, MAT, u, QUAD)
+    field = recover_stress(mesh, MAT, u, geometry_of(mesh))
     s11 = (2.0 * MAT.mu + MAT.lam0) * alpha
     s22 = MAT.lam0 * alpha
     expected = np.diag([s11, s22, 0.0])
@@ -67,17 +68,18 @@ def test_flat_tangent_plane_strain_projection():
     mesh = flat_grid_mesh(2, 2)
     u = np.zeros((mesh.n_vertices, 3))
     u[:, 2] = 0.25 * mesh.vertices[:, 0] - 0.1 * mesh.vertices[:, 1]
-    field = recover_stress(mesh, MAT, u, QUAD)
+    field = recover_stress(mesh, MAT, u, geometry_of(mesh))
     assert np.abs(field.stresses).max() <= 1e-13 * MAT.E
 
 
 def test_stress_field_invariants_on_benchmark_solve():
     mesh = build_cylinder_mesh(1.0, 4.0, 12, 12)
     exact = cylinder_exact(1.0, MAT, Cylinder(1.0, 4.0))
-    system = assemble(mesh, MAT, exact.load_at, QUAD)
+    geo = geometry_of(mesh)
+    system = assemble(mesh, MAT, geo, exact.load_at)
     fixed = apply_constraints(system, cylinder_constraints(mesh))
     u, _ = solve(fixed, tol=1e-10)
-    field = recover_stress(mesh, MAT, fixed.recover(u), QUAD)
+    field = recover_stress(mesh, MAT, fixed.recover(u), geo)
     # symmetric and in-plane at every quadrature point
     assert np.abs(field.stresses - field.stresses.swapaxes(2, 3)).max() <= 1e-12 * np.abs(field.stresses).max()
     sn = np.einsum("mqab,mqb->mqa", field.stresses, field.normals)
@@ -95,7 +97,7 @@ def test_constitutive_trace_identity():
     mesh = flat_grid_mesh(2, 2, e1=(1.0, 0.0, 0.0),
                           e2=(0.0, 1.0 / math.sqrt(2), 1.0 / math.sqrt(2)))
     u = rng.standard_normal((mesh.n_vertices, 3)) * 1e-2
-    field = recover_stress(mesh, MAT, u, QUAD)
+    field = recover_stress(mesh, MAT, u, geometry_of(mesh))
     factor = 2.0 * MAT.mu + 2.0 * MAT.lam0
     scale = np.abs(field.stresses).max()
     for e, tri in enumerate(mesh.triangles):
@@ -113,12 +115,12 @@ def test_stress_objectivity_under_rotation():
     rng = np.random.default_rng(7)
     mesh = flat_grid_mesh(3, 2)
     u = rng.standard_normal((mesh.n_vertices, 3)) * 1e-2
-    field = recover_stress(mesh, MAT, u, QUAD)
+    field = recover_stress(mesh, MAT, u, geometry_of(mesh))
     for _ in range(5):
         Q = random_rotation(rng)
         rotated = SurfaceMesh(mesh.vertices @ Q.T, mesh.triangles,
                               nodal_normals=mesh.nodal_normals @ Q.T)
-        field_rot = recover_stress(rotated, MAT, u @ Q.T, QUAD)
+        field_rot = recover_stress(rotated, MAT, u @ Q.T, geometry_of(rotated))
         expected = np.einsum("ab,mqbc,dc->mqad", Q, field.stresses, Q)
         assert np.abs(field_rot.stresses - expected).max() <= 1e-10 * np.abs(field.stresses).max()
 
@@ -126,7 +128,7 @@ def test_stress_objectivity_under_rotation():
 def test_stress_l2_error_exact_match_is_zero():
     mesh = flat_grid_mesh(2, 2)
     u = np.zeros(3 * mesh.n_vertices)
-    field = recover_stress(mesh, MAT, u, QUAD)
+    field = recover_stress(mesh, MAT, u, geometry_of(mesh))
     zero = ExactSolution(load_at=lambda x: np.zeros_like(x),
                          stress_at=lambda x: np.zeros(np.asarray(x).shape[:-1] + (3, 3)))
     assert stress_l2_error(field, zero) == 0.0
@@ -136,7 +138,7 @@ def test_stress_l2_error_constant_mismatch():
     # |Delta|_F * sqrt(area) for a constant tensor mismatch
     mesh = flat_grid_mesh(4, 4, lx=2.0, ly=1.5)
     u = np.zeros(3 * mesh.n_vertices)
-    field = recover_stress(mesh, MAT, u, QUAD)
+    field = recover_stress(mesh, MAT, u, geometry_of(mesh))
     delta = np.array([[2.0, 0.5, 0.0], [0.5, -1.0, 0.0], [0.0, 0.0, 0.3]])
 
     def stress_at(x):
@@ -150,10 +152,11 @@ def test_stress_l2_error_constant_mismatch():
 def test_stress_l2_error_matches_bruteforce_recomputation():
     mesh = build_cylinder_mesh(1.0, 4.0, 16, 16)
     exact = cylinder_exact(1.0, MAT, Cylinder(1.0, 4.0))
-    system = assemble(mesh, MAT, exact.load_at, QUAD)
+    geo = geometry_of(mesh)
+    system = assemble(mesh, MAT, geo, exact.load_at)
     fixed = apply_constraints(system, cylinder_constraints(mesh))
     u, _ = solve(fixed, tol=1e-10)
-    field = recover_stress(mesh, MAT, fixed.recover(u), QUAD)
+    field = recover_stress(mesh, MAT, fixed.recover(u), geo)
     err = stress_l2_error(field, exact)
 
     # brute force: plain Python loops over elements and points
@@ -171,11 +174,12 @@ def test_stress_l2_error_stable_under_refined_quadrature():
     # by the quadrature remainder, not by orders of magnitude
     mesh = build_cylinder_mesh(1.0, 4.0, 12, 12)
     exact = cylinder_exact(1.0, MAT, Cylinder(1.0, 4.0))
-    system = assemble(mesh, MAT, exact.load_at, QUAD)
+    geo = geometry_of(mesh)
+    system = assemble(mesh, MAT, geo, exact.load_at)
     fixed = apply_constraints(system, cylinder_constraints(mesh))
-    u, _ = solve(fixed, tol=1e-10)
-    err2 = stress_l2_error(recover_stress(mesh, MAT, fixed.recover(u), QUAD), exact)
-    err4 = stress_l2_error(recover_stress(mesh, MAT, fixed.recover(u), DEGREE4_RULE), exact)
+    u = fixed.recover(solve(fixed, tol=1e-10)[0])
+    err2 = stress_l2_error(recover_stress(mesh, MAT, u, geo), exact)
+    err4 = stress_l2_error(recover_stress(mesh, MAT, u, geometry_of(mesh, DEGREE4_RULE)), exact)
     assert abs(err4 - err2) < 0.05 * err2
 
 
@@ -210,7 +214,7 @@ def test_export_vtk_roundtrip(tmp_path):
     mesh = build_cylinder_mesh(1.0, 4.0, 6, 3)
     rng = np.random.default_rng(23)
     u = rng.standard_normal((mesh.n_vertices, 3)) * 1e-3
-    field = recover_stress(mesh, MAT, u, QUAD)
+    field = recover_stress(mesh, MAT, u, geometry_of(mesh))
     path = tmp_path / "solution.vtk"
     export_vtk(mesh, u, field, path)
 
@@ -236,7 +240,7 @@ def test_export_vtk_single_triangle(tmp_path):
     verts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     mesh = SurfaceMesh(verts, np.array([[0, 1, 2]]))
     u = np.zeros((3, 3))
-    field = recover_stress(mesh, MAT, u, QUAD)
+    field = recover_stress(mesh, MAT, u, geometry_of(mesh))
     path = tmp_path / "tri.vtk"
     export_vtk(mesh, u, field, path)
     data = read_legacy_vtk(path)
@@ -266,7 +270,7 @@ def _vtk_single_triangle():
 def test_export_vtk_bytes_match_reference_writer(tmp_path, make):
     # the block writer must produce the per-number reference text exactly
     mesh, u, variant = make()
-    field = recover_stress(mesh, MAT, u, QUAD, variant=variant)
+    field = recover_stress(mesh, MAT, u, geometry_of(mesh, variant=variant))
     export_vtk(mesh, u, field, tmp_path / "block.vtk")
     write_legacy_vtk_reference(mesh, u, field, tmp_path / "reference.vtk")
     assert (tmp_path / "block.vtk").read_bytes() == (tmp_path / "reference.vtk").read_bytes()
@@ -326,7 +330,7 @@ def test_write_convergence_csv(tmp_path):
 def test_recover_stress_dimension_mismatch():
     mesh = flat_grid_mesh(1, 1)
     with pytest.raises(ValueError, match="displacement"):
-        recover_stress(mesh, MAT, np.zeros(7), QUAD)
+        recover_stress(mesh, MAT, np.zeros(7), geometry_of(mesh))
 
 
 @pytest.mark.parametrize("case", ["cylinder", "torus"])
@@ -336,12 +340,12 @@ def test_recover_stress_matches_double_projection_reference(case, variant):
     result = solve_case(config, 6)
     mesh, field = result.mesh, result.field
     tris = mesh.triangles
-    geo = quadrature_geometry(mesh.vertices[tris], mesh.nodal_normals[tris], QUAD, variant)
+    geo = geometry_of(mesh, variant=variant)
     ue = result.displacement.reshape(-1, 3)[tris]
     mat = MaterialModel(config.E, config.nu, config.t, config.mode)
     ref = np.empty_like(field.stresses)
     for e in range(len(tris)):
-        for q in range(len(QUAD)):
+        for q in range(geo.measures.shape[1]):
             n = geo.normals[e, q]
             eps_p = double_projection(tangential_strain(ue[e], geo.gradients[e, q]), n)
             proj = np.eye(3) - np.outer(n, n)

@@ -8,7 +8,6 @@ import scipy.sparse as sp
 
 from memshell.assembly import LinearSystem, apply_constraints, assemble, cylinder_constraints
 from memshell.cli import RunConfig, solve_case
-from memshell.element import quadrature_rule
 from memshell.geometry import Cylinder, MaterialModel, Torus, cylinder_exact, torus_exact
 from memshell.mesh import SurfaceMesh, build_cylinder_mesh, build_torus_mesh
 from memshell.postprocess import recover_stress
@@ -20,10 +19,9 @@ from memshell.solver import (
     solve,
     translation_basis,
 )
-from oracles import flat_grid_mesh, random_rotation
+from oracles import flat_grid_mesh, geometry_of, random_rotation
 
 MAT = MaterialModel(E=100.0, nu=0.5, t=1e-2)
-QUAD = quadrature_rule(2)
 
 
 def _system(matrix, rhs):
@@ -80,14 +78,16 @@ def test_rejects_dof_count_not_a_multiple_of_three():
 def test_singular_nodal_block_fails_before_iterating():
     # a flat membrane has no normal stiffness: every nodal block is singular
     mesh = flat_grid_mesh(3, 3)
-    system = assemble(mesh, MAT, lambda x: np.tile([1.0, 0.0, 0.0], (len(x), 1)), QUAD)
+    system = assemble(mesh, MAT, geometry_of(mesh),
+                      lambda x: np.tile([1.0, 0.0, 0.0], (len(x), 1)))
     with pytest.raises(SolverError, match=r"node 0 .*ratio 0\.000e\+00"):
         solve(system)
 
 
 def test_iteration_limit_raises_with_report():
     mesh = build_cylinder_mesh(1.0, 4.0, 8, 8)
-    system = assemble(mesh, MAT, cylinder_exact(1.0, MAT, Cylinder(1.0, 4.0)).load_at, QUAD)
+    load_at = cylinder_exact(1.0, MAT, Cylinder(1.0, 4.0)).load_at
+    system = assemble(mesh, MAT, geometry_of(mesh), load_at)
     fixed = apply_constraints(system, cylinder_constraints(mesh))
     with pytest.raises(IterationLimitError) as err:
         solve(fixed, tol=1e-12, max_iter=3)
@@ -98,13 +98,13 @@ def test_iteration_limit_raises_with_report():
 
 def test_translation_basis_unconstrained_and_constrained():
     mesh = build_torus_mesh(1.0, 0.5, 8, 4)
-    system = assemble(mesh, MAT, None, QUAD)
+    system = assemble(mesh, MAT, geometry_of(mesh))
     Z = translation_basis(system)
     assert Z.shape == (system.ndof, 3)
     assert np.abs(Z.T @ Z - np.eye(3)).max() < 1e-12
 
     cyl = build_cylinder_mesh(1.0, 4.0, 6, 3)
-    base = assemble(cyl, MAT, None, QUAD)
+    base = assemble(cyl, MAT, geometry_of(cyl))
     fixed = apply_constraints(base, cylinder_constraints(cyl))
     Zc = translation_basis(fixed)
     # axial translation is fully constrained at x=0; lateral ones survive
@@ -113,9 +113,10 @@ def test_translation_basis_unconstrained_and_constrained():
 
 
 def test_cylinder_benchmark_converges():
+    load_at = cylinder_exact(1.0, MAT, Cylinder(1.0, 4.0)).load_at
     for n in (8, 16):
         mesh = build_cylinder_mesh(1.0, 4.0, n, n)
-        system = assemble(mesh, MAT, cylinder_exact(1.0, MAT, Cylinder(1.0, 4.0)).load_at, QUAD)
+        system = assemble(mesh, MAT, geometry_of(mesh), load_at)
         fixed = apply_constraints(system, cylinder_constraints(mesh))
         u, report = solve(fixed, tol=1e-10)
         assert report.converged
@@ -129,7 +130,8 @@ def test_cylinder_benchmark_converges():
 def test_torus_deflated_solve_and_translation_invariance():
     mesh = build_torus_mesh(1.0, 0.5, 24, 12)
     exact = torus_exact(1.0, MAT, Torus(1.0, 0.5))
-    system = assemble(mesh, MAT, exact.load_at, QUAD)
+    geo = geometry_of(mesh)
+    system = assemble(mesh, MAT, geo, exact.load_at)
     u0, report = solve(system, tol=1e-10, deflate_translations=True)
     assert report.converged
     assert report.deflated_dimension == 3
@@ -142,28 +144,29 @@ def test_torus_deflated_solve_and_translation_invariance():
     rng = np.random.default_rng(3)
     shift = np.tile(rng.standard_normal(3), mesh.n_vertices)
     u1, _ = solve(system, tol=1e-10, deflate_translations=True, x0=shift)
-    f0 = recover_stress(mesh, MAT, system.recover(u0), QUAD)
-    f1 = recover_stress(mesh, MAT, system.recover(u1), QUAD)
+    f0 = recover_stress(mesh, MAT, system.recover(u0), geo)
+    f1 = recover_stress(mesh, MAT, system.recover(u1), geo)
     assert _relative_stress_difference(f0, f1.stresses) <= 1e-8
 
 
 def test_torus_random_initial_guesses_agree_in_stress():
     mesh = build_torus_mesh(1.0, 0.5, 16, 8)
     exact = torus_exact(1.0, MAT, Torus(1.0, 0.5))
-    system = assemble(mesh, MAT, exact.load_at, QUAD)
+    geo = geometry_of(mesh)
+    system = assemble(mesh, MAT, geo, exact.load_at)
     rng = np.random.default_rng(11)
     fields = []
     for _ in range(2):
         x0 = rng.standard_normal(system.ndof)
         u, report = solve(system, tol=1e-10, deflate_translations=True, x0=x0)
         assert report.converged
-        fields.append(recover_stress(mesh, MAT, system.recover(u), QUAD))
+        fields.append(recover_stress(mesh, MAT, system.recover(u), geo))
     assert _relative_stress_difference(fields[0], fields[1].stresses) <= 1e-6
 
 
 def test_rigid_translation_energy_free_on_benchmark_meshes():
     for mesh in (build_cylinder_mesh(1.0, 4.0, 12, 12), build_torus_mesh(1.0, 0.5, 16, 8)):
-        system = assemble(mesh, MAT, None, QUAD)
+        system = assemble(mesh, MAT, geometry_of(mesh))
         K = system.matrix
         scale = np.abs(K.data).max()
         for c in range(3):
@@ -182,11 +185,12 @@ def test_rigid_rotation_leaves_iterations_and_stresses_unchanged(variant):
     exact = torus_exact(1.0, MAT, Torus(1.0, 0.5))
     fields, iterations = [], []
     for m, load_at in ((mesh, exact.load_at), (rotated, lambda y: exact.load_at(y @ Q) @ Q.T)):
-        system = assemble(m, MAT, load_at, QUAD, variant)
+        geo = geometry_of(m, variant=variant)
+        system = assemble(m, MAT, geo, load_at)
         u, report = solve(system, tol=1e-10, deflate_translations=True)
         assert report.converged
         iterations.append(report.iterations)
-        fields.append(recover_stress(m, MAT, system.recover(u), QUAD, variant))
+        fields.append(recover_stress(m, MAT, system.recover(u), geo))
     assert abs(iterations[0] - iterations[1]) <= 1
     assert _relative_stress_difference(fields[1], Q @ fields[0].stresses @ Q.T) <= 1e-8
 
@@ -221,9 +225,10 @@ def _benchmark_system(case, variant, n):
     config = RunConfig(case=case, variant=variant)
     if case == "cylinder":
         mesh = build_cylinder_mesh(1.0, config.L, n, n)
-        system = assemble(mesh, MAT, None, QUAD, variant)
+        system = assemble(mesh, MAT, geometry_of(mesh, variant=variant))
         return apply_constraints(system, cylinder_constraints(mesh))
-    return assemble(build_torus_mesh(config.R, 0.5, 2 * n, n), MAT, None, QUAD, variant)
+    mesh = build_torus_mesh(config.R, 0.5, 2 * n, n)
+    return assemble(mesh, MAT, geometry_of(mesh, variant=variant))
 
 
 @pytest.mark.parametrize("case", ["cylinder", "torus"])
@@ -305,7 +310,7 @@ def test_deflated_solution_and_limit_iterate_carry_no_translation():
     # a random load breaks the torus symmetry, so the preconditioned
     # directions, and with them the iterate, pick up translations
     mesh = build_torus_mesh(1.0, 0.5, 12, 6)
-    K = assemble(mesh, MAT, None, QUAD).matrix
+    K = assemble(mesh, MAT, geometry_of(mesh)).matrix
     system = LinearSystem(K, np.random.default_rng(2).standard_normal(3 * mesh.n_vertices))
     Z = translation_basis(system)
     shift = np.tile([0.3, -1.0, 2.0], mesh.n_vertices)
