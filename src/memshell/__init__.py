@@ -11,7 +11,6 @@ measurement and convergence-rate fitting, VTK/CSV export, and a CLI.
 __version__ = "0.1.0"
 
 from .assembly import (
-    Constraint,
     ConstraintError,
     LinearSystem,
     apply_constraints,
@@ -76,8 +75,8 @@ __all__ = [
     "SingularJacobianError", "QuadratureRule", "quadrature_rule",
     "QuadraturePointData", "quadrature_geometry",
     # assembly
-    "ConstraintError", "Constraint", "LinearSystem", "assemble",
-    "pressure_rhs", "cylinder_constraints", "apply_constraints",
+    "ConstraintError", "LinearSystem", "assemble", "pressure_rhs",
+    "cylinder_constraints", "apply_constraints",
     # solver
     "SolverError", "NegativeCurvatureError", "IterationLimitError",
     "SolveReport", "translation_basis", "solve",

@@ -5,14 +5,13 @@ The stiffness and load vector are assembled from the mesh's
 rule and the variant; nothing here reads either.
 
 Degrees of freedom are node-major: dof ``3*node + component`` with components
-0..2 the global x, y, z displacements. Homogeneous directional constraints
-``q . u = 0`` are imposed by rotating each constrained node's 3-dof block into
-an orthonormal frame whose leading axes are the constraint directions and
-eliminating those rotated dofs (unit diagonal, zero row/column and right-hand
+0..2 the global x, y, z displacements. Dirichlet data are two arrays: the
+constrained nodes (k,) and one unit direction per node (k, 3), each imposing
+the homogeneous constraint ``q . u(node) = 0``. Each constrained node's 3-dof
+block is rotated into an orthonormal frame whose first axis is ``q``, and that
+rotated dof is eliminated (unit diagonal, zero row/column and right-hand
 side). This keeps the system symmetric and needs no penalty parameter.
 """
-
-import dataclasses
 
 import numpy as np
 import scipy.sparse as sp
@@ -22,7 +21,6 @@ from .mesh import SurfaceMesh
 
 __all__ = [
     "ConstraintError",
-    "Constraint",
     "LinearSystem",
     "assemble",
     "pressure_rhs",
@@ -35,41 +33,24 @@ class ConstraintError(ValueError):
     """Invalid or inconsistent Dirichlet constraint data."""
 
 
-@dataclasses.dataclass(frozen=True)
-class Constraint:
-    """Homogeneous directional constraint ``direction . u(node) = 0``."""
-
-    node: int
-    direction: np.ndarray
-
-    def __post_init__(self):
-        d = np.asarray(self.direction, dtype=float)
-        if d.shape != (3,):
-            raise ConstraintError(f"constraint direction must be a 3-vector, got {d.shape}")
-        norm = float(np.sqrt(d @ d))
-        if abs(norm - 1.0) > 1e-12:
-            raise ConstraintError(f"constraint direction must be unit length, |q|={norm}")
-        d.setflags(write=False)
-        object.__setattr__(self, "direction", d)
-
-
 class LinearSystem:
     """Sparse symmetric system ``K u = b`` with optional constraint bookkeeping.
 
     After :func:`apply_constraints`, the matrix and right-hand side live in
-    the rotated nodal frames; :meth:`recover` maps a solution back to global
-    xyz components (eliminated directions contribute zero, honoring the
+    the rotated nodal frames: ``frame`` is the block-diagonal rotation and
+    ``constrained`` masks the eliminated dofs, the first rotated dof of each
+    constrained node. :meth:`recover` maps a solution back to global xyz
+    components (the eliminated direction contributes zero, honoring the
     constraints exactly).
     """
 
-    def __init__(self, matrix, rhs, constraints=(), frame=None, constrained=None):
+    def __init__(self, matrix, rhs, frame=None, constrained=None):
         self.matrix = sp.csr_matrix(matrix)
         self.rhs = np.asarray(rhs, dtype=float)
         if self.matrix.shape[0] != self.matrix.shape[1]:
             raise ValueError("system matrix must be square")
         if self.rhs.shape != (self.matrix.shape[0],):
             raise ValueError("right-hand side does not match the matrix dimension")
-        self.constraints = tuple(constraints)
         self.frame = frame if frame is None else sp.csr_matrix(frame)
         self.constrained = None if constrained is None else np.asarray(constrained, dtype=bool)
 
@@ -125,12 +106,13 @@ def pressure_rhs(mesh: SurfaceMesh, p: float, geo: QuadraturePointData) -> np.nd
     return rhs
 
 
-def cylinder_constraints(mesh: SurfaceMesh) -> list[Constraint]:
+def cylinder_constraints(mesh: SurfaceMesh) -> tuple[np.ndarray, np.ndarray]:
     """Benchmark constraints for the open cylinder: axial at x=0, radial at x=L.
 
     The mesh must have exactly two boundary components; the ring with the
     smaller mean x gets ``q = (1, 0, 0)``, the other the radial direction
-    ``(0, y, z)/rho`` per node.
+    ``(0, y, z)/rho`` per node. Returns the nodes (k,) and directions (k, 3)
+    for :func:`apply_constraints`.
     """
     comps = mesh.boundary_components
     if len(comps) != 2:
@@ -149,85 +131,66 @@ def cylinder_constraints(mesh: SurfaceMesh) -> list[Constraint]:
         node = high.vertices[np.argmax(rho <= 0)]
         raise ConstraintError(f"node {node} lies on the axis, radial direction undefined")
     radial /= rho[:, None]
-    axial = np.array([1.0, 0.0, 0.0])
-    return ([Constraint(node, axial) for node in low.vertices.tolist()]
-            + [Constraint(node, q) for node, q in zip(high.vertices.tolist(), radial)])
+    axial = np.broadcast_to([1.0, 0.0, 0.0], (len(low.vertices), 3))
+    return np.concatenate([low.vertices, high.vertices]), np.concatenate([axial, radial])
 
 
-def _node_frames(nodes: np.ndarray, directions: np.ndarray):
-    """Orthonormal frames of the constrained nodes, batched over nodes.
+def _node_frames(q: np.ndarray) -> np.ndarray:
+    """Orthonormal frames (k, 3, 3) completing one unit direction per node.
 
-    Returns the distinct nodes (ascending), their (k, 3, 3) frames and the
-    number of directions at each. Column j of a frame is the node's j-th
-    direction, in the given order, orthonormalised against the earlier ones
-    (modified Gram-Schmidt). A single direction is completed by the
-    coordinate axis with the smallest component of ``|q|`` (ties to the
-    smaller index), then by ``q0 x q1``; two directions by their cross
-    product. A direction within 1e-10 of the span of the earlier ones, a
-    fourth one included, is an error naming the node that comes first in
-    the constraint order.
+    Column 0 is ``q``. Column 1 is the coordinate axis ``e_a`` with the
+    smallest ``|q_a|`` (ties to the smaller index), minus ``(q . e_a) q``,
+    normalised. Column 2 is ``q x v`` for that column ``v``.
     """
-    uniq, first, counts = np.unique(nodes, return_index=True, return_counts=True)
-    order = np.argsort(nodes, kind="stable")
-    group = np.repeat(np.arange(uniq.size), counts)
-    rank = np.arange(nodes.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    keep = rank < 3
-    frames = np.zeros((uniq.size, 3, 3))
-    frames[group[keep], :, rank[keep]] = directions[order[keep]]
-    dependent = counts > 3
-
-    def orthonormalize(j, rows):
-        v = frames[rows, :, j]
-        for i in range(j):
-            q = frames[rows, :, i]
-            v -= np.einsum("ka,ka->k", q, v)[:, None] * q
-        norm = np.linalg.norm(v, axis=1)
-        dependent[rows] |= norm < 1e-10
-        frames[rows, :, j] = v / np.maximum(norm, 1e-10)[:, None]
-
-    every = np.arange(uniq.size)
-    orthonormalize(0, every)
-    one = np.flatnonzero(counts == 1)
-    frames[one, np.argmin(np.abs(frames[one, :, 0]), axis=1), 1] = 1.0
-    orthonormalize(1, every)
-    orthonormalize(2, np.flatnonzero(counts > 2))
-    if dependent.any():
-        node = uniq[dependent][np.argmin(first[dependent])]
-        raise ConstraintError(f"dependent constraint directions at node {node}")
-    two = counts < 3
-    frames[two, :, 2] = np.cross(frames[two, :, 0], frames[two, :, 1])
-    return uniq, frames, counts
+    a = np.argmin(np.abs(q), axis=1)
+    v = np.eye(3)[a] - q[np.arange(len(q)), a][:, None] * q
+    v /= np.linalg.norm(v, axis=1)[:, None]
+    return np.stack([q, v, np.cross(q, v)], axis=2)
 
 
-def apply_constraints(system: LinearSystem, constraints) -> LinearSystem:
-    """Impose homogeneous directional constraints on an assembled system.
+def apply_constraints(system: LinearSystem, nodes, directions) -> LinearSystem:
+    """Impose ``directions[i] . u(nodes[i]) = 0`` on an assembled system.
 
-    Each constrained node's dof block is rotated into an orthonormal frame
-    whose first axes are its constraint directions; those rotated dofs are
-    eliminated (unit diagonal, zero row/column/rhs). Unconstrained rotated
-    directions remain natural (traction-free). Returns a new system carrying
-    the rotation for :meth:`LinearSystem.recover`; with no constraints the
-    input system is returned unchanged.
+    ``nodes`` (k,) lists each constrained node once; ``directions`` (k, 3)
+    holds its unit direction. Each constrained node's dof block is rotated
+    into an orthonormal frame whose first axis is its direction; that rotated
+    dof is eliminated (unit diagonal, zero row/column/rhs). The two other
+    rotated directions remain natural (traction-free). Returns a new system
+    carrying the rotation for :meth:`LinearSystem.recover`; with no
+    constraints the input system is returned unchanged.
 
     Only the 3x3 blocks in rows or columns of constrained nodes change:
     ``K_ab`` becomes ``Q_a^T K_ab Q_b`` with ``Q = I`` at a free node.
     """
-    constraints = tuple(constraints)
-    if not constraints:
+    nodes = np.asarray(nodes, dtype=np.int64)
+    directions = np.asarray(directions, dtype=float)
+    if nodes.ndim != 1 or directions.shape != (nodes.size, 3):
+        raise ConstraintError(f"constraints need nodes (k,) and directions (k, 3), "
+                              f"got {nodes.shape} and {directions.shape}")
+    if not nodes.size:
         return system
     if system.frame is not None:
         raise ConstraintError("constraints have already been applied to this system")
     n_nodes = system.ndof // 3
-    nodes = np.array([c.node for c in constraints], dtype=np.int64)
     outside = (nodes < 0) | (nodes >= n_nodes)
     if outside.any():
-        raise ConstraintError(f"constraint node {constraints[np.argmax(outside)].node} out of range")
-    cnodes, frames, counts = _node_frames(nodes, np.array([c.direction for c in constraints]))
+        raise ConstraintError(f"constraint node {nodes[np.argmax(outside)]} out of range")
+    norm = np.linalg.norm(directions, axis=1)
+    bad = ~(np.abs(norm - 1.0) <= 1e-12)
+    if bad.any():
+        k = np.argmax(bad)
+        raise ConstraintError(f"constraint direction at node {nodes[k]} must be unit length, "
+                              f"|q|={norm[k]}")
+    order = np.argsort(nodes, kind="stable")
+    repeat = order[1:][nodes[order[1:]] == nodes[order[:-1]]]
+    if repeat.size:
+        raise ConstraintError(f"node {nodes[repeat.min()]} is constrained more than once")
+    frames = _node_frames(directions / norm[:, None])
 
     Q = np.tile(np.eye(3), (n_nodes, 1, 1))
-    Q[cnodes] = frames
+    Q[nodes] = frames
     fixed = np.zeros((n_nodes, 3), dtype=bool)
-    fixed[cnodes] = np.arange(3) < counts[:, None]
+    fixed[nodes, 0] = True
     is_con = fixed[:, 0]
 
     K = system.matrix.tobsr((3, 3))
@@ -248,10 +211,9 @@ def apply_constraints(system: LinearSystem, constraints) -> LinearSystem:
         matrix = (matrix + sp.diags(missing.ravel().astype(float))).tocsr()
 
     rhs = system.rhs.reshape(n_nodes, 3).copy()
-    rhs[cnodes] = np.einsum("kab,ka->kb", frames, rhs[cnodes])
+    rhs[nodes] = np.einsum("kab,ka->kb", frames, rhs[nodes])
     rhs[fixed] = 0.0
     frame = sp.bsr_matrix((Q, np.arange(n_nodes), np.arange(n_nodes + 1)),
                           shape=(system.ndof, system.ndof)).tocsr()
     frame.eliminate_zeros()
-    return LinearSystem(matrix, rhs.ravel(), constraints=constraints, frame=frame,
-                        constrained=fixed.ravel())
+    return LinearSystem(matrix, rhs.ravel(), frame=frame, constrained=fixed.ravel())

@@ -32,6 +32,9 @@ from .element import quadrature_geometry, quadrature_rule
 __all__ = ["RunConfig", "run_case", "run_convergence", "main"]
 
 DEFAULT_RESOLUTIONS = (16, 32, 64, 128)
+# allowed values of the string options, shared by their flags and config keys
+CHOICES = {"case": ("cylinder", "torus", "import"), "variant": ("interpolated", "facet"),
+           "mode": ("plane_stress", "plane_strain")}
 
 
 @dataclasses.dataclass
@@ -75,18 +78,25 @@ class CaseResult:
 
 
 def _build_case(config: RunConfig, n: int):
-    """Mesh, material, load, constrain flag, deflation flag, exact solution."""
+    """Mesh, material, load, constraints (nodes, directions), exact solution; None where absent."""
     material = geometry.MaterialModel(config.E, config.nu, config.t, config.mode)
+    if config.case == "import":
+        if not config.mesh_path:
+            raise ValueError("case 'import' requires a mesh file (--mesh)")
+        return mesh.import_mesh(config.mesh_path), material, None, None, None
+    if config.mesh_path:
+        raise ValueError(f"mesh file {config.mesh_path} is only read by case 'import', "
+                         f"not by case {config.case!r}")
     if config.case == "cylinder":
         surf = geometry.Cylinder(config.resolved_r(), config.L)
         msh = mesh.build_cylinder_mesh(surf.r, surf.L, n, n)
         exact = geometry.cylinder_exact(config.F, material, surf)
-        return msh, material, exact.load_at, True, False, exact
+        return msh, material, exact.load_at, assembly.cylinder_constraints(msh), exact
     if config.case == "torus":
         surf = geometry.Torus(config.R, config.resolved_r())
         msh = mesh.build_torus_mesh(surf.R, surf.r, 2 * n, n)
         exact = geometry.torus_exact(config.p, material, surf)
-        return msh, material, exact.load_at, False, True, exact
+        return msh, material, exact.load_at, None, exact
     raise ValueError(f"unknown case {config.case!r} (expected cylinder, torus, import)")
 
 
@@ -108,35 +118,25 @@ def _rotation_fraction(msh, u: np.ndarray) -> float:
 def solve_case(config: RunConfig, n: int | None = None) -> CaseResult:
     """Assemble, constrain, solve, and recover stresses for one resolution."""
     n = config.n if n is None else n
-    if config.case == "import":
-        if not config.mesh_path:
-            raise ValueError("case 'import' requires a mesh file (--mesh)")
-        msh = mesh.import_mesh(config.mesh_path)
-        material = geometry.MaterialModel(config.E, config.nu, config.t, config.mode)
-        load_at, constrain, deflate, exact = None, False, True, None
-    elif config.mesh_path:
-        raise ValueError(f"mesh file {config.mesh_path} is only read by case 'import', "
-                         f"not by case {config.case!r}")
-    else:
-        msh, material, load_at, constrain, deflate, exact = _build_case(config, n)
+    msh, material, load_at, constraints, exact = _build_case(config, n)
     tris = msh.triangles
     geo = quadrature_geometry(msh.vertices[tris], msh.nodal_normals[tris], quadrature_rule(2),
                               config.variant)
     system = assembly.assemble(msh, material, geo, load_at)
     if config.case == "import":
         system.rhs[:] = assembly.pressure_rhs(msh, config.p, geo)
-    if constrain:
-        system = assembly.apply_constraints(system, assembly.cylinder_constraints(msh))
+    if constraints is not None:
+        system = assembly.apply_constraints(system, *constraints)
     u_sys, report = solver.solve(
         system,
         tol=config.tol,
         max_iter=config.max_iter,
-        deflate_translations=deflate,
+        deflate_translations=constraints is None,
     )
     u = system.recover(u_sys)
     field = postprocess.recover_stress(msh, material, u, geo)
     error = postprocess.stress_l2_error(field, exact) if exact is not None else None
-    rot = _rotation_fraction(msh, u) if deflate else None
+    rot = _rotation_fraction(msh, u) if constraints is None else None
     return CaseResult(
         mesh=msh,
         h=mesh.mesh_size(msh),
@@ -243,12 +243,23 @@ def _mesh_info_lines(msh) -> list[str]:
     return lines
 
 
+def _convert(cast, text: str, name: str, choices=None):
+    """``cast(text)``, as a flag would convert it; an error names ``name`` and ``text``."""
+    try:
+        value = cast(text)
+    except ValueError:
+        raise ValueError(f"{name}: invalid {cast.__name__} value {text!r}") from None
+    if choices is not None and value not in choices:
+        raise ValueError(f"{name}: invalid choice {text!r} (choose from {', '.join(choices)})")
+    return value
+
+
 def _read_config_file(path: str) -> dict:
     """Parse a minimal ``key = value`` file (one pair per line, # comments).
 
-    Each value is converted with the type of its :class:`RunConfig` field, as
-    its flag would be; an unknown key or a value that does not convert is an
-    error naming the key.
+    Each value is converted with the type of its :class:`RunConfig` field and
+    checked against its flag's :data:`CHOICES`; an unknown key or a bad value
+    is an error naming the key.
     """
     field_types = {f.name: f.type for f in dataclasses.fields(RunConfig)}
     values: dict[str, object] = {}
@@ -266,22 +277,19 @@ def _read_config_file(path: str) -> dict:
         cast = next((t for t in typing.get_args(field_types[key]) if t is not type(None)),
                     field_types[key])
         val = val.strip().strip("\"'")
-        try:
-            values[key] = cast(val)
-        except ValueError:
-            raise ValueError(f"config key {key!r}: invalid {cast.__name__} value {val!r}") from None
+        values[key] = _convert(cast, val, f"config key {key!r}", CHOICES.get(key))
     return values
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key = value file; flags override it")
-    p.add_argument("--case", choices=["cylinder", "torus", "import"])
+    p.add_argument("--case", choices=CHOICES["case"])
     p.add_argument("--n", type=int, help="resolution parameter")
-    p.add_argument("--variant", choices=["interpolated", "facet"])
+    p.add_argument("--variant", choices=CHOICES["variant"])
     p.add_argument("--E", type=float, help="Young's modulus")
     p.add_argument("--nu", type=float, help="Poisson's ratio")
     p.add_argument("--t", type=float, help="thickness")
-    p.add_argument("--mode", choices=["plane_stress", "plane_strain"])
+    p.add_argument("--mode", choices=CHOICES["mode"])
     p.add_argument("--F", type=float, help="cylinder total-force scale")
     p.add_argument("--p", type=float, help="torus/import gauge pressure")
     p.add_argument("--r", type=float, help="cylinder radius / torus minor radius")
@@ -335,7 +343,8 @@ def main(argv=None) -> int:
         if args.command == "convergence":
             resolutions = None
             if args.resolutions:
-                resolutions = [int(s) for s in args.resolutions.split(",") if s.strip()]
+                resolutions = [_convert(int, s.strip(), "--resolutions")
+                               for s in args.resolutions.split(",") if s.strip()]
             record, _ = run_convergence(config, resolutions)
             outdir = Path(config.out)
             for h, e in zip(record.h, record.error):

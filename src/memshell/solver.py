@@ -166,14 +166,19 @@ def solve(system: LinearSystem, tol: float = 1e-10, max_iter: int | None = None,
     Raises
     ------
     SolverError
-        If ``ndof`` is not a multiple of 3, or a nodal diagonal block is not
-        positive definite (the message names the node).
+        If ``tol`` is not positive, ``max_iter`` is below 1, ``ndof`` is not
+        a multiple of 3, or a nodal diagonal block is not positive definite
+        (the message names the parameter or the node).
     NegativeCurvatureError
         If a search direction has non-positive curvature.
     IterationLimitError
         If ``max_iter`` is reached before the tolerance (the exception
         carries the last iterate and its report).
     """
+    if not tol > 0:  # NaN included
+        raise SolverError(f"tol must be > 0, got {tol}")
+    if max_iter is not None and max_iter < 1:
+        raise SolverError(f"max_iter must be >= 1, got {max_iter}")
     A = system.matrix
     b = system.rhs.astype(float)
     ndof = system.ndof

@@ -457,63 +457,54 @@ def write_legacy_vtk_reference(mesh, displacement, field, path,
         fh.write("\n".join(lines) + "\n")
 
 
-def _complete_frame(directions):
-    """Orthonormal 3x3 frame whose leading columns are the given directions.
+def _complete_frame(q):
+    """Orthonormal 3x3 frame whose first column is the unit direction ``q``.
 
-    Completion picks the coordinate axis most orthogonal to the constrained
-    subspace (ties broken by smallest axis index) and orthonormalizes.
+    Completion picks the coordinate axis most orthogonal to ``q`` (ties
+    broken by smallest axis index), orthogonalizes it against ``q``, and
+    closes the frame with the cross product.
     """
-    q = list(directions)
-    if len(q) == 1:
-        overlap = np.abs(q[0])
-        k = int(np.argmin(overlap))
-        v = np.zeros(3)
-        v[k] = 1.0
-        v -= (q[0] @ v) * q[0]
-        q.append(v / np.linalg.norm(v))
-    if len(q) == 2:
-        q.append(np.cross(q[0], q[1]))
-    return np.column_stack(q)
+    k = int(np.argmin(np.abs(q)))
+    v = np.zeros(3)
+    v[k] = 1.0
+    v -= (q @ v) * q
+    v /= np.linalg.norm(v)
+    return np.column_stack([q, v, np.cross(q, v)])
 
 
-def _node_frames(constraints):
-    """Group constraints by node; return (frame, n_constrained) per node."""
-    grouped = {}
-    for c in constraints:
-        grouped.setdefault(int(c.node), []).append(np.asarray(c.direction, dtype=float))
-    frames = {}
-    for node, dirs in grouped.items():
-        ortho = []
-        for d in dirs:
-            v = d.copy()
-            for u in ortho:
-                v -= (u @ v) * u
-            nv = np.linalg.norm(v)
-            if nv < 1e-10:
-                raise ConstraintError(f"dependent constraint directions at node {node}")
-            ortho.append(v / nv)
-        if len(ortho) > 3:
-            raise ConstraintError(f"more than 3 constraint directions at node {node}")
-        frames[node] = (_complete_frame(ortho), len(ortho))
-    return frames
-
-
-def apply_constraints_reference(system, constraints):
+def apply_constraints_reference(system, nodes, directions):
     """Rotated-frame elimination node by node, with ``frame^T K frame``.
 
-    The frame matrix is built entry by entry in a loop over all nodes; the
-    elimination is ``free K' free + fixed`` with diagonal 0/1 matrices.
+    Validates the data in a loop per check, in the order shape, node range,
+    unit length, repeated node. The frame matrix is built entry by entry in a
+    loop over all nodes; the elimination is ``free K' free + fixed`` with
+    diagonal 0/1 matrices.
     """
-    constraints = tuple(constraints)
-    if not constraints:
+    shape = np.shape(nodes)
+    directions = np.asarray(directions, dtype=float)
+    if len(shape) != 1 or directions.shape != (shape[0], 3):
+        raise ConstraintError(f"constraints need nodes (k,) and directions (k, 3), "
+                              f"got {shape} and {directions.shape}")
+    nodes = [int(n) for n in nodes]
+    if not nodes:
         return system
     ndof = system.ndof
     n_nodes = ndof // 3
-    for c in constraints:
-        if not 0 <= c.node < n_nodes:
-            raise ConstraintError(f"constraint node {c.node} out of range")
+    for node in nodes:
+        if not 0 <= node < n_nodes:
+            raise ConstraintError(f"constraint node {node} out of range")
+    for node, d in zip(nodes, directions):
+        norm = np.linalg.norm(d)
+        if not abs(norm - 1.0) <= 1e-12:
+            raise ConstraintError(f"constraint direction at node {node} must be unit length, "
+                                  f"|q|={norm}")
+    seen = set()
+    for node in nodes:
+        if node in seen:
+            raise ConstraintError(f"node {node} is constrained more than once")
+        seen.add(node)
 
-    frames = _node_frames(constraints)
+    frames = {node: _complete_frame(d / np.linalg.norm(d)) for node, d in zip(nodes, directions)}
 
     rows = []
     cols = []
@@ -522,13 +513,13 @@ def apply_constraints_reference(system, constraints):
     for node in range(n_nodes):
         base = 3 * node
         if node in frames:
-            Q, d = frames[node]
+            Q = frames[node]
             for a in range(3):
                 for j in range(3):
                     rows.append(base + a)
                     cols.append(base + j)
                     vals.append(Q[a, j])
-            constrained[base:base + d] = True
+            constrained[base] = True
         else:
             for a in range(3):
                 rows.append(base + a)
@@ -542,8 +533,7 @@ def apply_constraints_reference(system, constraints):
     fixed = sp.diags(constrained.astype(float))
     matrix = (free @ rotated @ free + fixed).tocsr()
     rhs = np.where(constrained, 0.0, rhs)
-    return LinearSystem(matrix, rhs, constraints=constraints, frame=frame,
-                        constrained=constrained)
+    return LinearSystem(matrix, rhs, frame=frame, constrained=constrained)
 
 
 def extract_boundary_loops_reference(triangles, n_vertices):

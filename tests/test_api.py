@@ -1,6 +1,5 @@
 """Public API guards: exported names resolve, the benchmark's traced names exist."""
 
-import dataclasses
 import importlib
 import inspect
 import re
@@ -10,8 +9,11 @@ from pathlib import Path
 
 import pytest
 
+import numpy as np
+import scipy.sparse as sp
+
 from memshell import mesh
-from memshell.assembly import Constraint
+from memshell.assembly import LinearSystem
 from memshell.element import QuadraturePointData
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -24,6 +26,7 @@ REMOVED = (
     "shape_values_and_ref_gradients", "element_jacobian", "basis_surface_gradients",
     "strain_displacement", "element_stiffness", "element_load", "total_area",
     "convergence_rate", "compute_nodal_normals", "with_normals", "von_mises_cells",
+    "Constraint",
 )
 
 
@@ -55,9 +58,10 @@ def test_removed_names_absent_from_source():
              for m in pattern.finditer(line)]
     assert found == []
     # too common to search the text for: the module-level function (the
-    # SurfaceMesh property stays) and the constraint's value field
+    # SurfaceMesh property stays) and the system's copy of the constraints,
+    # which its frame and constrained mask already carry
     assert not hasattr(mesh, "boundary_components")
-    assert "value" not in {f.name for f in dataclasses.fields(Constraint)}
+    assert not hasattr(LinearSystem(sp.eye(3), np.zeros(3)), "constraints")
 
 
 def test_benchmark_traced_names_exist():

@@ -5,7 +5,6 @@ import pytest
 import scipy.sparse as sp
 
 from memshell.assembly import (
-    Constraint,
     ConstraintError,
     LinearSystem,
     apply_constraints,
@@ -133,20 +132,18 @@ def test_pressure_rhs_matches_load_kernel_on_the_geometry_normals(variant):
 
 def test_cylinder_constraints_counts_and_directions():
     mesh = build_cylinder_mesh(1.0, 4.0, 4, 2)
-    cons = cylinder_constraints(mesh)
-    assert len(cons) == 8
-    by_node = {}
-    for c in cons:
-        assert abs(np.linalg.norm(c.direction) - 1.0) < 1e-12
-        assert c.node not in by_node  # no node carries both constraints
-        by_node[c.node] = c
-    for node, c in by_node.items():
+    nodes, directions = cylinder_constraints(mesh)
+    assert nodes.shape == (8,)
+    assert directions.shape == (8, 3)
+    assert len(set(nodes.tolist())) == 8  # no node carries both constraints
+    for node, q in zip(nodes, directions):
+        assert abs(np.linalg.norm(q) - 1.0) < 1e-12
         x = mesh.vertices[node, 0]
         if abs(x) < 1e-12:
-            assert np.allclose(c.direction, [1.0, 0.0, 0.0])
+            assert np.allclose(q, [1.0, 0.0, 0.0])
         else:
             yz = mesh.vertices[node, 1:]
-            assert np.allclose(c.direction, [0.0, *(yz / np.linalg.norm(yz))], atol=1e-12)
+            assert np.allclose(q, [0.0, *(yz / np.linalg.norm(yz))], atol=1e-12)
 
 
 def test_cylinder_constraints_name_first_node_on_axis():
@@ -167,21 +164,7 @@ def test_cylinder_constraints_require_two_rings():
 def test_apply_constraints_noop_without_constraints():
     mesh = flat_grid_mesh(2, 2)
     system = assemble(mesh, MAT, geometry_of(mesh), _const_load)
-    assert apply_constraints(system, []) is system
-
-
-def test_apply_constraints_all_directions_gives_zero_solution():
-    mesh = flat_grid_mesh(2, 2)
-    system = assemble(mesh, MAT, geometry_of(mesh), _const_load)
-    cons = []
-    for node in range(mesh.n_vertices):
-        for c in range(3):
-            cons.append(Constraint(node, np.eye(3)[c]))
-    fixed = apply_constraints(system, cons)
-    assert np.abs(fixed.matrix.toarray() - np.eye(system.ndof)).max() < 1e-15
-    assert np.abs(fixed.rhs).max() == 0.0
-    u = np.linalg.solve(fixed.matrix.toarray(), fixed.rhs)
-    assert np.abs(fixed.recover(u)).max() == 0.0
+    assert apply_constraints(system, np.zeros(0, dtype=int), np.zeros((0, 3))) is system
 
 
 def test_axis_aligned_constraint_equals_direct_elimination():
@@ -190,7 +173,7 @@ def test_axis_aligned_constraint_equals_direct_elimination():
     mesh = flat_grid_mesh(1, 1)
     system = assemble(mesh, MAT, geometry_of(mesh), _const_load)
     node = 0
-    fixed = apply_constraints(system, [Constraint(node, np.array([1.0, 0.0, 0.0]))])
+    fixed = apply_constraints(system, [node], [[1.0, 0.0, 0.0]])
 
     K = system.matrix.toarray().copy()
     rhs = system.rhs.copy()
@@ -217,7 +200,7 @@ def test_rotated_constraint_matches_nullspace_reduction():
     q = rng.standard_normal(3)
     q /= np.linalg.norm(q)
     node = 2
-    fixed = apply_constraints(system, [Constraint(node, q)])
+    fixed = apply_constraints(system, [node], [q])
     u = fixed.recover(np.linalg.solve(fixed.matrix.toarray(), fixed.rhs))
 
     # nullspace oracle: identity columns for free nodes plus the two
@@ -239,12 +222,13 @@ def test_apply_constraints_preserves_symmetry_and_far_rows():
     mesh = build_cylinder_mesh(1.0, 4.0, 6, 4)
     surf = Cylinder(1.0, 4.0)
     system = assemble(mesh, MAT, geometry_of(mesh), cylinder_exact(1.0, MAT, surf).load_at)
-    fixed = apply_constraints(system, cylinder_constraints(mesh))
+    nodes, directions = cylinder_constraints(mesh)
+    fixed = apply_constraints(system, nodes, directions)
     Kc = fixed.matrix
     scale = np.abs(Kc.data).max()
     assert np.abs((Kc - Kc.T).toarray()).max() <= 1e-12 * scale
     # rows of nodes not touching any constrained node are unchanged
-    constrained_nodes = {c.node for c in fixed.constraints}
+    constrained_nodes = set(nodes.tolist())
     adjacency = {n: set() for n in range(mesh.n_vertices)}
     for tri in mesh.triangles:
         for a in tri:
@@ -258,26 +242,14 @@ def test_apply_constraints_preserves_symmetry_and_far_rows():
         assert np.abs(K0[sl] - K1[sl]).max() == 0.0
 
 
-def test_dependent_constraint_directions_rejected():
-    mesh = flat_grid_mesh(1, 1)
-    system = assemble(mesh, MAT, geometry_of(mesh), _const_load)
-    cons = [
-        Constraint(0, np.array([1.0, 0.0, 0.0])),
-        Constraint(0, np.array([1.0, 0.0, 0.0])),
-    ]
-    with pytest.raises(ConstraintError, match="dependent"):
-        apply_constraints(system, cons)
-
-
-def _assert_matches_reference(system, constraints):
-    got = apply_constraints(system, constraints)
-    ref = apply_constraints_reference(system, constraints)
+def _assert_matches_reference(system, nodes, directions):
+    got = apply_constraints(system, nodes, directions)
+    ref = apply_constraints_reference(system, nodes, directions)
     scale = abs(ref.matrix).max()
     assert abs(got.matrix - ref.matrix).max() <= 1e-14 * scale
     assert np.abs(got.rhs - ref.rhs).max() <= 1e-14 * max(np.abs(ref.rhs).max(), 1e-300)
     assert abs(got.frame - ref.frame).max() <= 1e-14
     assert np.array_equal(got.constrained, ref.constrained)
-    assert got.constraints == ref.constraints
 
 
 @pytest.mark.parametrize("n", [3, 4, 7, 16])
@@ -285,33 +257,22 @@ def test_apply_constraints_matches_reference_on_cylinders(n):
     mesh = build_cylinder_mesh(1.0, 4.0, n, n)
     load = cylinder_exact(1.0, MAT, Cylinder(1.0, 4.0)).load_at
     system = assemble(mesh, MAT, geometry_of(mesh), load)
-    _assert_matches_reference(system, cylinder_constraints(mesh))
+    _assert_matches_reference(system, *cylinder_constraints(mesh))
 
 
 def _random_constraints(rng, n_nodes, n_constrained):
-    """1, 2 or 3 directions at random nodes, in shuffled order.
+    """One unit direction at each of ``n_constrained`` distinct random nodes.
 
     Some directions are coordinate axes or diagonals, whose completion has
-    ties in the smallest component. Each direction keeps a distance of at
-    least 0.3 from the span of the node's earlier ones: Gram-Schmidt
-    amplifies rounding by the inverse of that distance, and the two
-    implementations round their dot products differently.
+    ties in the smallest component.
     """
-    special = np.array([[0, 0, 1], [0, 1, 0], [1, 1, 0], [-1, 0, 1], [1, 1, 1]], dtype=float)
-    cons = []
-    for node in rng.choice(n_nodes, size=n_constrained, replace=False):
-        basis = np.zeros((0, 3))
-        count = rng.integers(1, 4)
-        while len(basis) < count:
-            d = special[rng.integers(len(special))] if rng.random() < 0.3 else rng.standard_normal(3)
-            d = d / np.linalg.norm(d)
-            rest = d - basis.T @ (basis @ d)
-            if np.linalg.norm(rest) < 0.3:
-                continue
-            basis = np.vstack([basis, rest / np.linalg.norm(rest)])
-            cons.append(Constraint(int(node), d))
-    order = rng.permutation(len(cons))
-    return [cons[k] for k in order]
+    special = np.array([[0, 0, 1], [0, 1, 0], [1, 0, 0], [1, 1, 0], [-1, 0, 1], [1, 1, 1],
+                        [1, -1, 1]], dtype=float)
+    nodes = rng.choice(n_nodes, size=n_constrained, replace=False)
+    directions = rng.standard_normal((n_constrained, 3))
+    pick = rng.random(n_constrained) < 0.3
+    directions[pick] = special[rng.integers(len(special), size=pick.sum())]
+    return nodes, directions / np.linalg.norm(directions, axis=1)[:, None]
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -320,7 +281,7 @@ def test_apply_constraints_matches_reference_on_random_sets(seed):
     mesh = build_torus_mesh(2.0, 0.7, 8, 5)
     system = assemble(mesh, MAT, geometry_of(mesh), _const_load)
     for _ in range(10):
-        _assert_matches_reference(system, _random_constraints(rng, mesh.n_vertices, 12))
+        _assert_matches_reference(system, *_random_constraints(rng, mesh.n_vertices, 12))
 
 
 def test_apply_constraints_matches_reference_without_stored_diagonal_block():
@@ -329,33 +290,27 @@ def test_apply_constraints_matches_reference_without_stored_diagonal_block():
     K[:3, :3] = np.diag([4.0, 5.0, 6.0])
     K[:3, 3:] = K[3:, :3] = 0.5
     system = LinearSystem(sp.csr_matrix(K), np.arange(1.0, 7.0))
-    d = np.array([1.0, 2.0, 2.0]) / 3.0
-    _assert_matches_reference(system, [Constraint(1, d), Constraint(0, np.array([0.0, 1.0, 0.0]))])
+    _assert_matches_reference(system, [1, 0], [np.array([1.0, 2.0, 2.0]) / 3.0, [0.0, 1.0, 0.0]])
 
 
 @pytest.mark.parametrize("directions, nodes, message", [
-    ([[1, 0, 0], [0, 1, 0], [1, 0, 0]], [3, 2, 3], "dependent constraint directions at node 3"),
-    ([[1, 0, 0], [0, 1, 0], [0, 0, 1], [0.6, 0.8, 0]], [1, 1, 1, 1],
-     "dependent constraint directions at node 1"),
-    # node 2 comes first in the constraint order, though node 0 is smaller
-    ([[0, 1, 0], [1, 0, 0], [0, 1, 0], [1, 0, 0]], [2, 0, 2, 0],
-     "dependent constraint directions at node 2"),
+    ([[1, 0, 0], [0, 1, 0]], [0, 1, 2],
+     "constraints need nodes (k,) and directions (k, 3), got (3,) and (2, 3)"),
+    ([[1, 0, 0], [1, 1, 0], [0.6, 0.8, 0], [0, 0, 2]], [2, 1, 0, 3],
+     "constraint direction at node 1 must be unit length, |q|=1.4142135623730951"),
+    ([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 0, 0], [0, 1, 0]], [2, 3, 0, 3, 2],
+     "node 3 is constrained more than once"),
     ([[1, 0, 0], [0, 1, 0]], [0, 9], "constraint node 9 out of range"),
     ([[1, 0, 0], [0, 1, 0]], [-1, 0], "constraint node -1 out of range"),
+    ([[0, 1, 0], [np.nan, 0, 0]], [3, 2], "constraint direction at node 2 must be unit length, |q|=nan"),
 ])
 def test_constraint_errors_match_reference(directions, nodes, message):
     mesh = flat_grid_mesh(1, 1)
     system = assemble(mesh, MAT, geometry_of(mesh), _const_load)
-    cons = [Constraint(n, np.array(d, dtype=float)) for n, d in zip(nodes, directions)]
     for apply in (apply_constraints, apply_constraints_reference):
         with pytest.raises(ConstraintError) as err:
-            apply(system, cons)
+            apply(system, np.array(nodes), np.array(directions, dtype=float))
         assert str(err.value) == message
-
-
-def test_constraint_validation():
-    with pytest.raises(ConstraintError, match=r"unit length, \|q\|=1\.4142135623730951$"):
-        Constraint(0, np.array([1.0, 1.0, 0.0]))
 
 
 def test_assemble_reports_failing_element():

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from memshell import cli, element
+from memshell import cli, element, mesh
 from memshell.cli import RunConfig, main, run_convergence, solve_case
 from memshell.mesh import build_torus_mesh, import_mesh
 
@@ -179,6 +179,36 @@ def test_config_file_values_type_checked_like_flags(tmp_path, capsys, line, key)
     assert not (out / "report.txt").exists()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("case", "cylindre"),
+    ("variant", "facte"),
+    ("mode", "plane_strian"),
+])
+def test_config_file_values_checked_against_flag_choices(tmp_path, capsys, monkeypatch,
+                                                          key, value):
+    def never(*args, **kwargs):
+        raise AssertionError("mesh built")
+
+    for builder in ("build_cylinder_mesh", "build_torus_mesh", "import_mesh"):
+        monkeypatch.setattr(mesh, builder, never)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    out = tmp_path / "out"
+    rc = main(["run", "--config", str(cfg), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"config key {key!r}: invalid choice {value!r}" in err
+    assert not (out / "report.txt").exists()
+
+
+def test_run_rejects_non_positive_tolerance(tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = main(["run", "--tol", "-1", "--n", "6", "--out", str(out)])
+    assert rc == 1
+    assert "error [solver]: tol must be > 0, got -1.0" in capsys.readouterr().err
+    assert not (out / "report.txt").exists()
+
+
 def test_config_file_mesh_key_names_the_import_mesh(tmp_path):
     off = tmp_path / "t.off"
     _write_off(build_torus_mesh(1.0, 0.5, 12, 6), off)
@@ -251,7 +281,7 @@ def test_failing_ladder_level_leaves_completed_rows(tmp_path, monkeypatch):
     assert float(lines[2].split(",")[2]) > 0.0
 
 
-@pytest.mark.parametrize("ladder", ["8,8,12", "16,8,12", "8,16"])
+@pytest.mark.parametrize("ladder", ["8,8,12", "16,8,12", "8,16", "8,x,32"])
 def test_bad_ladder_rejected_before_any_level(tmp_path, capsys, monkeypatch, ladder):
     def never(config, n=None):
         raise AssertionError("solve_case called")
@@ -260,5 +290,9 @@ def test_bad_ladder_rejected_before_any_level(tmp_path, capsys, monkeypatch, lad
     out = tmp_path / "out"
     rc = main(["convergence", "--case", "cylinder", "--resolutions", ladder, "--out", str(out)])
     assert rc == 1
-    assert f"resolution ladder {ladder}:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    if ladder == "8,x,32":
+        assert "error [builtins]: --resolutions: invalid int value 'x'" in err
+    else:
+        assert f"resolution ladder {ladder}:" in err
     assert not (out / "convergence.csv").exists()

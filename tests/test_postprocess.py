@@ -77,7 +77,7 @@ def test_stress_field_invariants_on_benchmark_solve():
     exact = cylinder_exact(1.0, MAT, Cylinder(1.0, 4.0))
     geo = geometry_of(mesh)
     system = assemble(mesh, MAT, geo, exact.load_at)
-    fixed = apply_constraints(system, cylinder_constraints(mesh))
+    fixed = apply_constraints(system, *cylinder_constraints(mesh))
     u, _ = solve(fixed, tol=1e-10)
     field = recover_stress(mesh, MAT, fixed.recover(u), geo)
     # symmetric and in-plane at every quadrature point
@@ -154,7 +154,7 @@ def test_stress_l2_error_matches_bruteforce_recomputation():
     exact = cylinder_exact(1.0, MAT, Cylinder(1.0, 4.0))
     geo = geometry_of(mesh)
     system = assemble(mesh, MAT, geo, exact.load_at)
-    fixed = apply_constraints(system, cylinder_constraints(mesh))
+    fixed = apply_constraints(system, *cylinder_constraints(mesh))
     u, _ = solve(fixed, tol=1e-10)
     field = recover_stress(mesh, MAT, fixed.recover(u), geo)
     err = stress_l2_error(field, exact)
@@ -176,7 +176,7 @@ def test_stress_l2_error_stable_under_refined_quadrature():
     exact = cylinder_exact(1.0, MAT, Cylinder(1.0, 4.0))
     geo = geometry_of(mesh)
     system = assemble(mesh, MAT, geo, exact.load_at)
-    fixed = apply_constraints(system, cylinder_constraints(mesh))
+    fixed = apply_constraints(system, *cylinder_constraints(mesh))
     u = fixed.recover(solve(fixed, tol=1e-10)[0])
     err2 = stress_l2_error(recover_stress(mesh, MAT, u, geo), exact)
     err4 = stress_l2_error(recover_stress(mesh, MAT, u, geometry_of(mesh, DEGREE4_RULE)), exact)

@@ -75,6 +75,24 @@ def test_rejects_dof_count_not_a_multiple_of_three():
         solve(_system([[2.0, 1.0], [1.0, 2.0]], [3.0, 3.0]))
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"tol": -1.0}, "tol must be > 0, got -1.0"),
+    ({"tol": 0.0}, "tol must be > 0, got 0.0"),
+    ({"tol": math.nan}, "tol must be > 0, got nan"),
+    ({"max_iter": 0}, "max_iter must be >= 1, got 0"),
+    ({"max_iter": -3}, "max_iter must be >= 1, got -3"),
+])
+def test_bad_solver_parameters_rejected_before_the_block_inverse(monkeypatch, kwargs, message):
+    def never(A):
+        raise AssertionError("block inverse built")
+
+    monkeypatch.setattr("memshell.solver._nodal_block_inverse", never)
+    d = [2.0, 4.0, 8.0, 1.0, 3.0, 5.0]
+    with pytest.raises(SolverError) as err:
+        solve(_system(np.diag(d), d), **kwargs)
+    assert str(err.value) == message
+
+
 def test_singular_nodal_block_fails_before_iterating():
     # a flat membrane has no normal stiffness: every nodal block is singular
     mesh = flat_grid_mesh(3, 3)
@@ -88,7 +106,7 @@ def test_iteration_limit_raises_with_report():
     mesh = build_cylinder_mesh(1.0, 4.0, 8, 8)
     load_at = cylinder_exact(1.0, MAT, Cylinder(1.0, 4.0)).load_at
     system = assemble(mesh, MAT, geometry_of(mesh), load_at)
-    fixed = apply_constraints(system, cylinder_constraints(mesh))
+    fixed = apply_constraints(system, *cylinder_constraints(mesh))
     with pytest.raises(IterationLimitError) as err:
         solve(fixed, tol=1e-12, max_iter=3)
     assert err.value.report.iterations == 3
@@ -105,7 +123,7 @@ def test_translation_basis_unconstrained_and_constrained():
 
     cyl = build_cylinder_mesh(1.0, 4.0, 6, 3)
     base = assemble(cyl, MAT, geometry_of(cyl))
-    fixed = apply_constraints(base, cylinder_constraints(cyl))
+    fixed = apply_constraints(base, *cylinder_constraints(cyl))
     Zc = translation_basis(fixed)
     # axial translation is fully constrained at x=0; lateral ones survive
     assert Zc.shape[1] <= 3
@@ -117,7 +135,7 @@ def test_cylinder_benchmark_converges():
     for n in (8, 16):
         mesh = build_cylinder_mesh(1.0, 4.0, n, n)
         system = assemble(mesh, MAT, geometry_of(mesh), load_at)
-        fixed = apply_constraints(system, cylinder_constraints(mesh))
+        fixed = apply_constraints(system, *cylinder_constraints(mesh))
         u, report = solve(fixed, tol=1e-10)
         assert report.converged
         assert report.relative_residual <= 1e-10
@@ -226,7 +244,7 @@ def _benchmark_system(case, variant, n):
     if case == "cylinder":
         mesh = build_cylinder_mesh(1.0, config.L, n, n)
         system = assemble(mesh, MAT, geometry_of(mesh, variant=variant))
-        return apply_constraints(system, cylinder_constraints(mesh))
+        return apply_constraints(system, *cylinder_constraints(mesh))
     mesh = build_torus_mesh(config.R, 0.5, 2 * n, n)
     return assemble(mesh, MAT, geometry_of(mesh, variant=variant))
 
