@@ -60,7 +60,6 @@ from .solver import (
     SolveReport,
     SolverError,
     solve,
-    translation_basis,
 )
 
 __all__ = [
@@ -79,7 +78,7 @@ __all__ = [
     "cylinder_constraints", "apply_constraints",
     # solver
     "SolverError", "NegativeCurvatureError", "IterationLimitError",
-    "SolveReport", "translation_basis", "solve",
+    "SolveReport", "solve",
     # postprocess
     "StressField", "recover_stress", "stress_l2_error", "ConvergenceRecord",
     "fit_convergence", "export_vtk", "write_convergence_csv",

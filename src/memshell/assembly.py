@@ -34,8 +34,10 @@ class ConstraintError(ValueError):
 
 
 class LinearSystem:
-    """Sparse symmetric system ``K u = b`` with optional constraint bookkeeping.
+    """Sparse symmetric system ``K u = b`` with node coordinates and constraint bookkeeping.
 
+    ``coordinates`` (ndof/3, 3) are the node positions, from which the solver
+    builds the rigid-body modes; a system without them has no kernel basis.
     After :func:`apply_constraints`, the matrix and right-hand side live in
     the rotated nodal frames: ``frame`` is the block-diagonal rotation and
     ``constrained`` masks the eliminated dofs, the first rotated dof of each
@@ -44,7 +46,7 @@ class LinearSystem:
     constraints exactly).
     """
 
-    def __init__(self, matrix, rhs, frame=None, constrained=None):
+    def __init__(self, matrix, rhs, frame=None, constrained=None, coordinates=None):
         self.matrix = sp.csr_matrix(matrix)
         self.rhs = np.asarray(rhs, dtype=float)
         if self.matrix.shape[0] != self.matrix.shape[1]:
@@ -53,6 +55,10 @@ class LinearSystem:
             raise ValueError("right-hand side does not match the matrix dimension")
         self.frame = frame if frame is None else sp.csr_matrix(frame)
         self.constrained = None if constrained is None else np.asarray(constrained, dtype=bool)
+        self.coordinates = None if coordinates is None else np.asarray(coordinates, dtype=float)
+        if self.coordinates is not None and self.coordinates.shape != (self.ndof // 3, 3):
+            raise ValueError(f"node coordinates have shape {self.coordinates.shape}, "
+                             f"a system of {self.ndof} dofs needs ({self.ndof // 3}, 3)")
 
     @property
     def ndof(self) -> int:
@@ -89,7 +95,7 @@ def assemble(mesh: SurfaceMesh, material, geo: QuadraturePointData, load_at=None
     if load_at is not None:
         fe = batch_element_loads(geo, load_at)
         np.add.at(rhs, dofs.ravel(), fe.ravel())
-    return LinearSystem(matrix, rhs)
+    return LinearSystem(matrix, rhs, coordinates=mesh.vertices)
 
 
 def pressure_rhs(mesh: SurfaceMesh, p: float, geo: QuadraturePointData) -> np.ndarray:
@@ -216,4 +222,5 @@ def apply_constraints(system: LinearSystem, nodes, directions) -> LinearSystem:
     frame = sp.bsr_matrix((Q, np.arange(n_nodes), np.arange(n_nodes + 1)),
                           shape=(system.ndof, system.ndof)).tocsr()
     frame.eliminate_zeros()
-    return LinearSystem(matrix, rhs.ravel(), frame=frame, constrained=fixed.ravel())
+    return LinearSystem(matrix, rhs.ravel(), frame=frame, constrained=fixed.ravel(),
+                        coordinates=system.coordinates)

@@ -74,7 +74,6 @@ class CaseResult:
     field: "postprocess.StressField"
     error: float | None
     report: "solver.SolveReport"
-    rotation_fraction: float | None
 
 
 def _build_case(config: RunConfig, n: int):
@@ -100,21 +99,6 @@ def _build_case(config: RunConfig, n: int):
     raise ValueError(f"unknown case {config.case!r} (expected cylinder, torus, import)")
 
 
-def _rotation_fraction(msh, u: np.ndarray) -> float:
-    """Fraction of the solution lying in the span of the linearized rotations."""
-    x = msh.vertices - msh.vertices.mean(axis=0)
-    basis = np.empty((3 * msh.n_vertices, 3))
-    for k in range(3):
-        axis = np.zeros(3)
-        axis[k] = 1.0
-        basis[:, k] = np.cross(axis, x).ravel()
-    q, _ = np.linalg.qr(basis)
-    un = np.linalg.norm(u)
-    if un == 0:
-        return 0.0
-    return float(np.linalg.norm(q.T @ u) / un)
-
-
 def solve_case(config: RunConfig, n: int | None = None) -> CaseResult:
     """Assemble, constrain, solve, and recover stresses for one resolution."""
     n = config.n if n is None else n
@@ -127,16 +111,10 @@ def solve_case(config: RunConfig, n: int | None = None) -> CaseResult:
         system.rhs[:] = assembly.pressure_rhs(msh, config.p, geo)
     if constraints is not None:
         system = assembly.apply_constraints(system, *constraints)
-    u_sys, report = solver.solve(
-        system,
-        tol=config.tol,
-        max_iter=config.max_iter,
-        deflate_translations=constraints is None,
-    )
+    u_sys, report = solver.solve(system, tol=config.tol, max_iter=config.max_iter)
     u = system.recover(u_sys)
     field = postprocess.recover_stress(msh, material, u, geo)
     error = postprocess.stress_l2_error(field, exact) if exact is not None else None
-    rot = _rotation_fraction(msh, u) if constraints is None else None
     return CaseResult(
         mesh=msh,
         h=mesh.mesh_size(msh),
@@ -144,7 +122,6 @@ def solve_case(config: RunConfig, n: int | None = None) -> CaseResult:
         field=field,
         error=error,
         report=report,
-        rotation_fraction=rot,
     )
 
 
@@ -161,9 +138,9 @@ def _report_lines(config: RunConfig, result: CaseResult, n: int) -> list[str]:
         f"solver iterations: {result.report.iterations}",
         f"solver relative residual: {result.report.relative_residual:.6e}",
         f"deflated kernel dimension: {result.report.deflated_dimension}",
+        f"rhs consistency: {result.report.rhs_consistency:.6e}",
+        f"rigid-body component of solution: {result.report.rigid_fraction:.6e}",
     ]
-    if result.rotation_fraction is not None:
-        lines.append(f"rotation component of solution: {result.rotation_fraction:.6e}")
     if result.error is not None:
         lines.append(f"stress L2 error: {result.error:.12e}")
     return lines

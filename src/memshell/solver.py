@@ -1,4 +1,4 @@
-"""Nodal block-Jacobi conjugate gradients with rigid-translation deflation.
+"""Nodal block-Jacobi conjugate gradients with a detected rigid-body kernel.
 
 Systems are node-major (dof ``3*node + component``, see :mod:`.assembly`), so
 each node owns a 3x3 diagonal block of the stiffness. On a curved membrane
@@ -13,20 +13,25 @@ criterion), so ``lmin/lmax >= det/tr^3``; such blocks with
 ``det > 1e-6 tr^3`` are inverted in closed form. Only the others go through
 ``eigh``, which decides and words any failure.
 
-Closed-surface membrane systems are symmetric positive semidefinite with the
-three global translations in the kernel (and, depending on geometry, further
-low-energy modes). For a consistent right-hand side CG converges in the range
-space; deflation projects the rhs and every residual against the
-translations. The iterate's translation part never reaches the residual, so
-it is projected out only where the iterate is read (the true-residual check
-and the exit): the same iterates in exact arithmetic, and a returned solution
-without translation component. Negative curvature (an indefinite matrix)
-aborts with the iteration index.
+A membrane system is symmetric positive semidefinite, and its kernel is
+detected, not assumed: :func:`rigid_body_basis` keeps the rigid-body modes
+whose energy is below ``1e-12`` of the mean diagonal. On the benchmark
+meshes (n = 6...256) a true kernel mode measures at most 5e-17 of it, and
+every other rigid mode above 8e-10 (the interpolated torus's axial rotation,
+which falls like h^4). The facet torus thus deflates all six modes, the
+interpolated torus the translations, the facet cylinder its axial rotation
+and the interpolated cylinder none. The kernel is projected out of the rhs
+(its share there is reported); the residual then stays in the range space
+and is never projected. The iterate's kernel part never reaches the
+residual, so it is projected out only where the iterate is read (the
+true-residual check and the exit): the same iterates in exact arithmetic,
+and a solution without kernel component. Negative curvature (an indefinite
+matrix) aborts with the iteration index.
 
 An iteration costs one matvec, one preconditioner apply (a CSR copy of the
-block-diagonal inverse), three dot products, one deflation and in-place
-vector updates. The stop test ``r . r <= (tol ||b||)^2`` is confirmed on the
-recomputed true residual, from which CG restarts if it fails.
+block-diagonal inverse), three dot products and in-place vector updates.
+The stop test ``r . r <= (tol ||b||)^2`` is confirmed on the recomputed true
+residual, from which CG restarts if it fails.
 """
 
 import dataclasses
@@ -42,7 +47,6 @@ __all__ = [
     "NegativeCurvatureError",
     "IterationLimitError",
     "SolveReport",
-    "translation_basis",
     "solve",
 ]
 
@@ -74,34 +78,47 @@ class SolveReport:
 
     ``relative_residual`` is ``||K u - b|| / ||b||`` recomputed from scratch
     at exit, with ``b`` the (possibly deflated) right-hand side actually
-    solved for.
+    solved for. ``deflated_dimension`` is the dimension ``k`` of the kernel
+    found by :func:`rigid_body_basis`, with basis ``Z``. ``rhs_consistency``
+    is ``||Z^T b|| / ||b||`` for the right-hand side before its projection
+    (0 for a consistent load), and ``rigid_fraction`` is ``||Q^T u|| / ||u||``
+    for the returned ``u`` over all the rigid-body modes ``Q``.
     """
 
     iterations: int
     relative_residual: float
     deflated_dimension: int
     converged: bool
+    rhs_consistency: float
+    rigid_fraction: float
 
 
-def translation_basis(system: LinearSystem) -> np.ndarray:
-    """Orthonormal basis of the rigid translations restricted to free dofs.
+def rigid_body_basis(system: LinearSystem) -> tuple[np.ndarray, int]:
+    """Orthonormal rigid-body modes ``Q`` (ndof, m <= 6) and the kernel dimension ``k``.
 
-    For a constrained system the global translations are expressed in the
-    rotated nodal frames and the eliminated dofs zeroed; directions that the
-    constraints remove entirely are dropped. Returns an (ndof, k) matrix with
-    orthonormal columns, k <= 3.
+    The translations and the rotations about the centroid of the coordinates
+    are mapped into the nodal frames, the constrained dofs zeroed and the
+    columns this makes dependent dropped. The columns are then rotated onto
+    the eigenvectors of ``Q^T A Q``, by ascending energy; the leading ``k``,
+    below ``1e-12 * mean(diag A)``, span the kernel. No coordinates: m = k = 0.
     """
     ndof = system.ndof
-    Z = np.zeros((ndof, 3))
-    for c in range(3):
-        Z[c::3, c] = 1.0
+    if system.coordinates is None:
+        return np.zeros((ndof, 0)), 0
+    x = system.coordinates - system.coordinates.mean(axis=0)
+    # the (component, k) block of the rotation e_k x x_i, linear in x_i
+    rot = np.cross(np.eye(3), np.eye(3)[:, None]).transpose(0, 2, 1).reshape(3, 9)
+    Z = np.concatenate([np.broadcast_to(np.eye(3), (len(x), 3, 3)), (x @ rot).reshape(-1, 3, 3)],
+                       axis=2).reshape(ndof, 6)
     if system.frame is not None:
         Z = system.frame.T @ Z
     if system.constrained is not None:
         Z[system.constrained] = 0.0
-    q, rdiag = np.linalg.qr(Z)
-    keep = np.abs(np.diag(rdiag)) > 1e-8 * math.sqrt(ndof)
-    return q[:, keep]
+    w, V = np.linalg.eigh(Z.T @ Z)
+    keep = w > 1e-12 * w[-1]  # singular values above 1e-6 of the largest
+    q = Z @ (V[:, keep] / np.sqrt(w[keep]))
+    energy, vec = np.linalg.eigh(q.T @ (system.matrix @ q))
+    return q @ vec, int(np.sum(energy < 1e-12 * system.matrix.diagonal().mean()))
 
 
 def _nodal_block_inverse(A) -> sp.csr_matrix:
@@ -138,7 +155,6 @@ def _nodal_block_inverse(A) -> sp.csr_matrix:
 
 
 def solve(system: LinearSystem, tol: float = 1e-10, max_iter: int | None = None,
-          deflate_translations: bool = False,
           x0: np.ndarray | None = None) -> tuple[np.ndarray, SolveReport]:
     """Solve ``K u = b`` by nodal block-Jacobi preconditioned conjugate gradients.
 
@@ -152,12 +168,8 @@ def solve(system: LinearSystem, tol: float = 1e-10, max_iter: int | None = None,
         Relative residual target.
     max_iter : int, optional
         Defaults to ``ceil(50 * sqrt(ndof))``.
-    deflate_translations : bool
-        Project the rhs, the residuals and the solution against the rigid
-        translations (use for closed surfaces, where they span the kernel).
     x0 : array, optional
-        Initial guess (default zero; any translation component is removed
-        when deflating).
+        Initial guess (default zero; its kernel component is removed).
 
     Returns
     -------
@@ -187,25 +199,29 @@ def solve(system: LinearSystem, tol: float = 1e-10, max_iter: int | None = None,
     if max_iter is None:
         max_iter = max(50, math.ceil(50.0 * math.sqrt(ndof)))
 
-    Z = translation_basis(system) if deflate_translations else None
-    kdim = 0 if Z is None else Z.shape[1]
+    modes, kdim = rigid_body_basis(system)
+    Z = modes[:, :kdim]
 
     def deflate(v):
-        if Z is not None:
-            v -= Z @ (Z.T @ v)
+        v -= Z @ (Z.T @ v)
         return v
 
+    def share(basis, v):
+        vnorm = float(np.linalg.norm(v))
+        return float(np.linalg.norm(basis.T @ v)) / vnorm if vnorm else 0.0
+
+    consistency = share(Z, b)
     b = deflate(b)
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
-        return np.zeros(ndof), SolveReport(0, 0.0, kdim, True)
+        return np.zeros(ndof), SolveReport(0, 0.0, kdim, True, consistency, 0.0)
 
     M = _nodal_block_inverse(A)
 
     x = np.zeros(ndof) if x0 is None else np.asarray(x0, dtype=float).copy()
     if x.shape != (ndof,):
         raise SolverError(f"initial guess has wrong shape {x.shape}")
-    r = b.copy() if x0 is None else deflate(b - A @ deflate(x))
+    r = b.copy() if x0 is None else b - A @ deflate(x)
     tol2 = (tol * bnorm) ** 2
     z = M @ r
     p = z
@@ -226,10 +242,9 @@ def solve(system: LinearSystem, tol: float = 1e-10, max_iter: int | None = None,
         x += alpha * p
         Ap *= alpha
         r -= Ap
-        deflate(r)
         if restart := float(r @ r) <= tol2:
             # guard against recurrence drift: recompute the true residual
-            r = deflate(b - A @ deflate(x))
+            r = b - A @ deflate(x)
             if float(r @ r) <= tol2:
                 converged = True
                 break
@@ -243,12 +258,14 @@ def solve(system: LinearSystem, tol: float = 1e-10, max_iter: int | None = None,
         rz = rz_new
 
     if not converged:
-        r = deflate(b - A @ deflate(x))
+        r = b - A @ deflate(x)
     report = SolveReport(
         iterations=iterations,
         relative_residual=float(np.linalg.norm(r)) / bnorm,
         deflated_dimension=kdim,
         converged=converged,
+        rhs_consistency=consistency,
+        rigid_fraction=share(modes, x),
     )
     if not converged:
         raise IterationLimitError(

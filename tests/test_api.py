@@ -12,21 +12,25 @@ import pytest
 import numpy as np
 import scipy.sparse as sp
 
+import memshell
 from memshell import mesh
 from memshell.assembly import LinearSystem
 from memshell.element import QuadraturePointData
+from memshell.solver import solve
 
 ROOT = Path(__file__).resolve().parents[1]
 SUBMODULES = ("assembly", "cli", "element", "geometry", "mesh", "postprocess", "solver")
 
-# Test-only names taken out of the package; the single-element kernels among
-# them live on in tests/oracles.py as the reference for the batched ones.
+# Names taken out of the package: test-only ones, whose single-element kernels
+# live on in tests/oracles.py as the reference for the batched ones, and the
+# caller-stated kernel (the solver now detects it from the system).
 REMOVED = (
     "DofMap", "ElementMatrices", "element_matrices", "REFERENCE_GRADIENTS", "_GRAD_RHS",
     "shape_values_and_ref_gradients", "element_jacobian", "basis_surface_gradients",
     "strain_displacement", "element_stiffness", "element_load", "total_area",
     "convergence_rate", "compute_nodal_normals", "with_normals", "von_mises_cells",
-    "Constraint",
+    "Constraint", "translation_basis", "rotation_fraction", "_rotation_fraction",
+    "deflate_translations",
 )
 
 
@@ -62,6 +66,12 @@ def test_removed_names_absent_from_source():
     # which its frame and constrained mask already carry
     assert not hasattr(mesh, "boundary_components")
     assert not hasattr(LinearSystem(sp.eye(3), np.zeros(3)), "constraints")
+
+
+def test_solver_finds_the_kernel_itself():
+    # no caller states the kernel; the basis builder stays out of the package API
+    assert "deflate_translations" not in inspect.signature(solve).parameters
+    assert "rigid_body_basis" not in memshell.__all__
 
 
 def test_benchmark_traced_names_exist():

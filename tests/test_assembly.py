@@ -167,6 +167,21 @@ def test_apply_constraints_noop_without_constraints():
     assert apply_constraints(system, np.zeros(0, dtype=int), np.zeros((0, 3))) is system
 
 
+def test_system_carries_node_coordinates_through_constraints():
+    mesh = build_cylinder_mesh(1.0, 4.0, 6, 3)
+    system = assemble(mesh, MAT, geometry_of(mesh))
+    fixed = apply_constraints(system, *cylinder_constraints(mesh))
+    assert np.array_equal(system.coordinates, mesh.vertices)
+    assert np.array_equal(fixed.coordinates, mesh.vertices)
+
+
+@pytest.mark.parametrize("shape", [(4, 3), (3, 2), (9,)])
+def test_coordinates_of_wrong_shape_rejected(shape):
+    with pytest.raises(ValueError, match=rf"node coordinates have shape \({shape[0]},.*"
+                                         r"a system of 9 dofs needs \(3, 3\)"):
+        LinearSystem(sp.eye(9), np.zeros(9), coordinates=np.zeros(shape))
+
+
 def test_axis_aligned_constraint_equals_direct_elimination():
     # with q = e_x the completed frame is the identity, so the rotated
     # elimination must coincide with zeroing row/column of dof x by hand

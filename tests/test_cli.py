@@ -65,7 +65,20 @@ def test_run_torus_uses_deflated_path(tmp_path):
     assert rc == 0
     report = (out / "report.txt").read_text()
     assert "deflated kernel dimension: 3" in report
-    assert "rotation component of solution" in report
+    assert "rhs consistency: " in report
+    assert "rigid-body component of solution: " in report
+
+
+@pytest.mark.parametrize("case, dimension", [("torus", 6), ("cylinder", 1)])
+def test_facet_runs_report_the_detected_kernel(tmp_path, case, dimension):
+    # the facet rotations are exact kernel modes: all three on the torus, the
+    # axial one on the cylinder, whose constraints leave it free
+    out = tmp_path / case
+    assert main(["run", "--case", case, "--variant", "facet", "--n", "8", "--out", str(out)]) == 0
+    fields = dict(line.split(": ", 1) for line in (out / "report.txt").read_text().splitlines())
+    assert fields["deflated kernel dimension"] == str(dimension)
+    assert float(fields["rhs consistency"]) <= 1e-12
+    assert 0.0 <= float(fields["rigid-body component of solution"]) <= 1.0
 
 
 def test_run_invalid_poisson_ratio_fails_before_assembly(tmp_path, capsys):
