@@ -26,14 +26,12 @@ from .element import (
     quadrature_rule,
 )
 from .geometry import (
-    AnalyticSurface,
     Cylinder,
     ExactSolution,
     GeometryError,
     MaterialModel,
     Torus,
     cylinder_exact,
-    projector,
     torus_exact,
 )
 from .mesh import (
@@ -68,8 +66,8 @@ __all__ = [
     "MeshError", "BoundaryComponent", "SurfaceMesh", "build_cylinder_mesh",
     "build_torus_mesh", "import_mesh", "mesh_size",
     # geometry
-    "GeometryError", "AnalyticSurface", "Cylinder", "Torus", "MaterialModel",
-    "ExactSolution", "projector", "cylinder_exact", "torus_exact",
+    "GeometryError", "Cylinder", "Torus", "MaterialModel", "ExactSolution",
+    "cylinder_exact", "torus_exact",
     # element
     "SingularJacobianError", "QuadratureRule", "quadrature_rule",
     "QuadraturePointData", "quadrature_geometry",

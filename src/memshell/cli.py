@@ -86,16 +86,22 @@ def _build_case(config: RunConfig, n: int):
     if config.mesh_path:
         raise ValueError(f"mesh file {config.mesh_path} is only read by case 'import', "
                          f"not by case {config.case!r}")
+    surf, msh = _benchmark_mesh(config, n)
     if config.case == "cylinder":
-        surf = geometry.Cylinder(config.resolved_r(), config.L)
-        msh = mesh.build_cylinder_mesh(surf.r, surf.L, n, n)
         exact = geometry.cylinder_exact(config.F, material, surf)
         return msh, material, exact.load_at, assembly.cylinder_constraints(msh), exact
+    exact = geometry.torus_exact(config.p, material, surf)
+    return msh, material, exact.load_at, None, exact
+
+
+def _benchmark_mesh(config: RunConfig, n: int):
+    """The benchmark surface and its structured mesh at resolution ``n``."""
+    if config.case == "cylinder":
+        surf = geometry.Cylinder(config.resolved_r(), config.L)
+        return surf, mesh.build_cylinder_mesh(surf.r, surf.L, n, n)
     if config.case == "torus":
         surf = geometry.Torus(config.R, config.resolved_r())
-        msh = mesh.build_torus_mesh(surf.R, surf.r, 2 * n, n)
-        exact = geometry.torus_exact(config.p, material, surf)
-        return msh, material, exact.load_at, None, exact
+        return surf, mesh.build_torus_mesh(surf.R, surf.r, 2 * n, n)
     raise ValueError(f"unknown case {config.case!r} (expected cylinder, torus, import)")
 
 
@@ -333,12 +339,10 @@ def main(argv=None) -> int:
         if args.command == "mesh-info":
             if config.mesh_path:
                 msh = mesh.import_mesh(config.mesh_path)
-            elif config.case == "cylinder":
-                msh = mesh.build_cylinder_mesh(config.resolved_r(), config.L, config.n, config.n)
-            elif config.case == "torus":
-                msh = mesh.build_torus_mesh(config.R, config.resolved_r(), 2 * config.n, config.n)
-            else:
+            elif config.case == "import":
                 raise ValueError("mesh-info requires --mesh or --case cylinder/torus")
+            else:
+                _, msh = _benchmark_mesh(config, config.n)
             print("\n".join(_mesh_info_lines(msh)))
             return 0
         raise ValueError(f"unknown command {args.command!r}")

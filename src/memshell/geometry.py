@@ -1,12 +1,11 @@
-"""Analytic benchmark surfaces, tangent-plane projector, material law, exact fields.
+"""Benchmark surface parameters, material law, exact fields.
 
-The two benchmark geometries (axis-aligned cylinder, z-axis torus) provide
-signed distances, outward unit normals, and closest-point projections, plus
-the closed-form loads and statically determinate stress fields used for error
-measurement.
+The two benchmark geometries (axis-aligned cylinder, z-axis torus) are
+validated parameter records; the solver itself only sees the faceted mesh and
+its nodal normals. Their closed-form loads and statically determinate stress
+fields are used for error measurement.
 """
 
-import abc
 import dataclasses
 from typing import Callable
 
@@ -14,74 +13,22 @@ import numpy as np
 
 __all__ = [
     "GeometryError",
-    "AnalyticSurface",
     "Cylinder",
     "Torus",
     "MaterialModel",
     "ExactSolution",
-    "projector",
     "cylinder_exact",
     "torus_exact",
 ]
 
-#: A point is accepted as lying on a surface if its unsigned distance is below
-#: this tolerance (geometries here have O(1) dimensions).
-ON_SURFACE_TOL = 1e-8
-
 
 class GeometryError(ValueError):
-    """Invalid geometric parameters or evaluation outside a surface's domain."""
-
-
-def projector(n) -> np.ndarray:
-    """Orthogonal projector ``I - n (x) n`` onto the plane normal to unit ``n``.
-
-    The result is symmetric, idempotent, annihilates ``n``, and has trace 2.
-    Raises :class:`GeometryError` if ``n`` is not unit length (tol 1e-12).
-    """
-    n = np.asarray(n, dtype=float)
-    if abs(np.linalg.norm(n) - 1.0) > 1e-12:
-        raise GeometryError(f"projector requires a unit vector, |n| = {np.linalg.norm(n)}")
-    return np.eye(3) - np.outer(n, n)
-
-
-class AnalyticSurface(abc.ABC):
-    """A smooth closed-form surface with signed distance and outward normal."""
-
-    @abc.abstractmethod
-    def signed_distance(self, x) -> np.ndarray:
-        """Signed distance to the surface, positive outside."""
-
-    @abc.abstractmethod
-    def project(self, x) -> np.ndarray:
-        """Closest point on the surface."""
-
-    @abc.abstractmethod
-    def _normal(self, x) -> np.ndarray:
-        """Outward unit normal field evaluated via the closest point (no checks)."""
-
-    def normal_at(self, x) -> np.ndarray:
-        """Outward unit normal at point(s) ``x`` lying on the surface.
-
-        Raises :class:`GeometryError` if any point is farther than
-        ``ON_SURFACE_TOL`` from the surface.
-        """
-        x = np.asarray(x, dtype=float)
-        d = np.abs(self.signed_distance(x))
-        if np.any(d > ON_SURFACE_TOL):
-            raise GeometryError(
-                f"point off surface: max |distance| = {float(np.max(d)):.3e}"
-            )
-        return self._normal(x)
+    """Invalid geometric or material parameters."""
 
 
 @dataclasses.dataclass(frozen=True)
-class Cylinder(AnalyticSurface):
-    """Open cylinder of radius ``r`` about the x-axis, ends at x=0 and x=L.
-
-    The signed distance refers to the lateral surface only (the ends are open
-    boundary circles, not part of the surface).
-    """
+class Cylinder:
+    """Open cylinder of radius ``r`` about the x-axis, ends at x=0 and x=L."""
 
     r: float
     L: float
@@ -90,35 +37,9 @@ class Cylinder(AnalyticSurface):
         if self.r <= 0 or self.L <= 0:
             raise GeometryError(f"cylinder requires r, L > 0, got r={self.r}, L={self.L}")
 
-    def signed_distance(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return np.hypot(x[..., 1], x[..., 2]) - self.r
-
-    def _radial(self, x) -> tuple[np.ndarray, np.ndarray]:
-        rho = np.hypot(x[..., 1], x[..., 2])
-        if np.any(rho <= 1e-12 * self.r):
-            raise GeometryError("normal undefined on the cylinder axis")
-        return rho, x
-
-    def _normal(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        rho, x = self._radial(x)
-        n = np.zeros_like(x)
-        n[..., 1] = x[..., 1] / rho
-        n[..., 2] = x[..., 2] / rho
-        return n
-
-    def project(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        rho, x = self._radial(x)
-        p = x.copy()
-        p[..., 1] *= self.r / rho
-        p[..., 2] *= self.r / rho
-        return p
-
 
 @dataclasses.dataclass(frozen=True)
-class Torus(AnalyticSurface):
+class Torus:
     """Torus around the z-axis with major radius ``R``, minor (tube) radius ``r``.
 
     Angle convention (shared with :func:`memshell.mesh.build_torus_mesh`):
@@ -138,38 +59,6 @@ class Torus(AnalyticSurface):
             raise GeometryError(
                 f"torus requires R > r (non self-intersecting), got R={self.R}, r={self.r}"
             )
-
-    def _tube_frame(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(rho, q, x): axis distance, tube-center distance; validates the domain."""
-        x = np.asarray(x, dtype=float)
-        rho = np.hypot(x[..., 0], x[..., 1])
-        if np.any(rho <= 1e-12 * self.R):
-            raise GeometryError("projection undefined on the torus symmetry axis")
-        q = np.hypot(rho - self.R, x[..., 2])
-        return rho, q, x
-
-    def signed_distance(self, x) -> np.ndarray:
-        _, q, _ = self._tube_frame(x)
-        return q - self.r
-
-    def _normal(self, x) -> np.ndarray:
-        rho, q, x = self._tube_frame(x)
-        # sin(theta) = (rho - R)/q, cos(theta) = z/q from the closest tube point
-        st = (rho - self.R) / q
-        n = np.empty_like(x)
-        n[..., 0] = st * x[..., 0] / rho
-        n[..., 1] = st * x[..., 1] / rho
-        n[..., 2] = x[..., 2] / q
-        return n
-
-    def project(self, x) -> np.ndarray:
-        rho, q, x = self._tube_frame(x)
-        if np.any(q <= 1e-12 * self.r):
-            raise GeometryError("projection undefined on the tube center circle")
-        c = np.zeros_like(x)
-        c[..., 0] = self.R * x[..., 0] / rho
-        c[..., 1] = self.R * x[..., 1] / rho
-        return c + (x - c) * (self.r / q)[..., None]
 
 
 @dataclasses.dataclass(frozen=True)

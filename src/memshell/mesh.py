@@ -198,8 +198,7 @@ class SurfaceMesh:
         self._vertices = _readonly(v)
         self._triangles = _readonly(t)
         self._normals = _readonly(nn)
-        self._facet_normals = _readonly(cross / twice_area[:, None])
-        self._facet_areas = _readonly(0.5 * twice_area)
+        self._area = float((0.5 * twice_area).sum())
         self._boundary = tuple(
             BoundaryComponent(_readonly(loop), label)
             for loop, label in zip(loops, boundary_labels)
@@ -225,15 +224,6 @@ class SurfaceMesh:
         return self._boundary
 
     @property
-    def facet_normals(self) -> np.ndarray:
-        """(m, 3) unit facet normals (orientation-induced)."""
-        return self._facet_normals
-
-    @property
-    def facet_areas(self) -> np.ndarray:
-        return self._facet_areas
-
-    @property
     def n_vertices(self) -> int:
         return self._vertices.shape[0]
 
@@ -254,7 +244,7 @@ class SurfaceMesh:
 
     def area(self) -> float:
         """Total facet area."""
-        return float(self._facet_areas.sum())
+        return self._area
 
 
 def build_cylinder_mesh(r: float, L: float, n_circ: int, n_axial: int) -> SurfaceMesh:

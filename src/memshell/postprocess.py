@@ -60,11 +60,6 @@ class StressField:
     def n_elements(self) -> int:
         return self.weights.shape[0]
 
-    def l2_norm(self) -> float:
-        """Frobenius L2 norm of the field over the discrete surface."""
-        sq = np.einsum("mqab,mqab->mq", self.stresses, self.stresses)
-        return math.sqrt(float(np.sum(self.weights * sq)))
-
     def cell_averages(self) -> np.ndarray:
         """(m, 3, 3) area-weighted average stress per element."""
         wsum = self.weights.sum(axis=1)

@@ -1,14 +1,19 @@
 """Independent oracles used by the test suite.
 
 Everything here is implemented from standard textbook formulas, deliberately
-avoiding the code paths under test: the classical 2D constant-strain-triangle
-stiffness via the B-matrix, single-element kernels that solve each element
-Jacobian with ``np.linalg.solve``, dense assembly by explicit Python scatter loops,
+avoiding the code paths under test: the exact benchmark surfaces (signed
+distance, outward normal and closest point of the cylinder and the torus),
+facet normals and areas and the stress-field L2 norm from their definitions,
+the classical 2D constant-strain-triangle stiffness via the B-matrix,
+single-element kernels that solve each element Jacobian with
+``np.linalg.solve``, dense assembly by explicit Python scatter loops,
 double-projection strain algebra via plain matrix products, a higher-order
 triangle quadrature rule, a minimal legacy-VTK reader and per-number
 writer, per-node constraint elimination by explicit sparse products, and
 boundary-loop extraction by set queries and a successor dictionary.
 """
+
+import math
 
 import numpy as np
 import scipy.sparse as sp
@@ -16,7 +21,90 @@ import scipy.sparse as sp
 from memshell.assembly import ConstraintError, LinearSystem
 from memshell.element import (QuadraturePointData, QuadratureRule, SingularJacobianError,
                               quadrature_geometry, quadrature_rule)
+from memshell.geometry import Cylinder, GeometryError
 from memshell.mesh import MeshError
+
+# ---------------------------------------------------------------------------
+# exact surfaces: each is the set of points at distance r from its core, the
+# x-axis for a Cylinder and the tube centre circle (radius R, plane z=0) for
+# a Torus
+# ---------------------------------------------------------------------------
+
+#: A point lies on a surface if its unsigned distance is below this tolerance
+#: (the benchmark geometries have O(1) dimensions).
+ON_SURFACE_TOL = 1e-8
+
+
+def _core_offset(surface, x) -> tuple[np.ndarray, np.ndarray]:
+    """(d, |d|): offset of ``x`` from its closest point on the surface's core."""
+    x = np.asarray(x, dtype=float)
+    core = np.zeros_like(x)
+    if isinstance(surface, Cylinder):
+        core[..., 0] = x[..., 0]
+    else:
+        rho = np.hypot(x[..., 0], x[..., 1])
+        if np.any(rho <= 1e-12 * surface.R):
+            raise GeometryError("closest point undefined on the torus symmetry axis")
+        core[..., :2] = surface.R * x[..., :2] / rho[..., None]
+    d = x - core
+    return d, np.linalg.norm(d, axis=-1)
+
+
+def _radial_direction(surface, x) -> tuple[np.ndarray, np.ndarray]:
+    """(core point, unit offset direction); undefined on the core itself."""
+    d, q = _core_offset(surface, x)
+    if np.any(q <= 1e-12 * surface.r):
+        raise GeometryError("closest point undefined on the surface's core")
+    return np.asarray(x, dtype=float) - d, d / q[..., None]
+
+
+def signed_distance(surface, x) -> np.ndarray:
+    """Signed distance to the exact surface, positive outside."""
+    return _core_offset(surface, x)[1] - surface.r
+
+
+def closest_point(surface, x) -> np.ndarray:
+    """Closest point on the exact surface."""
+    core, direction = _radial_direction(surface, x)
+    return core + surface.r * direction
+
+
+def surface_normal(surface, x) -> np.ndarray:
+    """Outward unit normal at point(s) ``x`` on the exact surface.
+
+    Raises :class:`GeometryError` if a point is farther than
+    ``ON_SURFACE_TOL`` from the surface.
+    """
+    dist = np.abs(signed_distance(surface, x))
+    if np.any(dist > ON_SURFACE_TOL):
+        raise GeometryError(f"point off surface: max |distance| = {float(np.max(dist)):.3e}")
+    return _radial_direction(surface, x)[1]
+
+
+# ---------------------------------------------------------------------------
+# mesh and field quantities from their definitions
+# ---------------------------------------------------------------------------
+
+def _facet_cross(mesh) -> np.ndarray:
+    v = mesh.vertices[mesh.triangles]
+    return np.cross(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0])
+
+
+def facet_areas(mesh) -> np.ndarray:
+    """(m,) facet areas, half the edge cross product's length."""
+    return 0.5 * np.linalg.norm(_facet_cross(mesh), axis=1)
+
+
+def facet_normals(mesh) -> np.ndarray:
+    """(m, 3) unit facet normals, oriented by the vertex order."""
+    cross = _facet_cross(mesh)
+    return cross / np.linalg.norm(cross, axis=1)[:, None]
+
+
+def field_l2_norm(weights, stresses) -> float:
+    """Frobenius L2 norm of (m, nq, 3, 3) stress samples under (m, nq) weights."""
+    sq = np.einsum("mqab,mqab->mq", stresses, stresses)
+    return math.sqrt(float(np.sum(weights * sq)))
 
 
 def cst_plane_stress_stiffness(xy: np.ndarray, E: float, nu: float, t: float) -> np.ndarray:

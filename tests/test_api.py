@@ -1,5 +1,6 @@
 """Public API guards: exported names resolve, the benchmark's traced names exist."""
 
+import dataclasses
 import importlib
 import inspect
 import re
@@ -13,7 +14,7 @@ import numpy as np
 import scipy.sparse as sp
 
 import memshell
-from memshell import mesh
+from memshell import geometry, mesh
 from memshell.assembly import LinearSystem
 from memshell.element import QuadraturePointData
 from memshell.solver import solve
@@ -22,7 +23,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SUBMODULES = ("assembly", "cli", "element", "geometry", "mesh", "postprocess", "solver")
 
 # Names taken out of the package: test-only ones, whose single-element kernels
-# live on in tests/oracles.py as the reference for the batched ones, and the
+# and exact-surface queries live on in tests/oracles.py as references, and the
 # caller-stated kernel (the solver now detects it from the system).
 REMOVED = (
     "DofMap", "ElementMatrices", "element_matrices", "REFERENCE_GRADIENTS", "_GRAD_RHS",
@@ -30,7 +31,9 @@ REMOVED = (
     "strain_displacement", "element_stiffness", "element_load", "total_area",
     "convergence_rate", "compute_nodal_normals", "with_normals", "von_mises_cells",
     "Constraint", "translation_basis", "rotation_fraction", "_rotation_fraction",
-    "deflate_translations",
+    "deflate_translations", "AnalyticSurface", "signed_distance", "normal_at", "_normal",
+    "_radial", "_tube_frame", "ON_SURFACE_TOL", "projector", "facet_areas", "facet_normals",
+    "_facet_normals", "_facet_areas", "l2_norm",
 )
 
 
@@ -62,16 +65,32 @@ def test_removed_names_absent_from_source():
              for m in pattern.finditer(line)]
     assert found == []
     # too common to search the text for: the module-level function (the
-    # SurfaceMesh property stays) and the system's copy of the constraints,
-    # which its frame and constrained mask already carry
+    # SurfaceMesh property stays), the system's copy of the constraints,
+    # which its frame and constrained mask already carry, the surfaces'
+    # closest-point projection and the abstract-base-class import
     assert not hasattr(mesh, "boundary_components")
     assert not hasattr(LinearSystem(sp.eye(3), np.zeros(3)), "constraints")
+    assert not hasattr(geometry.Cylinder(1.0, 4.0), "project")
+    assert not hasattr(geometry.Torus(1.0, 0.5), "project")
+    assert not hasattr(geometry, "abc")
 
 
 def test_solver_finds_the_kernel_itself():
     # no caller states the kernel; the basis builder stays out of the package API
     assert "deflate_translations" not in inspect.signature(solve).parameters
     assert "rigid_body_basis" not in memshell.__all__
+
+
+@pytest.mark.parametrize("surface, fields", [
+    (geometry.Cylinder(1.0, 4.0), ("r", "L")),
+    (geometry.Torus(1.0, 0.5), ("R", "r")),
+], ids=["cylinder", "torus"])
+def test_benchmark_surfaces_are_parameter_records(surface, fields):
+    # the exact-surface queries live in tests/oracles.py
+    cls = type(surface)
+    assert cls.__mro__ == (cls, object)
+    assert tuple(f.name for f in dataclasses.fields(surface)) == fields
+    assert [n for n in vars(cls) if not n.startswith("__")] == []
 
 
 def test_benchmark_traced_names_exist():

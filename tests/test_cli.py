@@ -155,6 +155,20 @@ def test_mesh_info_generated_and_imported(tmp_path, capsys):
     assert "vertices: 32" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--case", "torus", "--R", "0.3", "--r", "0.5", "--n", "4"],
+     "[geometry]: torus requires R > r (non self-intersecting), got R=0.3, r=0.5"),
+    (["--case", "cylinder", "--L", "0", "--n", "4"],
+     "[geometry]: cylinder requires r, L > 0, got r=1.0, L=0.0"),
+    (["--case", "torus", "--n", "2"], "[mesh]: n_tor and n_pol must be >= 3, got 4, 2"),
+], ids=["torus-radii", "cylinder-length", "torus-resolution"])
+def test_run_and_mesh_info_reject_a_bad_case_alike(tmp_path, capsys, flags, message):
+    # both commands build the benchmark mesh through the same code
+    for command in ("run", "mesh-info"):
+        assert main([command, *flags, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"memshell: error {message}\n", command
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("case = cylinder\nn = 8\nnu = 0.3\n# comment\nout = ignored\n")

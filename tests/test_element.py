@@ -212,6 +212,21 @@ def test_strain_displacement_rejects_non_tangential():
         strain_displacement(g, np.array([0.0, 0.0, 1.0]))
 
 
+@pytest.mark.parametrize("variant", ["interpolated", "facet"])
+def test_quadrature_projectors_properties_random_elements(variant):
+    # P = I - n n^T: symmetric, idempotent, annihilates n, trace 2
+    rng = np.random.default_rng(7)
+    coords, normals = zip(*(random_valid_element(rng) for _ in range(300)))
+    geo = quadrature_geometry(np.array(coords), np.array(normals), QUAD, variant)
+    P = geo.projectors()
+    n = geo.normals
+    assert P.shape == n.shape + (3,)
+    assert np.abs(P - P.swapaxes(-1, -2)).max() < 1e-15
+    assert np.abs(P @ P - P).max() < 1e-14
+    assert np.abs(np.einsum("mqab,mqb->mqa", P, n)).max() < 1e-14
+    assert np.abs(np.trace(P, axis1=-2, axis2=-1) - 2.0).max() < 1e-13
+
+
 def test_double_contraction_identity_many_random_elements():
     # in-plane double contraction == full contraction minus twice the
     # normal-slice term, per quadrature point

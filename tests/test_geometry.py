@@ -1,4 +1,4 @@
-"""Analytic surfaces, projector, material model, and exact benchmark fields."""
+"""Surface parameters, the exact-surface oracle, material model, exact benchmark fields."""
 
 import math
 
@@ -11,68 +11,53 @@ from memshell.geometry import (
     MaterialModel,
     Torus,
     cylinder_exact,
-    projector,
     torus_exact,
 )
+
+from oracles import closest_point, signed_distance, surface_normal
 
 MAT = MaterialModel(E=100.0, nu=0.5, t=1e-2)
 
 
 # ---------------------------------------------------------------------------
-# projector
-# ---------------------------------------------------------------------------
-
-def test_projector_vertical_normal():
-    P = projector([0.0, 0.0, 1.0])
-    assert np.allclose(P, np.diag([1.0, 1.0, 0.0]), atol=1e-15)
-
-
-def test_projector_properties_random_normals():
-    rng = np.random.default_rng(7)
-    for _ in range(1000):
-        n = rng.standard_normal(3)
-        n /= np.linalg.norm(n)
-        P = projector(n)
-        assert np.abs(P - P.T).max() < 1e-13
-        assert np.abs(P @ P - P).max() < 1e-14
-        assert np.abs(P @ n).max() < 1e-14
-        assert abs(np.trace(P) - 2.0) < 1e-13
-
-
-def test_projector_rejects_non_unit():
-    with pytest.raises(GeometryError):
-        projector([1.0, 1.0, 0.0])
-
-
-# ---------------------------------------------------------------------------
-# signed distance and normals
+# exact-surface oracle: signed distance, normals, closest point
 # ---------------------------------------------------------------------------
 
 def test_cylinder_signed_distance():
     cyl = Cylinder(1.0, 4.0)
-    assert abs(cyl.signed_distance(np.array([0.0, 2.0, 0.0])) - 1.0) < 1e-14
-    assert abs(cyl.signed_distance(np.array([3.0, 0.0, 1.0]))) < 1e-12
-    assert cyl.signed_distance(np.array([0.0, 0.3, 0.0])) < 0
+    assert abs(signed_distance(cyl, np.array([0.0, 2.0, 0.0])) - 1.0) < 1e-14
+    assert abs(signed_distance(cyl, np.array([3.0, 0.0, 1.0]))) < 1e-12
+    assert signed_distance(cyl, np.array([0.0, 0.3, 0.0])) < 0
 
 
 def test_torus_signed_distance():
     tor = Torus(1.0, 0.5)
-    assert abs(tor.signed_distance(np.array([1.0, 0.0, 0.0])) + 0.5) < 1e-14
-    assert abs(tor.signed_distance(np.array([1.5, 0.0, 0.0]))) < 1e-14
-    assert abs(tor.signed_distance(np.array([0.0, 1.0, 0.5]))) < 1e-14
+    assert abs(signed_distance(tor, np.array([1.0, 0.0, 0.0])) + 0.5) < 1e-14
+    assert abs(signed_distance(tor, np.array([1.5, 0.0, 0.0]))) < 1e-14
+    assert abs(signed_distance(tor, np.array([0.0, 1.0, 0.5]))) < 1e-14
 
 
 def test_torus_axis_locus_error():
     tor = Torus(1.0, 0.5)
     with pytest.raises(GeometryError, match="axis"):
-        tor.signed_distance(np.array([0.0, 0.0, 1.0]))
+        signed_distance(tor, np.array([0.0, 0.0, 1.0]))
+
+
+def test_closest_point_undefined_on_the_core():
+    # the cylinder axis and the tube centre circle are equidistant from the surface
+    with pytest.raises(GeometryError, match="core"):
+        closest_point(Cylinder(1.0, 4.0), np.array([2.0, 0.0, 0.0]))
+    with pytest.raises(GeometryError, match="core"):
+        closest_point(Torus(1.0, 0.5), np.array([0.0, -1.0, 0.0]))
 
 
 def test_normal_at_examples():
     cyl = Cylinder(1.0, 4.0)
-    assert np.allclose(cyl.normal_at(np.array([2.0, 1.0, 0.0])), [0.0, 1.0, 0.0], atol=1e-14)
+    assert np.allclose(surface_normal(cyl, np.array([2.0, 1.0, 0.0])), [0.0, 1.0, 0.0],
+                       atol=1e-14)
     tor = Torus(1.0, 0.5)
-    assert np.allclose(tor.normal_at(np.array([1.5, 0.0, 0.0])), [1.0, 0.0, 0.0], atol=1e-14)
+    assert np.allclose(surface_normal(tor, np.array([1.5, 0.0, 0.0])), [1.0, 0.0, 0.0],
+                       atol=1e-14)
 
 
 def test_normal_at_unit_and_off_surface_error():
@@ -85,10 +70,10 @@ def test_normal_at_unit_and_off_surface_error():
         (1.0 + 0.5 * np.sin(theta)) * np.sin(phi),
         0.5 * np.cos(theta),
     ], axis=1)
-    n = tor.normal_at(pts)
+    n = surface_normal(tor, pts)
     assert np.abs(np.linalg.norm(n, axis=1) - 1.0).max() < 1e-12
     with pytest.raises(GeometryError, match="off surface"):
-        tor.normal_at(np.array([1.7, 0.0, 0.0]))
+        surface_normal(tor, np.array([1.7, 0.0, 0.0]))
 
 
 def test_finite_difference_gradient_matches_normal():
@@ -114,21 +99,39 @@ def test_finite_difference_gradient_matches_normal():
             dm = pts.copy()
             dp[:, c] += step
             dm[:, c] -= step
-            grad[:, c] = (surface.signed_distance(dp) - surface.signed_distance(dm)) / (2 * step)
-        assert np.abs(grad - surface.normal_at(pts)).max() < 1e-5
+            grad[:, c] = (signed_distance(surface, dp) - signed_distance(surface, dm)) / (2 * step)
+        assert np.abs(grad - surface_normal(surface, pts)).max() < 1e-5
+
+
+def _off_surface_points(surface, rng):
+    pts = rng.uniform(-1.6, 1.6, size=(40, 3))
+    if isinstance(surface, Cylinder):
+        pts[:, 1:] += 0.2 * np.sign(pts[:, 1:])  # keep away from the axis
+    return pts
 
 
 def test_projection_lands_on_surface():
     rng = np.random.default_rng(23)
     for surface in (Cylinder(1.0, 4.0), Torus(1.0, 0.5)):
-        pts = rng.uniform(-1.6, 1.6, size=(40, 3))
-        if isinstance(surface, Cylinder):
-            pts[:, 1:] += 0.2 * np.sign(pts[:, 1:])  # keep away from the axis
-        proj = surface.project(pts)
-        assert np.abs(surface.signed_distance(proj)).max() < 1e-12
+        pts = _off_surface_points(surface, rng)
+        proj = closest_point(surface, pts)
+        assert np.abs(signed_distance(surface, proj)).max() < 1e-12
         # |d| equals the Euclidean distance to the projected point
-        d = surface.signed_distance(pts)
+        d = signed_distance(surface, pts)
         assert np.abs(np.abs(d) - np.linalg.norm(pts - proj, axis=1)).max() < 1e-12
+
+
+@pytest.mark.parametrize("surface, exact", [
+    (Cylinder(1.0, 4.0), cylinder_exact(1.0, MAT, Cylinder(1.0, 4.0))),
+    (Torus(1.0, 0.5), torus_exact(1.0, MAT, Torus(1.0, 0.5))),
+], ids=["cylinder", "torus"])
+def test_exact_fields_off_surface_are_those_of_the_closest_point(surface, exact):
+    # the L2 error samples the exact fields on the facets, off the surface
+    pts = _off_surface_points(surface, np.random.default_rng(37))
+    proj = closest_point(surface, pts)
+    scale = np.abs(exact.stress_at(proj)).max()
+    assert np.abs(exact.stress_at(pts) - exact.stress_at(proj)).max() < 1e-13 * scale
+    assert np.abs(exact.load_at(pts) - exact.load_at(proj)).max() < 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -161,9 +164,14 @@ def test_material_validation():
 
 
 def test_geometry_validation():
-    with pytest.raises(GeometryError):
+    with pytest.raises(GeometryError, match=r"^cylinder requires r, L > 0, got r=0.0, L=4.0$"):
         Cylinder(0.0, 4.0)
-    with pytest.raises(GeometryError):
+    with pytest.raises(GeometryError, match=r"^cylinder requires r, L > 0, got r=1.0, L=-2.0$"):
+        Cylinder(1.0, -2.0)
+    with pytest.raises(GeometryError, match=r"^torus requires r > 0, got r=0.0$"):
+        Torus(1.0, 0.0)
+    with pytest.raises(GeometryError, match=r"^torus requires R > r \(non self-intersecting\), "
+                                            r"got R=0.5, r=0.5$"):
         Torus(0.5, 0.5)
 
 
@@ -208,7 +216,7 @@ def test_cylinder_exact_inplane():
     alpha = rng.uniform(0, 2 * np.pi, size=30)
     pts = np.stack([rng.uniform(0, 4.0, size=30), np.cos(alpha), np.sin(alpha)], axis=1)
     sig = exact.stress_at(pts)
-    n = surf.normal_at(pts)
+    n = surface_normal(surf, pts)
     assert np.abs(np.einsum("iab,ib->ia", sig, n)).max() < 1e-12
     assert np.abs(sig - sig.swapaxes(1, 2)).max() < 1e-15
 
@@ -262,7 +270,7 @@ def test_torus_exact_inplane_and_symmetric():
         r * np.cos(theta),
     ], axis=1)
     sig = exact.stress_at(pts)
-    n = surf.normal_at(pts)
+    n = surface_normal(surf, pts)
     assert np.abs(np.einsum("iab,ib->ia", sig, n)).max() < 1e-12
     assert np.abs(sig - sig.swapaxes(1, 2)).max() < 1e-12
 
@@ -272,7 +280,7 @@ def test_torus_exact_load_is_pressure_times_normal():
     p = 2.5
     exact = torus_exact(p, MAT, surf)
     pt = _torus_point(1.0, 0.5, 0.7, 1.9)
-    assert np.allclose(exact.load_at(pt), p * surf.normal_at(pt), atol=1e-13)
+    assert np.allclose(exact.load_at(pt), p * surface_normal(surf, pt), atol=1e-13)
 
 
 def test_exact_solution_type_guards():
