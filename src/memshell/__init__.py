@@ -16,7 +16,6 @@ from .assembly import (
     apply_constraints,
     assemble,
     cylinder_constraints,
-    pressure_rhs,
 )
 from .element import (
     QuadraturePointData,
@@ -72,8 +71,8 @@ __all__ = [
     "SingularJacobianError", "QuadratureRule", "quadrature_rule",
     "QuadraturePointData", "quadrature_geometry",
     # assembly
-    "ConstraintError", "LinearSystem", "assemble", "pressure_rhs",
-    "cylinder_constraints", "apply_constraints",
+    "ConstraintError", "LinearSystem", "assemble", "cylinder_constraints",
+    "apply_constraints",
     # solver
     "SolverError", "NegativeCurvatureError", "IterationLimitError",
     "SolveReport", "solve",

@@ -77,25 +77,26 @@ class CaseResult:
 
 
 def _build_case(config: RunConfig, n: int):
-    """Mesh, material, load, constraints (nodes, directions), exact solution; None where absent."""
+    """Mesh, material, constraints (nodes, directions), exact solution; None where absent."""
     material = geometry.MaterialModel(config.E, config.nu, config.t, config.mode)
+    surf, msh = _case_mesh(config, n)
+    if config.case == "cylinder":
+        exact = geometry.cylinder_exact(config.F, material, surf)
+        return msh, material, assembly.cylinder_constraints(msh), exact
+    if config.case == "torus":
+        return msh, material, None, geometry.torus_exact(config.p, material, surf)
+    return msh, material, None, None
+
+
+def _case_mesh(config: RunConfig, n: int):
+    """The case's surface (None for an imported mesh) and its mesh at resolution ``n``."""
     if config.case == "import":
         if not config.mesh_path:
             raise ValueError("case 'import' requires a mesh file (--mesh)")
-        return mesh.import_mesh(config.mesh_path), material, None, None, None
+        return None, mesh.import_mesh(config.mesh_path)
     if config.mesh_path:
         raise ValueError(f"mesh file {config.mesh_path} is only read by case 'import', "
                          f"not by case {config.case!r}")
-    surf, msh = _benchmark_mesh(config, n)
-    if config.case == "cylinder":
-        exact = geometry.cylinder_exact(config.F, material, surf)
-        return msh, material, exact.load_at, assembly.cylinder_constraints(msh), exact
-    exact = geometry.torus_exact(config.p, material, surf)
-    return msh, material, exact.load_at, None, exact
-
-
-def _benchmark_mesh(config: RunConfig, n: int):
-    """The benchmark surface and its structured mesh at resolution ``n``."""
     if config.case == "cylinder":
         surf = geometry.Cylinder(config.resolved_r(), config.L)
         return surf, mesh.build_cylinder_mesh(surf.r, surf.L, n, n)
@@ -106,19 +107,21 @@ def _benchmark_mesh(config: RunConfig, n: int):
 
 
 def solve_case(config: RunConfig, n: int | None = None) -> CaseResult:
-    """Assemble, constrain, solve, and recover stresses for one resolution."""
+    """Assemble, constrain, solve, and recover stresses for one resolution.
+
+    The load at the quadrature points is the exact one of a benchmark case,
+    or for an imported mesh the pressure ``p`` on the variant's normals.
+    """
     n = config.n if n is None else n
-    msh, material, load_at, constraints, exact = _build_case(config, n)
+    msh, material, constraints, exact = _build_case(config, n)
     tris = msh.triangles
     geo = quadrature_geometry(msh.vertices[tris], msh.nodal_normals[tris], quadrature_rule(2),
                               config.variant)
-    system = assembly.assemble(msh, material, geo, load_at)
-    if config.case == "import":
-        system.rhs[:] = assembly.pressure_rhs(msh, config.p, geo)
+    system = assembly.assemble(msh, material, geo, exact.load_at(geo.points) if exact is not None
+                               else config.p * geo.normals)
     if constraints is not None:
         system = assembly.apply_constraints(system, *constraints)
-    u_sys, report = solver.solve(system, tol=config.tol, max_iter=config.max_iter)
-    u = system.recover(u_sys)
+    u, report = solver.solve(system, tol=config.tol, max_iter=config.max_iter)
     field = postprocess.recover_stress(msh, material, u, geo)
     error = postprocess.stress_l2_error(field, exact) if exact is not None else None
     return CaseResult(
@@ -285,12 +288,14 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig(**(_read_config_file(args.config) if getattr(args, "config", None) else {}))
+    values = _read_config_file(args.config) if getattr(args, "config", None) else {}
     for f in dataclasses.fields(RunConfig):
         value = getattr(args, f.name, None)
         if value is not None:
-            setattr(config, f.name, value)
-    return config
+            values[f.name] = value
+    if args.command == "mesh-info" and values.get("mesh_path") and "case" not in values:
+        values["case"] = "import"  # a mesh file alone is the mesh to describe
+    return RunConfig(**values)
 
 
 def main(argv=None) -> int:
@@ -337,13 +342,7 @@ def main(argv=None) -> int:
             print(f"wrote {outdir / 'report.txt'}")
             return 0
         if args.command == "mesh-info":
-            if config.mesh_path:
-                msh = mesh.import_mesh(config.mesh_path)
-            elif config.case == "import":
-                raise ValueError("mesh-info requires --mesh or --case cylinder/torus")
-            else:
-                _, msh = _benchmark_mesh(config, config.n)
-            print("\n".join(_mesh_info_lines(msh)))
+            print("\n".join(_mesh_info_lines(_case_mesh(config, config.n)[1])))
             return 0
         raise ValueError(f"unknown command {args.command!r}")
     except Exception as exc:  # noqa: BLE001 - CLI boundary

@@ -237,13 +237,13 @@ def batch_element_stiffness(geo: QuadraturePointData, material) -> np.ndarray:
     return K
 
 
-def batch_element_loads(geo: QuadraturePointData, load_at) -> np.ndarray:
+def batch_element_loads(geo: QuadraturePointData, traction) -> np.ndarray:
     """Consistent nodal loads of the batch ``geo`` describes, shape (m, 9).
 
-    ``load_at`` maps positions (k, 3) to load vectors (k, 3); it is evaluated
-    at the quadrature points. Only the points, measures and shape values of
-    ``geo`` are read, so the variant does not matter.
+    ``traction`` (m, nq, 3) holds the load vectors at ``geo.points``. Only
+    the measures and shape values of ``geo`` are read, so the variant does
+    not matter.
     """
     m, nq = geo.measures.shape
-    f = np.asarray(load_at(geo.points.reshape(-1, 3)), dtype=float).reshape(m, nq, 3)
+    f = np.asarray(traction, dtype=float).reshape(m, nq, 3)
     return (geo.shape_values.T @ (geo.measures[..., None] * f)).reshape(m, 9)

@@ -14,7 +14,8 @@ criterion), so ``lmin/lmax >= det/tr^3``; such blocks with
 ``eigh``, which decides and words any failure.
 
 A membrane system is symmetric positive semidefinite, and its kernel is
-detected, not assumed: :func:`rigid_body_basis` keeps the rigid-body modes
+detected, not assumed: :func:`rigid_body_basis` projects the rigid-body
+modes onto the system's constraints (both in global xyz) and keeps those
 whose energy is below ``1e-12`` of the mean diagonal. On the benchmark
 meshes (n = 6...256) a true kernel mode measures at most 5e-17 of it, and
 every other rigid mode above 8e-10 (the interpolated torus's axial rotation,
@@ -97,8 +98,9 @@ def rigid_body_basis(system: LinearSystem) -> tuple[np.ndarray, int]:
     """Orthonormal rigid-body modes ``Q`` (ndof, m <= 6) and the kernel dimension ``k``.
 
     The translations and the rotations about the centroid of the coordinates
-    are mapped into the nodal frames, the constrained dofs zeroed and the
-    columns this makes dependent dropped. The columns are then rotated onto
+    are projected onto the constraints (``P Z``, see
+    :func:`~memshell.assembly.apply_constraints`) and the columns this makes
+    dependent dropped. The columns are then rotated onto
     the eigenvectors of ``Q^T A Q``, by ascending energy; the leading ``k``,
     below ``1e-12 * mean(diag A)``, span the kernel. No coordinates: m = k = 0.
     """
@@ -109,11 +111,11 @@ def rigid_body_basis(system: LinearSystem) -> tuple[np.ndarray, int]:
     # the (component, k) block of the rotation e_k x x_i, linear in x_i
     rot = np.cross(np.eye(3), np.eye(3)[:, None]).transpose(0, 2, 1).reshape(3, 9)
     Z = np.concatenate([np.broadcast_to(np.eye(3), (len(x), 3, 3)), (x @ rot).reshape(-1, 3, 3)],
-                       axis=2).reshape(ndof, 6)
-    if system.frame is not None:
-        Z = system.frame.T @ Z
-    if system.constrained is not None:
-        Z[system.constrained] = 0.0
+                       axis=2)
+    if system.constraints is not None:
+        nodes, d = system.constraints
+        Z[nodes] = (np.eye(3) - d[:, :, None] * d[:, None, :]) @ Z[nodes]
+    Z = Z.reshape(ndof, 6)
     w, V = np.linalg.eigh(Z.T @ Z)
     keep = w > 1e-12 * w[-1]  # singular values above 1e-6 of the largest
     q = Z @ (V[:, keep] / np.sqrt(w[keep]))

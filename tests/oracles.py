@@ -9,7 +9,8 @@ single-element kernels that solve each element Jacobian with
 ``np.linalg.solve``, dense assembly by explicit Python scatter loops,
 double-projection strain algebra via plain matrix products, a higher-order
 triangle quadrature rule, a minimal legacy-VTK reader and per-number
-writer, per-node constraint elimination by explicit sparse products, and
+writer, nodal constraint projection by dense products with an admissible
+basis built node by node, a seeded jittered cylinder mesh, and
 boundary-loop extraction by set queries and a successor dictionary.
 """
 
@@ -22,7 +23,7 @@ from memshell.assembly import ConstraintError, LinearSystem
 from memshell.element import (QuadraturePointData, QuadratureRule, SingularJacobianError,
                               quadrature_geometry, quadrature_rule)
 from memshell.geometry import Cylinder, GeometryError
-from memshell.mesh import MeshError
+from memshell.mesh import MeshError, SurfaceMesh, build_cylinder_mesh
 
 # ---------------------------------------------------------------------------
 # exact surfaces: each is the set of points at distance r from its core, the
@@ -415,8 +416,6 @@ def random_rotation(rng) -> np.ndarray:
 def flat_grid_mesh(nx: int, ny: int, lx: float = 1.0, ly: float = 1.0,
                    origin=(0.0, 0.0, 0.0), e1=(1.0, 0.0, 0.0), e2=(0.0, 1.0, 0.0)):
     """Structured planar grid mesh spanned by orthonormal e1, e2 (uniform normals)."""
-    from memshell.mesh import SurfaceMesh
-
     e1 = np.asarray(e1, dtype=float)
     e2 = np.asarray(e2, dtype=float)
     nrm = np.cross(e1, e2)
@@ -435,6 +434,26 @@ def flat_grid_mesh(nx: int, ny: int, lx: float = 1.0, ly: float = 1.0,
             tris.append((a, c, d))
     normals = np.tile(nrm, (len(verts), 1))
     return SurfaceMesh(np.asarray(verts), np.asarray(tris), nodal_normals=normals)
+
+
+def jittered_cylinder_mesh(r: float, L: float, n: int, a: float, seed: int):
+    """The structured n x n cylinder mesh with its vertices moved along the surface.
+
+    Each vertex's (x, angle) moves by a seeded uniform +-a of the mesh
+    spacing (L/n, 2 pi/n), except that the end rings keep their x. The
+    vertices stay on the exact surface, the nodal normals are the exact
+    ones and the connectivity is unchanged, so for a < 1/2 the orientation
+    is too.
+    """
+    base = build_cylinder_mesh(r, L, n, n)
+    x = base.vertices[:, 0]
+    angle = np.arctan2(base.vertices[:, 2], base.vertices[:, 1])
+    shift = np.random.default_rng(seed).uniform(-a, a, size=(len(x), 2)) * [L / n, 2 * np.pi / n]
+    x = np.where((x == 0.0) | (x == L), x, x + shift[:, 0])
+    angle += shift[:, 1]
+    normals = np.column_stack([np.zeros_like(x), np.cos(angle), np.sin(angle)])
+    return SurfaceMesh(np.column_stack([x, r * normals[:, 1:]]), base.triangles,
+                       nodal_normals=normals)
 
 
 def read_legacy_vtk(path):
@@ -545,28 +564,14 @@ def write_legacy_vtk_reference(mesh, displacement, field, path,
         fh.write("\n".join(lines) + "\n")
 
 
-def _complete_frame(q):
-    """Orthonormal 3x3 frame whose first column is the unit direction ``q``.
-
-    Completion picks the coordinate axis most orthogonal to ``q`` (ties
-    broken by smallest axis index), orthogonalizes it against ``q``, and
-    closes the frame with the cross product.
-    """
-    k = int(np.argmin(np.abs(q)))
-    v = np.zeros(3)
-    v[k] = 1.0
-    v -= (q @ v) * q
-    v /= np.linalg.norm(v)
-    return np.column_stack([q, v, np.cross(q, v)])
-
-
 def apply_constraints_reference(system, nodes, directions):
-    """Rotated-frame elimination node by node, with ``frame^T K frame``.
+    """Nodal projection, dense and node by node: ``P K P + q q^T`` and ``P b``.
 
     Validates the data in a loop per check, in the order shape, node range,
-    unit length, repeated node. The frame matrix is built entry by entry in a
-    loop over all nodes; the elimination is ``free K' free + fixed`` with
-    diagonal 0/1 matrices.
+    unit length, repeated node. ``P`` starts as the dense identity; a loop
+    over the constrained nodes subtracts ``q q^T`` from each one's diagonal
+    block of ``P`` and puts ``q q^T`` into the same block of a second matrix,
+    which is added to ``P K P``.
     """
     shape = np.shape(nodes)
     directions = np.asarray(directions, dtype=float)
@@ -592,36 +597,41 @@ def apply_constraints_reference(system, nodes, directions):
             raise ConstraintError(f"node {node} is constrained more than once")
         seen.add(node)
 
-    frames = {node: _complete_frame(d / np.linalg.norm(d)) for node, d in zip(nodes, directions)}
+    P = np.eye(ndof)
+    fixed = np.zeros((ndof, ndof))
+    units = []
+    for node, d in zip(nodes, directions):
+        q = d / np.linalg.norm(d)
+        block = slice(3 * node, 3 * node + 3)
+        P[block, block] -= np.outer(q, q)
+        fixed[block, block] = np.outer(q, q)
+        units.append(q)
+    matrix = P @ system.matrix.toarray() @ P + fixed
+    return LinearSystem(sp.csr_matrix(matrix), P @ system.rhs,
+                        constraints=(np.array(nodes), np.array(units)),
+                        coordinates=system.coordinates)
 
-    rows = []
-    cols = []
-    vals = []
-    constrained = np.zeros(ndof, dtype=bool)
-    for node in range(n_nodes):
-        base = 3 * node
-        if node in frames:
-            Q = frames[node]
-            for a in range(3):
-                for j in range(3):
-                    rows.append(base + a)
-                    cols.append(base + j)
-                    vals.append(Q[a, j])
-            constrained[base] = True
-        else:
-            for a in range(3):
-                rows.append(base + a)
-                cols.append(base + a)
-                vals.append(1.0)
-    frame = sp.coo_matrix((vals, (rows, cols)), shape=(ndof, ndof)).tocsr()
 
-    rotated = (frame.T @ system.matrix @ frame).tocsr()
-    rhs = frame.T @ system.rhs
-    free = sp.diags((~constrained).astype(float))
-    fixed = sp.diags(constrained.astype(float))
-    matrix = (free @ rotated @ free + fixed).tocsr()
-    rhs = np.where(constrained, 0.0, rhs)
-    return LinearSystem(matrix, rhs, frame=frame, constrained=constrained)
+def admissible_basis(ndof: int, nodes, directions) -> np.ndarray:
+    """Orthonormal basis (ndof, ndof - k) of the node-major ``u`` with ``q . u(node) = 0``.
+
+    A free node contributes its three coordinate axes, a constrained node the
+    two eigenvectors of ``I - q q^T`` with eigenvalue 1, each as a column
+    built in a loop over the nodes.
+    """
+    constrained = {int(node): np.asarray(q, dtype=float) for node, q in zip(nodes, directions)}
+    columns = []
+    for node in range(ndof // 3):
+        axes = np.eye(3)
+        if node in constrained:
+            q = constrained[node]
+            w, vec = np.linalg.eigh(np.eye(3) - np.outer(q, q))
+            axes = vec[:, w > 0.5].T
+        for axis in axes:
+            column = np.zeros(ndof)
+            column[3 * node:3 * node + 3] = axis
+            columns.append(column)
+    return np.stack(columns, axis=1)
 
 
 def extract_boundary_loops_reference(triangles, n_vertices):

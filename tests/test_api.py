@@ -15,7 +15,7 @@ import scipy.sparse as sp
 
 import memshell
 from memshell import geometry, mesh
-from memshell.assembly import LinearSystem
+from memshell.assembly import LinearSystem, apply_constraints
 from memshell.element import QuadraturePointData
 from memshell.solver import solve
 
@@ -24,7 +24,8 @@ SUBMODULES = ("assembly", "cli", "element", "geometry", "mesh", "postprocess", "
 
 # Names taken out of the package: test-only ones, whose single-element kernels
 # and exact-surface queries live on in tests/oracles.py as references, and the
-# caller-stated kernel (the solver now detects it from the system).
+# caller-stated kernel (the solver now detects it from the system), the
+# rotated constraint frames and the separate pressure load path.
 REMOVED = (
     "DofMap", "ElementMatrices", "element_matrices", "REFERENCE_GRADIENTS", "_GRAD_RHS",
     "shape_values_and_ref_gradients", "element_jacobian", "basis_surface_gradients",
@@ -33,7 +34,7 @@ REMOVED = (
     "Constraint", "translation_basis", "rotation_fraction", "_rotation_fraction",
     "deflate_translations", "AnalyticSurface", "signed_distance", "normal_at", "_normal",
     "_radial", "_tube_frame", "ON_SURFACE_TOL", "projector", "facet_areas", "facet_normals",
-    "_facet_normals", "_facet_areas", "l2_norm",
+    "_facet_normals", "_facet_areas", "l2_norm", "_node_frames", "pressure_rhs",
 )
 
 
@@ -65,14 +66,22 @@ def test_removed_names_absent_from_source():
              for m in pattern.finditer(line)]
     assert found == []
     # too common to search the text for: the module-level function (the
-    # SurfaceMesh property stays), the system's copy of the constraints,
-    # which its frame and constrained mask already carry, the surfaces'
-    # closest-point projection and the abstract-base-class import
+    # SurfaceMesh property stays), the surfaces' closest-point projection
+    # and the abstract-base-class import
     assert not hasattr(mesh, "boundary_components")
-    assert not hasattr(LinearSystem(sp.eye(3), np.zeros(3)), "constraints")
     assert not hasattr(geometry.Cylinder(1.0, 4.0), "project")
     assert not hasattr(geometry.Torus(1.0, 0.5), "project")
     assert not hasattr(geometry, "abc")
+
+
+def test_constrained_system_stays_in_global_coordinates():
+    # the (nodes, directions) pair is the only copy of the constraints; no
+    # rotated frame, eliminated-dof mask or map back to global dofs
+    fixed = apply_constraints(LinearSystem(sp.eye(6), np.ones(6)), [1], [[0.0, 0.6, 0.8]])
+    nodes, directions = fixed.constraints
+    assert np.array_equal(nodes, [1]) and np.array_equal(directions, [[0.0, 0.6, 0.8]])
+    assert [name for name in ("frame", "constrained", "recover") if hasattr(fixed, name)] == []
+    assert LinearSystem(sp.eye(3), np.zeros(3)).constraints is None
 
 
 def test_solver_finds_the_kernel_itself():
@@ -106,7 +115,6 @@ def test_benchmark_traced_names_exist():
     ("element", "batch_element_stiffness"),
     ("element", "batch_element_loads"),
     ("assembly", "assemble"),
-    ("assembly", "pressure_rhs"),
     ("postprocess", "recover_stress"),
 ])
 def test_geometry_consumers_take_only_the_geometry(module, name):

@@ -1,4 +1,4 @@
-"""Global assembly and rotated-frame constraint elimination."""
+"""Global assembly and Dirichlet constraints by nodal projection."""
 
 import numpy as np
 import pytest
@@ -10,15 +10,15 @@ from memshell.assembly import (
     apply_constraints,
     assemble,
     cylinder_constraints,
-    pressure_rhs,
 )
 from memshell.element import SingularJacobianError, quadrature_rule
 from memshell.geometry import Cylinder, MaterialModel, cylinder_exact
 from memshell.mesh import SurfaceMesh, build_cylinder_mesh, build_torus_mesh
 from memshell.postprocess import recover_stress
+from memshell.solver import solve
 
-from oracles import (apply_constraints_reference, dense_assembly, element_stiffness,
-                     flat_grid_mesh, geometry_of)
+from oracles import (admissible_basis, apply_constraints_reference, dense_assembly,
+                     element_stiffness, flat_grid_mesh, geometry_of, jittered_cylinder_mesh)
 
 MAT = MaterialModel(E=100.0, nu=0.5, t=1e-2)
 QUAD = quadrature_rule(2)
@@ -31,14 +31,16 @@ def _const_load(x):
 def test_single_element_mesh_matches_element_matrix():
     verts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     mesh = SurfaceMesh(verts, np.array([[0, 1, 2]]))
-    system = assemble(mesh, MAT, geometry_of(mesh), _const_load)
+    geo = geometry_of(mesh)
+    system = assemble(mesh, MAT, geo, _const_load(geo.points))
     ke = element_stiffness(verts, mesh.nodal_normals, MAT, QUAD)
     assert np.abs(system.matrix.toarray() - ke).max() <= 1e-15 * np.abs(ke).max()
 
 
 def test_sparse_assembly_matches_dense_oracle_flat_square():
     mesh = flat_grid_mesh(1, 1)  # two triangles sharing the diagonal
-    system = assemble(mesh, MAT, geometry_of(mesh), _const_load)
+    geo = geometry_of(mesh)
+    system = assemble(mesh, MAT, geo, _const_load(geo.points))
     K_oracle, rhs_oracle = dense_assembly(mesh, MAT, _const_load, QUAD)
     scale = np.abs(K_oracle).max()
     assert np.abs(system.matrix.toarray() - K_oracle).max() <= 1e-13 * scale
@@ -55,7 +57,8 @@ def test_sparse_assembly_matches_dense_oracle_small_meshes(mesh_builder):
     assert mesh.n_vertices <= 50
     surf = Cylinder(1.0, 4.0)
     load = cylinder_exact(1.0, MAT, surf).load_at
-    system = assemble(mesh, MAT, geometry_of(mesh), load)
+    geo = geometry_of(mesh)
+    system = assemble(mesh, MAT, geo, load(geo.points))
     K_oracle, rhs_oracle = dense_assembly(mesh, MAT, load, QUAD)
     scale = np.abs(K_oracle).max()
     assert np.abs(system.matrix.toarray() - K_oracle).max() <= 1e-13 * scale
@@ -88,7 +91,8 @@ def test_cylinder_total_axial_load():
     for n in (16, 32, 64):
         mesh = build_cylinder_mesh(1.0, 4.0, n, n)
         load = cylinder_exact(F, MAT, Cylinder(1.0, 4.0)).load_at
-        system = assemble(mesh, MAT, geometry_of(mesh), load)
+        geo = geometry_of(mesh)
+        system = assemble(mesh, MAT, geo, load(geo.points))
         total = system.rhs[0::3].sum()
         devs.append(abs(total - F / 2.0))
     assert devs[1] <= 1e-3  # n=32
@@ -101,7 +105,7 @@ def test_cylinder_total_axial_load():
 def test_geometry_of_another_mesh_rejected():
     mesh = build_torus_mesh(1.0, 0.5, 8, 4)
     geo = geometry_of(build_torus_mesh(1.0, 0.5, 10, 4))
-    calls = (lambda: assemble(mesh, MAT, geo), lambda: pressure_rhs(mesh, 1.0, geo),
+    calls = (lambda: assemble(mesh, MAT, geo),
              lambda: recover_stress(mesh, MAT, np.zeros(3 * mesh.n_vertices), geo))
     for call in calls:
         with pytest.raises(ValueError, match="covers 80 elements, the mesh has 64"):
@@ -109,21 +113,13 @@ def test_geometry_of_another_mesh_rejected():
 
 
 def test_pressure_rhs_closed_surface_self_equilibrated():
+    # the import case's load: a constant pressure on the geometry's normals
     mesh = build_torus_mesh(1.0, 0.5, 16, 8)
-    rhs = pressure_rhs(mesh, 1.0, geometry_of(mesh))
+    geo = geometry_of(mesh)
+    rhs = assemble(mesh, MAT, geo, 1.0 * geo.normals).rhs
     # net force from a constant pressure on a closed surface vanishes
     net = np.array([rhs[c::3].sum() for c in range(3)])
     assert np.abs(net).max() < 1e-12 * np.abs(rhs).max() * mesh.n_vertices**0.5
-
-
-@pytest.mark.parametrize("variant", ["interpolated", "facet"])
-def test_pressure_rhs_matches_load_kernel_on_the_geometry_normals(variant):
-    # the load kernel's matmul path, fed the normals at the quadrature points
-    mesh = build_torus_mesh(1.0, 0.5, 16, 8)
-    geo = geometry_of(mesh, variant=variant)
-    expected = assemble(mesh, MAT, geo, lambda x: 2.0 * geo.normals.reshape(-1, 3)).rhs
-    rhs = pressure_rhs(mesh, 2.0, geo)
-    assert np.abs(rhs - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +159,8 @@ def test_cylinder_constraints_require_two_rings():
 
 def test_apply_constraints_noop_without_constraints():
     mesh = flat_grid_mesh(2, 2)
-    system = assemble(mesh, MAT, geometry_of(mesh), _const_load)
+    geo = geometry_of(mesh)
+    system = assemble(mesh, MAT, geo, _const_load(geo.points))
     assert apply_constraints(system, np.zeros(0, dtype=int), np.zeros((0, 3))) is system
 
 
@@ -183,10 +180,11 @@ def test_coordinates_of_wrong_shape_rejected(shape):
 
 
 def test_axis_aligned_constraint_equals_direct_elimination():
-    # with q = e_x the completed frame is the identity, so the rotated
-    # elimination must coincide with zeroing row/column of dof x by hand
+    # with q = e_x the projector is diag(0, 1, 1), so the projected system
+    # must coincide with zeroing row/column of dof x by hand
     mesh = flat_grid_mesh(1, 1)
-    system = assemble(mesh, MAT, geometry_of(mesh), _const_load)
+    geo = geometry_of(mesh)
+    system = assemble(mesh, MAT, geo, _const_load(geo.points))
     node = 0
     fixed = apply_constraints(system, [node], [[1.0, 0.0, 0.0]])
 
@@ -201,13 +199,14 @@ def test_axis_aligned_constraint_equals_direct_elimination():
     assert np.abs(fixed.rhs - rhs).max() <= 1e-14 * max(np.abs(rhs).max(), 1.0)
 
 
-def test_rotated_constraint_matches_nullspace_reduction():
+def test_projected_constraint_matches_nullspace_reduction():
     # oracle: solve the constrained minimization on an explicit basis of the
     # admissible subspace and compare displacements (a small diagonal shift
     # removes the rigid modes of the floating patch in both paths)
     rng = np.random.default_rng(19)
     mesh = flat_grid_mesh(2, 1)
-    base = assemble(mesh, MAT, geometry_of(mesh), _const_load)
+    geo = geometry_of(mesh)
+    base = assemble(mesh, MAT, geo, _const_load(geo.points))
     ndof = base.ndof
     shift = 1e-3 * np.abs(base.matrix.data).max()
     K = base.matrix.toarray() + shift * np.eye(ndof)
@@ -216,27 +215,39 @@ def test_rotated_constraint_matches_nullspace_reduction():
     q /= np.linalg.norm(q)
     node = 2
     fixed = apply_constraints(system, [node], [q])
-    u = fixed.recover(np.linalg.solve(fixed.matrix.toarray(), fixed.rhs))
+    u = np.linalg.solve(fixed.matrix.toarray(), fixed.rhs)
 
-    # nullspace oracle: identity columns for free nodes plus the two
-    # admissible directions at the constrained node
-    w, vec = np.linalg.eigh(np.eye(3) - np.outer(q, q))
-    keep = vec[:, w > 0.5]
-    cols = [c for c in range(ndof) if c // 3 != node]
-    Nred = np.zeros((ndof, len(cols) + 2))
-    for k, c in enumerate(cols):
-        Nred[c, k] = 1.0
-    Nred[3 * node:3 * node + 3, len(cols):] = keep
-    u_oracle = Nred @ np.linalg.solve(Nred.T @ K @ Nred, Nred.T @ system.rhs)
+    N = admissible_basis(ndof, [node], [q])
+    u_oracle = N @ np.linalg.solve(N.T @ K @ N, N.T @ system.rhs)
 
     assert abs(q @ u[3 * node:3 * node + 3]) < 1e-12 * max(1.0, np.abs(u).max())
     assert np.abs(u - u_oracle).max() <= 1e-9 * max(1.0, np.abs(u_oracle).max())
 
 
+def test_projected_solve_matches_nullspace_oracle_on_a_jittered_cylinder():
+    # no cyclic symmetry: every radial direction and every nodal block differs.
+    # The oracle's condition number is 2.4e3, so tol 1e-12 pins u to ~1e-13.
+    mesh = jittered_cylinder_mesh(1.0, 4.0, 6, 0.25, seed=7)
+    geo = geometry_of(mesh)
+    system = assemble(mesh, MAT, geo,
+                      cylinder_exact(1.0, MAT, Cylinder(1.0, 4.0)).load_at(geo.points))
+    nodes, directions = cylinder_constraints(mesh)
+    u, report = solve(apply_constraints(system, nodes, directions), tol=1e-12)
+    assert report.converged and report.deflated_dimension == 0
+
+    N = admissible_basis(system.ndof, nodes, directions)
+    K = system.matrix.toarray()
+    u_oracle = N @ np.linalg.solve(N.T @ K @ N, N.T @ system.rhs)
+    scale = np.abs(u_oracle).max()
+    assert np.abs(np.einsum("ka,ka->k", directions, u.reshape(-1, 3)[nodes])).max() <= 1e-13 * scale
+    assert np.abs(u - u_oracle).max() <= 1e-11 * scale  # measured 1.0e-13
+
+
 def test_apply_constraints_preserves_symmetry_and_far_rows():
     mesh = build_cylinder_mesh(1.0, 4.0, 6, 4)
     surf = Cylinder(1.0, 4.0)
-    system = assemble(mesh, MAT, geometry_of(mesh), cylinder_exact(1.0, MAT, surf).load_at)
+    geo = geometry_of(mesh)
+    system = assemble(mesh, MAT, geo, cylinder_exact(1.0, MAT, surf).load_at(geo.points))
     nodes, directions = cylinder_constraints(mesh)
     fixed = apply_constraints(system, nodes, directions)
     Kc = fixed.matrix
@@ -263,15 +274,17 @@ def _assert_matches_reference(system, nodes, directions):
     scale = abs(ref.matrix).max()
     assert abs(got.matrix - ref.matrix).max() <= 1e-14 * scale
     assert np.abs(got.rhs - ref.rhs).max() <= 1e-14 * max(np.abs(ref.rhs).max(), 1e-300)
-    assert abs(got.frame - ref.frame).max() <= 1e-14
-    assert np.array_equal(got.constrained, ref.constrained)
+    assert np.array_equal(got.constraints[0], ref.constraints[0])
+    assert np.abs(got.constraints[1] - ref.constraints[1]).max() <= 1e-15
+    assert got.coordinates is ref.coordinates
 
 
 @pytest.mark.parametrize("n", [3, 4, 7, 16])
 def test_apply_constraints_matches_reference_on_cylinders(n):
     mesh = build_cylinder_mesh(1.0, 4.0, n, n)
     load = cylinder_exact(1.0, MAT, Cylinder(1.0, 4.0)).load_at
-    system = assemble(mesh, MAT, geometry_of(mesh), load)
+    geo = geometry_of(mesh)
+    system = assemble(mesh, MAT, geo, load(geo.points))
     _assert_matches_reference(system, *cylinder_constraints(mesh))
 
 
@@ -294,7 +307,8 @@ def _random_constraints(rng, n_nodes, n_constrained):
 def test_apply_constraints_matches_reference_on_random_sets(seed):
     rng = np.random.default_rng(seed)
     mesh = build_torus_mesh(2.0, 0.7, 8, 5)
-    system = assemble(mesh, MAT, geometry_of(mesh), _const_load)
+    geo = geometry_of(mesh)
+    system = assemble(mesh, MAT, geo, _const_load(geo.points))
     for _ in range(10):
         _assert_matches_reference(system, *_random_constraints(rng, mesh.n_vertices, 12))
 
@@ -321,7 +335,8 @@ def test_apply_constraints_matches_reference_without_stored_diagonal_block():
 ])
 def test_constraint_errors_match_reference(directions, nodes, message):
     mesh = flat_grid_mesh(1, 1)
-    system = assemble(mesh, MAT, geometry_of(mesh), _const_load)
+    geo = geometry_of(mesh)
+    system = assemble(mesh, MAT, geo, _const_load(geo.points))
     for apply in (apply_constraints, apply_constraints_reference):
         with pytest.raises(ConstraintError) as err:
             apply(system, np.array(nodes), np.array(directions, dtype=float))

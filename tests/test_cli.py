@@ -103,6 +103,18 @@ def test_run_import_case(tmp_path):
     assert "stress L2 error" not in report  # no exact solution for imports
 
 
+@pytest.mark.parametrize("variant", ["interpolated", "facet"])
+def test_import_case_load_scales_with_the_pressure(tmp_path, variant):
+    # the import case's load is p on the variant's normals: linear in p
+    off = tmp_path / "torus.off"
+    _write_off(build_torus_mesh(1.0, 0.5, 12, 6), off)
+    fields = [solve_case(RunConfig(case="import", variant=variant, mesh_path=str(off), p=p)).field
+              for p in (1.0, 2.5)]
+    scale = np.abs(fields[0].stresses).max()
+    assert scale > 0
+    assert np.abs(fields[1].stresses - 2.5 * fields[0].stresses).max() <= 1e-9 * scale
+
+
 def test_convergence_command_writes_table(tmp_path, capsys):
     out = tmp_path / "conv"
     rc = main(["convergence", "--case", "cylinder", "--resolutions", "4,6,8",
@@ -252,17 +264,19 @@ def test_import_case_requires_mesh(capsys):
     assert "mesh" in capsys.readouterr().err.lower()
 
 
-@pytest.mark.parametrize("command", ["run", "convergence"])
+@pytest.mark.parametrize("command", ["run", "convergence", "mesh-info"])
 @pytest.mark.parametrize("case", ["cylinder", "torus"])
 def test_mesh_file_rejected_outside_import_case(tmp_path, capsys, command, case):
+    # mesh-info reads a mesh file alone, but not under another case
     off = tmp_path / "t.off"
     _write_off(build_torus_mesh(1.0, 0.5, 8, 4), off)
     out = tmp_path / "out"
     rc = main([command, "--case", case, "--mesh", str(off), "--out", str(out)])
     assert rc != 0
-    err = capsys.readouterr().err
-    assert str(off) in err
-    assert repr(case) in err
+    captured = capsys.readouterr()
+    assert captured.err == (f"memshell: error [builtins]: mesh file {off} is only read by "
+                            f"case 'import', not by case {case!r}\n")
+    assert captured.out == ""
     assert not (out / "report.txt").exists()
 
 

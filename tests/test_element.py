@@ -434,7 +434,8 @@ def test_batch_loads_match_single():
     def f(pts):
         return np.stack([pts[..., 0], pts[..., 1] ** 0, pts[..., 2]], axis=-1)
 
-    batch = batch_element_loads(quadrature_geometry(coords, normals, QUAD, "interpolated"), f)
+    geo = quadrature_geometry(coords, normals, QUAD, "interpolated")
+    batch = batch_element_loads(geo, f(geo.points))
     for e in range(10):
         single = element_load(coords[e], normals[e], f)
         assert np.abs(batch[e] - single).max() < 1e-13
@@ -444,12 +445,12 @@ def test_batch_loads_match_single():
 @pytest.mark.parametrize("mesh", [build_cylinder_mesh(1.0, 4.0, 7, 5),
                                   build_torus_mesh(1.0, 0.5, 10, 6)], ids=["cylinder", "torus"])
 def test_batch_loads_agree_across_variants(mesh):
-    # the load kernel reads only the points, measures and shape values, which
-    # do not depend on the variant
+    # the load kernel reads only the measures and shape values, and the
+    # traction is taken at the points: none of them depends on the variant
     def f(pts):
         return np.stack([pts[..., 0] ** 2, np.sin(pts[..., 1]), pts[..., 2] - 0.5], axis=-1)
 
-    interpolated = batch_element_loads(geometry_of(mesh, variant="interpolated"), f)
-    facet = batch_element_loads(geometry_of(mesh, variant="facet"), f)
+    geos = [geometry_of(mesh, variant=v) for v in ("interpolated", "facet")]
+    interpolated, facet = (batch_element_loads(geo, f(geo.points)) for geo in geos)
     assert np.abs(interpolated).max() > 0
     assert np.array_equal(interpolated, facet)
