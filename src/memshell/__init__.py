@@ -18,11 +18,11 @@ from .assembly import (
     cylinder_constraints,
 )
 from .element import (
+    QUADRATURE_RULE,
     QuadraturePointData,
     QuadratureRule,
     SingularJacobianError,
     quadrature_geometry,
-    quadrature_rule,
 )
 from .geometry import (
     Cylinder,
@@ -44,7 +44,6 @@ from .mesh import (
 )
 from .postprocess import (
     ConvergenceRecord,
-    StressField,
     export_vtk,
     fit_convergence,
     recover_stress,
@@ -68,7 +67,7 @@ __all__ = [
     "GeometryError", "Cylinder", "Torus", "MaterialModel", "ExactSolution",
     "cylinder_exact", "torus_exact",
     # element
-    "SingularJacobianError", "QuadratureRule", "quadrature_rule",
+    "SingularJacobianError", "QuadratureRule", "QUADRATURE_RULE",
     "QuadraturePointData", "quadrature_geometry",
     # assembly
     "ConstraintError", "LinearSystem", "assemble", "cylinder_constraints",
@@ -77,6 +76,6 @@ __all__ = [
     "SolverError", "NegativeCurvatureError", "IterationLimitError",
     "SolveReport", "solve",
     # postprocess
-    "StressField", "recover_stress", "stress_l2_error", "ConvergenceRecord",
+    "recover_stress", "stress_l2_error", "ConvergenceRecord",
     "fit_convergence", "export_vtk", "write_convergence_csv",
 ]

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import assembly, geometry, mesh, postprocess, solver
-from .element import quadrature_geometry, quadrature_rule
+from .element import QUADRATURE_RULE, QuadraturePointData, quadrature_geometry
 
 __all__ = ["RunConfig", "run_case", "run_convergence", "main"]
 
@@ -66,12 +66,17 @@ class RunConfig:
 
 @dataclasses.dataclass
 class CaseResult:
-    """Everything produced by one solve of a configured case."""
+    """Everything produced by one solve of a configured case.
+
+    ``stress`` is the (m, nq, 3, 3) recovered stress at ``geo.points``, the
+    quadrature geometry the case was assembled on.
+    """
 
     mesh: "mesh.SurfaceMesh"
     h: float
     displacement: np.ndarray
-    field: "postprocess.StressField"
+    geo: QuadraturePointData
+    stress: np.ndarray
     error: float | None
     report: "solver.SolveReport"
 
@@ -115,20 +120,21 @@ def solve_case(config: RunConfig, n: int | None = None) -> CaseResult:
     n = config.n if n is None else n
     msh, material, constraints, exact = _build_case(config, n)
     tris = msh.triangles
-    geo = quadrature_geometry(msh.vertices[tris], msh.nodal_normals[tris], quadrature_rule(2),
+    geo = quadrature_geometry(msh.vertices[tris], msh.nodal_normals[tris], QUADRATURE_RULE,
                               config.variant)
     system = assembly.assemble(msh, material, geo, exact.load_at(geo.points) if exact is not None
                                else config.p * geo.normals)
     if constraints is not None:
         system = assembly.apply_constraints(system, *constraints)
     u, report = solver.solve(system, tol=config.tol, max_iter=config.max_iter)
-    field = postprocess.recover_stress(msh, material, u, geo)
-    error = postprocess.stress_l2_error(field, exact) if exact is not None else None
+    stress = postprocess.recover_stress(msh, material, u, geo)
+    error = postprocess.stress_l2_error(stress, geo, exact) if exact is not None else None
     return CaseResult(
         mesh=msh,
         h=mesh.mesh_size(msh),
         displacement=u,
-        field=field,
+        geo=geo,
+        stress=stress,
         error=error,
         report=report,
     )
@@ -161,7 +167,7 @@ def run_case(config: RunConfig) -> dict:
     outdir.mkdir(parents=True, exist_ok=True)
     result = solve_case(config)
     vtk_path = outdir / "solution.vtk"
-    postprocess.export_vtk(result.mesh, result.displacement, result.field, vtk_path)
+    postprocess.export_vtk(result.mesh, result.displacement, result.stress, result.geo, vtk_path)
     report_path = outdir / "report.txt"
     report_path.write_text("\n".join(_report_lines(config, result, config.n)) + "\n")
     return {

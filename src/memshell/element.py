@@ -33,7 +33,7 @@ import numpy as np
 __all__ = [
     "SingularJacobianError",
     "QuadratureRule",
-    "quadrature_rule",
+    "QUADRATURE_RULE",
     "quadrature_geometry",
     "QuadraturePointData",
     "batch_element_stiffness",
@@ -85,22 +85,11 @@ class QuadratureRule:
         return np.stack([1.0 - xi - eta, xi, eta], axis=1)
 
 
-def quadrature_rule(order: int) -> QuadratureRule:
-    """Symmetric triangle rule exact for polynomials of the given degree.
-
-    ``order=1`` is the one-point centroid rule; ``order=2`` the three-point
-    interior rule with weights 1/6.
-    """
-    if order == 1:
-        return QuadratureRule(np.array([[1.0 / 3.0, 1.0 / 3.0]]), np.array([0.5]))
-    if order == 2:
-        pts = np.array([
-            [1.0 / 6.0, 1.0 / 6.0],
-            [2.0 / 3.0, 1.0 / 6.0],
-            [1.0 / 6.0, 2.0 / 3.0],
-        ])
-        return QuadratureRule(pts, np.full(3, 1.0 / 6.0))
-    raise ValueError(f"unsupported quadrature order {order} (supported: 1, 2)")
+#: The symmetric three-point interior rule, weights 1/6: exact for
+#: polynomials of degree 2. Every case is integrated with it.
+QUADRATURE_RULE = QuadratureRule(
+    np.array([[1.0 / 6.0, 1.0 / 6.0], [2.0 / 3.0, 1.0 / 6.0], [1.0 / 6.0, 2.0 / 3.0]]),
+    np.full(3, 1.0 / 6.0))
 
 
 @dataclasses.dataclass(frozen=True)

@@ -432,18 +432,16 @@ def _parse_obj(lines: list[str]) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(verts), np.asarray(faces, dtype=np.int64)
 
 
-def import_mesh(path, fmt: str | None = None) -> SurfaceMesh:
+def import_mesh(path) -> SurfaceMesh:
     """Read an ASCII OFF or OBJ triangle mesh.
 
-    The format is taken from the file suffix unless ``fmt`` ("off" or "obj")
-    is given. Faces must be triangles and consistently oriented; nodal
-    normals are set to the area-weighted facet-normal averages. Vertex
-    coordinates must be plain numbers, as Python's ``float()`` reads them.
+    The file suffix (``.off`` or ``.obj``, in any case) decides the format.
+    Faces must be triangles and consistently oriented; nodal normals are set
+    to the area-weighted facet-normal averages. Vertex coordinates must be
+    plain numbers, as Python's ``float()`` reads them.
     """
     path = Path(path)
-    if fmt is None:
-        fmt = path.suffix.lstrip(".").lower()
-    fmt = fmt.lower()
+    fmt = path.suffix.lstrip(".").lower()
     try:
         text = path.read_text()
     except OSError as exc:

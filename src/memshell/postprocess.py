@@ -3,9 +3,10 @@
 The recovered stress is the in-plane tensor obtained by double projection of
 the tangential strain followed by the membrane constitutive law
 ``sigma = 2 mu e_P + lam tr(e_P) P``; it is symmetric and annihilates the
-element normal by construction. It is sampled at the quadrature points of
-the mesh's :class:`~memshell.element.QuadraturePointData`, and errors are
-integrated over the discrete surface with the field's own weights.
+element normal by construction. It is a plain ``(m, nq, 3, 3)`` array
+sampled at ``geo.points`` of the case's
+:class:`~memshell.element.QuadraturePointData`; errors are integrated with
+``geo.measures`` and the export's cell averages are weighted by them.
 """
 
 import dataclasses
@@ -18,7 +19,6 @@ from .geometry import ExactSolution, MaterialModel
 from .mesh import SurfaceMesh
 
 __all__ = [
-    "StressField",
     "recover_stress",
     "stress_l2_error",
     "ConvergenceRecord",
@@ -26,45 +26,6 @@ __all__ = [
     "export_vtk",
     "write_convergence_csv",
 ]
-
-
-class StressField:
-    """Per-element, per-quadrature-point projected stress samples.
-
-    Attributes
-    ----------
-    stresses : (m, nq, 3, 3)
-        Symmetric in-plane stress tensors.
-    points : (m, nq, 3)
-        Evaluation positions on the discrete surface.
-    weights : (m, nq)
-        Surface-measure weights (quadrature weight times facet measure).
-    normals : (m, nq, 3)
-        Unit normals used for the projection at each sample.
-    """
-
-    def __init__(self, stresses, points, weights, normals):
-        self.stresses = np.asarray(stresses, dtype=float)
-        self.points = np.asarray(points, dtype=float)
-        self.weights = np.asarray(weights, dtype=float)
-        self.normals = np.asarray(normals, dtype=float)
-        m, nq = self.weights.shape
-        if self.stresses.shape != (m, nq, 3, 3):
-            raise ValueError(f"stresses have shape {self.stresses.shape}, expected {(m, nq, 3, 3)}")
-        if self.points.shape != (m, nq, 3) or self.normals.shape != (m, nq, 3):
-            raise ValueError("points/normals do not match the weight layout")
-        for a in (self.stresses, self.points, self.weights, self.normals):
-            a.setflags(write=False)
-
-    @property
-    def n_elements(self) -> int:
-        return self.weights.shape[0]
-
-    def cell_averages(self) -> np.ndarray:
-        """(m, 3, 3) area-weighted average stress per element."""
-        wsum = self.weights.sum(axis=1)
-        avg = np.einsum("mq,mqab->mab", self.weights, self.stresses)
-        return avg / wsum[:, None, None]
 
 
 def _nodal_displacements(mesh: SurfaceMesh, displacement) -> np.ndarray:
@@ -77,13 +38,13 @@ def _nodal_displacements(mesh: SurfaceMesh, displacement) -> np.ndarray:
 
 
 def recover_stress(mesh: SurfaceMesh, material: MaterialModel, displacement,
-                   geo: QuadraturePointData) -> StressField:
-    """Project the discrete strain and apply the membrane constitutive law.
+                   geo: QuadraturePointData) -> np.ndarray:
+    """The (m, nq, 3, 3) stress at ``geo.points``, from the projected strain.
 
     ``displacement`` may be a flat dof vector of length ``3*n_vertices`` or an
     ``(n_vertices, 3)`` array of nodal displacements (global components).
-    ``geo`` is the mesh's :func:`~memshell.element.quadrature_geometry`: the
-    stresses are sampled at its points, with its normals and measures.
+    ``geo`` is the mesh's :func:`~memshell.element.quadrature_geometry`; its
+    normals give the projectors.
     """
     u = _nodal_displacements(mesh, displacement)
     geo.require_elements(mesh.n_triangles)
@@ -94,17 +55,18 @@ def recover_stress(mesh: SurfaceMesh, material: MaterialModel, displacement,
     grad = proj @ (ue.swapaxes(1, 2)[:, None] @ geo.gradients)
     eps_p = 0.5 * (grad + grad.swapaxes(-1, -2))
     tr = np.trace(eps_p, axis1=-2, axis2=-1)
-    sigma = 2.0 * material.mu * eps_p + material.lame_effective * tr[..., None, None] * proj
-    return StressField(sigma, geo.points, geo.measures, geo.normals)
+    return 2.0 * material.mu * eps_p + material.lame_effective * tr[..., None, None] * proj
 
 
-def stress_l2_error(field: StressField, exact: ExactSolution) -> float:
-    """Frobenius L2 norm of ``sigma_exact - sigma_h`` over the discrete surface."""
-    flat = field.points.reshape(-1, 3)
-    sig_exact = np.asarray(exact.stress_at(flat), dtype=float).reshape(field.stresses.shape)
-    diff = sig_exact - field.stresses
+def stress_l2_error(stress, geo: QuadraturePointData, exact: ExactSolution) -> float:
+    """Frobenius L2 norm of ``sigma_exact - stress`` over the discrete surface.
+
+    ``stress`` holds the samples at ``geo.points``; ``geo.measures`` weighs them.
+    """
+    sig_exact = np.asarray(exact.stress_at(geo.points.reshape(-1, 3)), dtype=float)
+    diff = sig_exact.reshape(stress.shape) - stress
     sq = np.einsum("mqab,mqab->mq", diff, diff)
-    return math.sqrt(float(np.sum(field.weights * sq)))
+    return math.sqrt(float(np.sum(geo.measures * sq)))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -230,20 +192,18 @@ def _row_texts(*arrays: np.ndarray) -> list[str]:
             for i, j in zip(ends[:-1], ends[1:])]
 
 
-def export_vtk(mesh: SurfaceMesh, displacement, field: StressField, path,
-               title: str = "membrane shell solution") -> None:
+def export_vtk(mesh: SurfaceMesh, displacement, stress, geo: QuadraturePointData, path) -> None:
     """Write a legacy ASCII VTK unstructured grid.
 
     Points and triangle cells, point-data displacement vectors, cell-data
-    stress components (xx, yy, zz, xy, yz, xz of the element-average tensor)
-    and that tensor's von Mises scalar.
+    stress components (xx, yy, zz, xy, yz, xz of the element-average tensor,
+    weighted by ``geo.measures``) and that tensor's von Mises scalar.
     """
     u = _nodal_displacements(mesh, displacement)
     n, m = mesh.n_vertices, mesh.n_triangles
-    if field.n_elements != m:
-        raise ValueError("stress field does not match the mesh")
+    geo.require_elements(m)
 
-    avg = field.cell_averages()
+    avg = np.einsum("mq,mqab->mab", geo.measures, stress) / geo.measures.sum(axis=1)[:, None, None]
     comps = np.column_stack([
         avg[:, 0, 0], avg[:, 1, 1], avg[:, 2, 2],
         avg[:, 0, 1], avg[:, 1, 2], avg[:, 0, 2],
@@ -251,15 +211,16 @@ def export_vtk(mesh: SurfaceMesh, displacement, field: StressField, path,
     dev = avg - (np.trace(avg, axis1=1, axis2=2) / 3.0)[:, None, None] * np.eye(3)
     vm = np.sqrt(1.5 * np.einsum("mab,mab->m", dev, dev))
 
-    points, disp, stress, mises = _row_texts(mesh.vertices, u, comps, vm[:, None])
+    points, disp, sigma, mises = _row_texts(mesh.vertices, u, comps, vm[:, None])
     with open(path, "w") as fh:
-        fh.write(f"# vtk DataFile Version 3.0\n{title}\nASCII\nDATASET UNSTRUCTURED_GRID\n")
+        fh.write("# vtk DataFile Version 3.0\nmembrane shell solution\nASCII\n"
+                 "DATASET UNSTRUCTURED_GRID\n")
         fh.write(f"POINTS {n} double\n" + points)
         fh.write(f"CELLS {m} {4 * m}\n")
         fh.write(("3 %d %d %d\n" * m) % tuple(mesh.triangles.ravel().tolist()))
         fh.write(f"CELL_TYPES {m}\n" + "5\n" * m)
         fh.write(f"POINT_DATA {n}\nVECTORS displacement double\n" + disp)
-        fh.write(f"CELL_DATA {m}\nFIELD stress_data 2\nstress 6 {m} double\n" + stress)
+        fh.write(f"CELL_DATA {m}\nFIELD stress_data 2\nstress 6 {m} double\n" + sigma)
         fh.write(f"von_mises 1 {m} double\n" + mises)
 
 

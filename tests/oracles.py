@@ -20,8 +20,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from memshell.assembly import ConstraintError, LinearSystem
-from memshell.element import (QuadraturePointData, QuadratureRule, SingularJacobianError,
-                              quadrature_geometry, quadrature_rule)
+from memshell.element import (QUADRATURE_RULE, QuadraturePointData, QuadratureRule,
+                              SingularJacobianError, quadrature_geometry)
 from memshell.geometry import Cylinder, GeometryError
 from memshell.mesh import MeshError, SurfaceMesh, build_cylinder_mesh
 
@@ -273,7 +273,7 @@ def strain_displacement(gradients, normal) -> np.ndarray:
     return B
 
 
-def element_stiffness(coords, normals, material, quad: QuadratureRule | None = None,
+def element_stiffness(coords, normals, material, quad: QuadratureRule = QUADRATURE_RULE,
                       variant: str = "interpolated") -> np.ndarray:
     """9x9 membrane stiffness of one element (dof order: node-major x,y,z).
 
@@ -281,8 +281,6 @@ def element_stiffness(coords, normals, material, quad: QuadratureRule | None = N
     the facet with the given rule. The matrix is symmetric positive
     semidefinite with the three translations in its kernel.
     """
-    if quad is None:
-        quad = quadrature_rule(2)
     coords = np.asarray(coords, dtype=float)
     normals = np.asarray(normals, dtype=float)
     mu = material.mu
@@ -306,15 +304,13 @@ def element_stiffness(coords, normals, material, quad: QuadratureRule | None = N
     return material.t * K
 
 
-def element_load(coords, normals, load_at, quad: QuadratureRule | None = None) -> np.ndarray:
+def element_load(coords, normals, load_at, quad: QuadratureRule = QUADRATURE_RULE) -> np.ndarray:
     """Consistent nodal load 9-vector ``int f . phi_i`` over the facet.
 
     ``load_at`` maps points of shape ``(..., 3)`` to load vectors of the same
     shape (force per unit midsurface area); it is evaluated at the mapped
     quadrature points. No thickness factor is applied.
     """
-    if quad is None:
-        quad = quadrature_rule(2)
     coords = np.asarray(coords, dtype=float)
     measure = np.linalg.norm(np.cross(coords[1] - coords[0], coords[2] - coords[0]))
     phi = quad.shape_values()
@@ -323,7 +319,7 @@ def element_load(coords, normals, load_at, quad: QuadratureRule | None = None) -
     return np.einsum("q,qi,qa->ia", quad.weights * measure, phi, f).reshape(9)
 
 
-def geometry_of(mesh, quad: QuadratureRule | None = None,
+def geometry_of(mesh, quad: QuadratureRule = QUADRATURE_RULE,
                 variant: str = "interpolated") -> QuadraturePointData:
     """The mesh's quadrature geometry, by default for the three-point rule.
 
@@ -331,8 +327,7 @@ def geometry_of(mesh, quad: QuadratureRule | None = None,
     test, :func:`memshell.element.quadrature_geometry`, on every element.
     """
     tris = mesh.triangles
-    return quadrature_geometry(mesh.vertices[tris], mesh.nodal_normals[tris],
-                               quadrature_rule(2) if quad is None else quad, variant)
+    return quadrature_geometry(mesh.vertices[tris], mesh.nodal_normals[tris], quad, variant)
 
 
 def dense_assembly(mesh, material, load_at, quad, variant="interpolated"):
@@ -528,22 +523,25 @@ def von_mises_reference(tensors):
     return np.array(out)
 
 
-def write_legacy_vtk_reference(mesh, displacement, field, path,
-                               title="membrane shell solution"):
+def write_legacy_vtk_reference(mesh, displacement, stress, weights, path):
     """Legacy ASCII VTK writer that formats one number per Python call.
 
     The text ``memshell.postprocess.export_vtk`` must reproduce byte for byte:
-    every float as ``format(x, ".12e")``, one row per line.
+    every float as ``format(x, ".12e")``, one row per line. ``stress``
+    (m, nq, 3, 3) is averaged per element under ``weights`` (m, nq).
     """
     def fmt(x):
         return format(float(x), ".12e")
 
     u = np.asarray(displacement, dtype=float).reshape(mesh.n_vertices, 3)
     n, m = mesh.n_vertices, mesh.n_triangles
-    avg = field.cell_averages()
+    # the weighted averages and von Mises by export_vtk's arithmetic, as the
+    # texts agree only if the numbers agree to the last bit;
+    # test_export_vtk_roundtrip checks both against per-element references
+    avg = np.einsum("mq,mqab->mab", weights, stress) / weights.sum(axis=1)[:, None, None]
     comps = [avg[:, 0, 0], avg[:, 1, 1], avg[:, 2, 2],
              avg[:, 0, 1], avg[:, 1, 2], avg[:, 0, 2]]
-    lines = ["# vtk DataFile Version 3.0", title, "ASCII",
+    lines = ["# vtk DataFile Version 3.0", "membrane shell solution", "ASCII",
              "DATASET UNSTRUCTURED_GRID", f"POINTS {n} double"]
     lines += [" ".join(fmt(c) for c in row) for row in mesh.vertices]
     lines.append(f"CELLS {m} {4 * m}")
@@ -554,9 +552,6 @@ def write_legacy_vtk_reference(mesh, displacement, field, path,
     lines += [" ".join(fmt(c) for c in row) for row in u]
     lines += [f"CELL_DATA {m}", "FIELD stress_data 2", f"stress 6 {m} double"]
     lines += [" ".join(fmt(c[e]) for c in comps) for e in range(m)]
-    # von Mises by export_vtk's arithmetic, as the texts agree only if the
-    # numbers agree to the last bit; test_export_vtk_roundtrip checks the
-    # values against von_mises_reference
     dev = avg - (np.trace(avg, axis1=1, axis2=2) / 3.0)[:, None, None] * np.eye(3)
     lines.append(f"von_mises 1 {m} double")
     lines += [fmt(v) for v in np.sqrt(1.5 * np.einsum("mab,mab->m", dev, dev))]

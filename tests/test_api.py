@@ -14,9 +14,9 @@ import numpy as np
 import scipy.sparse as sp
 
 import memshell
-from memshell import geometry, mesh
+from memshell import geometry, mesh, postprocess
 from memshell.assembly import LinearSystem, apply_constraints
-from memshell.element import QuadraturePointData
+from memshell.element import QUADRATURE_RULE, QuadraturePointData, quadrature_geometry
 from memshell.solver import solve
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -25,7 +25,9 @@ SUBMODULES = ("assembly", "cli", "element", "geometry", "mesh", "postprocess", "
 # Names taken out of the package: test-only ones, whose single-element kernels
 # and exact-surface queries live on in tests/oracles.py as references, and the
 # caller-stated kernel (the solver now detects it from the system), the
-# rotated constraint frames and the separate pressure load path.
+# rotated constraint frames, the separate pressure load path, the stress
+# container (stresses are a plain array on the case's quadrature geometry)
+# and the rule-by-order lookup (one rule, QUADRATURE_RULE).
 REMOVED = (
     "DofMap", "ElementMatrices", "element_matrices", "REFERENCE_GRADIENTS", "_GRAD_RHS",
     "shape_values_and_ref_gradients", "element_jacobian", "basis_surface_gradients",
@@ -35,6 +37,7 @@ REMOVED = (
     "deflate_translations", "AnalyticSurface", "signed_distance", "normal_at", "_normal",
     "_radial", "_tube_frame", "ON_SURFACE_TOL", "projector", "facet_areas", "facet_normals",
     "_facet_normals", "_facet_areas", "l2_norm", "_node_frames", "pressure_rhs",
+    "StressField", "cell_averages", "n_elements", "quadrature_rule",
 )
 
 
@@ -116,6 +119,8 @@ def test_benchmark_traced_names_exist():
     ("element", "batch_element_loads"),
     ("assembly", "assemble"),
     ("postprocess", "recover_stress"),
+    ("postprocess", "stress_l2_error"),
+    ("postprocess", "export_vtk"),
 ])
 def test_geometry_consumers_take_only_the_geometry(module, name):
     # quadrature_geometry is the one place that reads a rule or a variant
@@ -124,3 +129,16 @@ def test_geometry_consumers_take_only_the_geometry(module, name):
     assert {"quad", "variant", "geometry"}.isdisjoint(params)
     assert params["geo"].annotation is QuadraturePointData
     assert params["geo"].default is inspect.Parameter.empty
+
+
+def test_no_parameter_that_no_caller_sets():
+    # the file suffix decides the mesh format, the VTK title is fixed, and the
+    # recovered stress is a plain array
+    assert list(inspect.signature(mesh.import_mesh).parameters) == ["path"]
+    assert "title" not in inspect.signature(postprocess.export_vtk).parameters
+    msh = mesh.build_cylinder_mesh(1.0, 4.0, 4, 2)
+    geo = quadrature_geometry(msh.vertices[msh.triangles], msh.nodal_normals[msh.triangles],
+                              QUADRATURE_RULE, "interpolated")
+    material = geometry.MaterialModel(100.0, 0.5, 0.01)
+    stress = postprocess.recover_stress(msh, material, np.zeros(3 * msh.n_vertices), geo)
+    assert type(stress) is np.ndarray and stress.shape == (msh.n_triangles, 3, 3, 3)

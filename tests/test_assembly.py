@@ -11,17 +11,16 @@ from memshell.assembly import (
     assemble,
     cylinder_constraints,
 )
-from memshell.element import SingularJacobianError, quadrature_rule
+from memshell.element import QUADRATURE_RULE, SingularJacobianError
 from memshell.geometry import Cylinder, MaterialModel, cylinder_exact
 from memshell.mesh import SurfaceMesh, build_cylinder_mesh, build_torus_mesh
-from memshell.postprocess import recover_stress
+from memshell.postprocess import export_vtk, recover_stress
 from memshell.solver import solve
 
 from oracles import (admissible_basis, apply_constraints_reference, dense_assembly,
                      element_stiffness, flat_grid_mesh, geometry_of, jittered_cylinder_mesh)
 
 MAT = MaterialModel(E=100.0, nu=0.5, t=1e-2)
-QUAD = quadrature_rule(2)
 
 
 def _const_load(x):
@@ -33,7 +32,7 @@ def test_single_element_mesh_matches_element_matrix():
     mesh = SurfaceMesh(verts, np.array([[0, 1, 2]]))
     geo = geometry_of(mesh)
     system = assemble(mesh, MAT, geo, _const_load(geo.points))
-    ke = element_stiffness(verts, mesh.nodal_normals, MAT, QUAD)
+    ke = element_stiffness(verts, mesh.nodal_normals, MAT)
     assert np.abs(system.matrix.toarray() - ke).max() <= 1e-15 * np.abs(ke).max()
 
 
@@ -41,7 +40,7 @@ def test_sparse_assembly_matches_dense_oracle_flat_square():
     mesh = flat_grid_mesh(1, 1)  # two triangles sharing the diagonal
     geo = geometry_of(mesh)
     system = assemble(mesh, MAT, geo, _const_load(geo.points))
-    K_oracle, rhs_oracle = dense_assembly(mesh, MAT, _const_load, QUAD)
+    K_oracle, rhs_oracle = dense_assembly(mesh, MAT, _const_load, QUADRATURE_RULE)
     scale = np.abs(K_oracle).max()
     assert np.abs(system.matrix.toarray() - K_oracle).max() <= 1e-13 * scale
     assert np.abs(system.rhs - rhs_oracle).max() <= 1e-13 * np.abs(rhs_oracle).max()
@@ -59,7 +58,7 @@ def test_sparse_assembly_matches_dense_oracle_small_meshes(mesh_builder):
     load = cylinder_exact(1.0, MAT, surf).load_at
     geo = geometry_of(mesh)
     system = assemble(mesh, MAT, geo, load(geo.points))
-    K_oracle, rhs_oracle = dense_assembly(mesh, MAT, load, QUAD)
+    K_oracle, rhs_oracle = dense_assembly(mesh, MAT, load, QUADRATURE_RULE)
     scale = np.abs(K_oracle).max()
     assert np.abs(system.matrix.toarray() - K_oracle).max() <= 1e-13 * scale
     assert np.abs(system.rhs - rhs_oracle).max() <= 1e-13 * max(np.abs(rhs_oracle).max(), 1e-30)
@@ -102,11 +101,13 @@ def test_cylinder_total_axial_load():
     assert abs(devs[1] - predicted) < 0.05 * predicted
 
 
-def test_geometry_of_another_mesh_rejected():
+def test_geometry_of_another_mesh_rejected(tmp_path):
     mesh = build_torus_mesh(1.0, 0.5, 8, 4)
     geo = geometry_of(build_torus_mesh(1.0, 0.5, 10, 4))
+    u = np.zeros(3 * mesh.n_vertices)
     calls = (lambda: assemble(mesh, MAT, geo),
-             lambda: recover_stress(mesh, MAT, np.zeros(3 * mesh.n_vertices), geo))
+             lambda: recover_stress(mesh, MAT, u, geo),
+             lambda: export_vtk(mesh, u, np.zeros((80, 3, 3, 3)), geo, tmp_path / "x.vtk"))
     for call in calls:
         with pytest.raises(ValueError, match="covers 80 elements, the mesh has 64"):
             call()

@@ -108,11 +108,11 @@ def test_import_case_load_scales_with_the_pressure(tmp_path, variant):
     # the import case's load is p on the variant's normals: linear in p
     off = tmp_path / "torus.off"
     _write_off(build_torus_mesh(1.0, 0.5, 12, 6), off)
-    fields = [solve_case(RunConfig(case="import", variant=variant, mesh_path=str(off), p=p)).field
-              for p in (1.0, 2.5)]
-    scale = np.abs(fields[0].stresses).max()
+    stresses = [solve_case(RunConfig(case="import", variant=variant, mesh_path=str(off), p=p)).stress
+                for p in (1.0, 2.5)]
+    scale = np.abs(stresses[0]).max()
     assert scale > 0
-    assert np.abs(fields[1].stresses - 2.5 * fields[0].stresses).max() <= 1e-9 * scale
+    assert np.abs(stresses[1] - 2.5 * stresses[0]).max() <= 1e-9 * scale
 
 
 def test_convergence_command_writes_table(tmp_path, capsys):

@@ -5,11 +5,11 @@ import pytest
 import sympy
 
 from memshell.element import (
+    QUADRATURE_RULE,
     SingularJacobianError,
     batch_element_loads,
     batch_element_stiffness,
     quadrature_geometry,
-    quadrature_rule,
 )
 from memshell.geometry import MaterialModel
 from memshell.mesh import build_cylinder_mesh, build_torus_mesh
@@ -30,7 +30,6 @@ from oracles import (
 )
 
 MAT = MaterialModel(E=100.0, nu=0.5, t=1e-2)
-QUAD = quadrature_rule(2)
 
 FLAT_COORDS = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 FLAT_NORMALS = np.tile(np.array([0.0, 0.0, 1.0]), (3, 1))
@@ -67,29 +66,15 @@ def test_shape_outside_reference_triangle():
 
 
 def test_quadrature_weight_sums():
-    assert abs(quadrature_rule(1).weights.sum() - 0.5) < 1e-15
-    assert abs(quadrature_rule(2).weights.sum() - 0.5) < 1e-15
+    assert abs(QUADRATURE_RULE.weights.sum() - 0.5) < 1e-15
 
 
 def test_quadrature_order2_integrates_xi_eta():
-    quad = quadrature_rule(2)
-    val = sum(w * xi * eta for (xi, eta), w in zip(quad.points, quad.weights))
+    rule = list(zip(QUADRATURE_RULE.points, QUADRATURE_RULE.weights))
+    val = sum(w * xi * eta for (xi, eta), w in rule)
     assert abs(val - 1.0 / 24.0) < 1e-15
-    val = sum(w * xi * xi for (xi, eta), w in zip(quad.points, quad.weights))
+    val = sum(w * xi * xi for (xi, eta), w in rule)
     assert abs(val - 1.0 / 12.0) < 1e-15
-
-
-def test_quadrature_order1_limits():
-    quad = quadrature_rule(1)
-    assert abs(sum(quad.weights) * 1.0 - 0.5) < 1e-15  # constants exact
-    val = sum(w * xi * xi for (xi, eta), w in zip(quad.points, quad.weights))
-    assert abs(val - 1.0 / 18.0) < 1e-15  # not 1/12: degree-2 fails
-    assert abs(val - 1.0 / 12.0) > 1e-3
-
-
-def test_quadrature_unsupported_order():
-    with pytest.raises(ValueError):
-        quadrature_rule(3)
 
 
 # ---------------------------------------------------------------------------
@@ -144,10 +129,9 @@ def test_basis_gradients_flat_case():
 
 def test_basis_gradients_tangential_and_partition():
     rng = np.random.default_rng(21)
-    quad = quadrature_rule(2)
     for _ in range(100):
         coords, normals = random_valid_element(rng)
-        for (xi, eta) in quad.points:
+        for (xi, eta) in QUADRATURE_RULE.points:
             J = element_jacobian(coords, normals, xi, eta)
             g = basis_surface_gradients(J)
             scale = np.abs(g).max()
@@ -217,7 +201,7 @@ def test_quadrature_projectors_properties_random_elements(variant):
     # P = I - n n^T: symmetric, idempotent, annihilates n, trace 2
     rng = np.random.default_rng(7)
     coords, normals = zip(*(random_valid_element(rng) for _ in range(300)))
-    geo = quadrature_geometry(np.array(coords), np.array(normals), QUAD, variant)
+    geo = quadrature_geometry(np.array(coords), np.array(normals), QUADRATURE_RULE, variant)
     P = geo.projectors()
     n = geo.normals
     assert P.shape == n.shape + (3,)
@@ -231,12 +215,11 @@ def test_double_contraction_identity_many_random_elements():
     # in-plane double contraction == full contraction minus twice the
     # normal-slice term, per quadrature point
     rng = np.random.default_rng(61)
-    quad = quadrature_rule(2)
     for _ in range(1000):
         coords, normals = random_valid_element(rng)
         u = rng.standard_normal((3, 3))
         v = rng.standard_normal((3, 3))
-        xi, eta = quad.points[rng.integers(0, 3)]
+        xi, eta = QUADRATURE_RULE.points[rng.integers(0, 3)]
         J = element_jacobian(coords, normals, xi, eta)
         g = basis_surface_gradients(J)
         n = J[2]
@@ -251,11 +234,10 @@ def test_double_contraction_identity_many_random_elements():
 def test_trace_identity_many_random_elements():
     # tr(P eps P) equals the tangential divergence for tangential gradients
     rng = np.random.default_rng(71)
-    quad = quadrature_rule(2)
     for _ in range(1000):
         coords, normals = random_valid_element(rng)
         u = rng.standard_normal((3, 3))
-        xi, eta = quad.points[rng.integers(0, 3)]
+        xi, eta = QUADRATURE_RULE.points[rng.integers(0, 3)]
         J = element_jacobian(coords, normals, xi, eta)
         g = basis_surface_gradients(J)
         n = J[2]
@@ -358,7 +340,8 @@ def _random_batch(rng, m):
 def test_batch_stiffness_matches_single_elements(variant):
     # the batched closed-form kernel against the per-element reference path
     coords, normals = _random_batch(np.random.default_rng(131), 40)
-    batch = batch_element_stiffness(quadrature_geometry(coords, normals, QUAD, variant), MAT)
+    batch = batch_element_stiffness(
+        quadrature_geometry(coords, normals, QUADRATURE_RULE, variant), MAT)
     for e in range(40):
         single = element_stiffness(coords[e], normals[e], MAT, variant=variant)
         assert np.abs(batch[e] - single).max() <= 1e-12 * np.abs(single).max()
@@ -367,11 +350,10 @@ def test_batch_stiffness_matches_single_elements(variant):
 @pytest.mark.parametrize("variant", ["interpolated", "facet"])
 def test_dual_basis_gradients_match_jacobian_solve(variant):
     # closed-form dual basis against np.linalg.solve on each element Jacobian
-    quad = quadrature_rule(2)
     coords, normals = _random_batch(np.random.default_rng(137), 40)
-    geo = quadrature_geometry(coords, normals, quad, variant)
+    geo = quadrature_geometry(coords, normals, QUADRATURE_RULE, variant)
     for e in range(40):
-        for q, (xi, eta) in enumerate(quad.points):
+        for q, (xi, eta) in enumerate(QUADRATURE_RULE.points):
             J = element_jacobian(coords[e], normals[e], xi, eta, variant)
             g = basis_surface_gradients(J)
             assert np.abs(geo.gradients[e, q] - g).max() <= 1e-13 * np.abs(g).max()
@@ -382,7 +364,8 @@ def test_batch_stiffness_reports_singular_element():
     coords = np.stack([FLAT_COORDS, FLAT_COORDS + np.array([5.0, 0.0, 0.0])])
     normals = np.stack([FLAT_NORMALS, np.tile([1.0, 0.0, 0.0], (3, 1))])
     with pytest.raises(SingularJacobianError, match="element 1"):
-        batch_element_stiffness(quadrature_geometry(coords, normals, QUAD, "interpolated"), MAT)
+        batch_element_stiffness(
+            quadrature_geometry(coords, normals, QUADRATURE_RULE, "interpolated"), MAT)
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +417,7 @@ def test_batch_loads_match_single():
     def f(pts):
         return np.stack([pts[..., 0], pts[..., 1] ** 0, pts[..., 2]], axis=-1)
 
-    geo = quadrature_geometry(coords, normals, QUAD, "interpolated")
+    geo = quadrature_geometry(coords, normals, QUADRATURE_RULE, "interpolated")
     batch = batch_element_loads(geo, f(geo.points))
     for e in range(10):
         single = element_load(coords[e], normals[e], f)

@@ -7,7 +7,7 @@ import pytest
 
 from memshell.assembly import apply_constraints, assemble, cylinder_constraints
 from memshell.cli import RunConfig, solve_case
-from memshell.element import quadrature_rule
+from memshell.element import QUADRATURE_RULE
 from memshell.geometry import (
     Cylinder,
     ExactSolution,
@@ -39,14 +39,13 @@ from oracles import (
 )
 
 MAT = MaterialModel(E=100.0, nu=0.5, t=1e-2)
-QUAD = quadrature_rule(2)
 
 
 def test_rigid_translation_zero_stress():
     mesh = flat_grid_mesh(2, 2)
     u = np.tile([0.3, -0.7, 1.1], mesh.n_vertices)
-    field = recover_stress(mesh, MAT, u, geometry_of(mesh))
-    assert np.abs(field.stresses).max() < 1e-13 * MAT.E
+    stress = recover_stress(mesh, MAT, u, geometry_of(mesh))
+    assert np.abs(stress).max() < 1e-13 * MAT.E
 
 
 def test_uniaxial_stretch_matches_plane_stress_constitutive():
@@ -55,11 +54,11 @@ def test_uniaxial_stretch_matches_plane_stress_constitutive():
     alpha = 1e-3
     u = np.zeros((mesh.n_vertices, 3))
     u[:, 0] = alpha * mesh.vertices[:, 0]
-    field = recover_stress(mesh, MAT, u, geometry_of(mesh))
+    stress = recover_stress(mesh, MAT, u, geometry_of(mesh))
     s11 = (2.0 * MAT.mu + MAT.lam0) * alpha
     s22 = MAT.lam0 * alpha
     expected = np.diag([s11, s22, 0.0])
-    assert np.abs(field.stresses - expected).max() <= 1e-12 * s11
+    assert np.abs(stress - expected).max() <= 1e-12 * s11
 
 
 def test_flat_tangent_plane_strain_projection():
@@ -68,8 +67,8 @@ def test_flat_tangent_plane_strain_projection():
     mesh = flat_grid_mesh(2, 2)
     u = np.zeros((mesh.n_vertices, 3))
     u[:, 2] = 0.25 * mesh.vertices[:, 0] - 0.1 * mesh.vertices[:, 1]
-    field = recover_stress(mesh, MAT, u, geometry_of(mesh))
-    assert np.abs(field.stresses).max() <= 1e-13 * MAT.E
+    stress = recover_stress(mesh, MAT, u, geometry_of(mesh))
+    assert np.abs(stress).max() <= 1e-13 * MAT.E
 
 
 def test_stress_field_invariants_on_benchmark_solve():
@@ -79,11 +78,11 @@ def test_stress_field_invariants_on_benchmark_solve():
     system = assemble(mesh, MAT, geo, exact.load_at(geo.points))
     fixed = apply_constraints(system, *cylinder_constraints(mesh))
     u, _ = solve(fixed, tol=1e-10)
-    field = recover_stress(mesh, MAT, u, geo)
+    stress = recover_stress(mesh, MAT, u, geo)
     # symmetric and in-plane at every quadrature point
-    assert np.abs(field.stresses - field.stresses.swapaxes(2, 3)).max() <= 1e-12 * np.abs(field.stresses).max()
-    sn = np.einsum("mqab,mqb->mqa", field.stresses, field.normals)
-    fro = np.sqrt(np.einsum("mqab,mqab->mq", field.stresses, field.stresses))
+    assert np.abs(stress - stress.swapaxes(2, 3)).max() <= 1e-12 * np.abs(stress).max()
+    sn = np.einsum("mqab,mqb->mqa", stress, geo.normals)
+    fro = np.sqrt(np.einsum("mqab,mqab->mq", stress, stress))
     assert (np.linalg.norm(sn, axis=2) / np.maximum(fro, 1e-300)).max() <= 1e-10
 
 
@@ -97,17 +96,17 @@ def test_constitutive_trace_identity():
     mesh = flat_grid_mesh(2, 2, e1=(1.0, 0.0, 0.0),
                           e2=(0.0, 1.0 / math.sqrt(2), 1.0 / math.sqrt(2)))
     u = rng.standard_normal((mesh.n_vertices, 3)) * 1e-2
-    field = recover_stress(mesh, MAT, u, geometry_of(mesh))
+    stress = recover_stress(mesh, MAT, u, geometry_of(mesh))
     factor = 2.0 * MAT.mu + 2.0 * MAT.lam0
-    scale = np.abs(field.stresses).max()
+    scale = np.abs(stress).max()
     for e, tri in enumerate(mesh.triangles):
         coords = mesh.vertices[tri]
         normals = mesh.nodal_normals[tri]
-        for q, (xi, eta) in enumerate(QUAD.points):
+        for q, (xi, eta) in enumerate(QUADRATURE_RULE.points):
             J = element_jacobian(coords, normals, xi, eta)
             g = basis_surface_gradients(J)
             eps_p = double_projection(tangential_strain(u[tri], g), J[2])
-            tr_sigma = float(np.trace(field.stresses[e, q]))
+            tr_sigma = float(np.trace(stress[e, q]))
             assert abs(tr_sigma - factor * float(np.trace(eps_p))) <= 1e-12 * max(scale, 1.0)
 
 
@@ -115,30 +114,32 @@ def test_stress_objectivity_under_rotation():
     rng = np.random.default_rng(7)
     mesh = flat_grid_mesh(3, 2)
     u = rng.standard_normal((mesh.n_vertices, 3)) * 1e-2
-    field = recover_stress(mesh, MAT, u, geometry_of(mesh))
+    stress = recover_stress(mesh, MAT, u, geometry_of(mesh))
     for _ in range(5):
         Q = random_rotation(rng)
         rotated = SurfaceMesh(mesh.vertices @ Q.T, mesh.triangles,
                               nodal_normals=mesh.nodal_normals @ Q.T)
-        field_rot = recover_stress(rotated, MAT, u @ Q.T, geometry_of(rotated))
-        expected = np.einsum("ab,mqbc,dc->mqad", Q, field.stresses, Q)
-        assert np.abs(field_rot.stresses - expected).max() <= 1e-10 * np.abs(field.stresses).max()
+        stress_rot = recover_stress(rotated, MAT, u @ Q.T, geometry_of(rotated))
+        expected = np.einsum("ab,mqbc,dc->mqad", Q, stress, Q)
+        assert np.abs(stress_rot - expected).max() <= 1e-10 * np.abs(stress).max()
 
 
 def test_stress_l2_error_exact_match_is_zero():
     mesh = flat_grid_mesh(2, 2)
     u = np.zeros(3 * mesh.n_vertices)
-    field = recover_stress(mesh, MAT, u, geometry_of(mesh))
+    geo = geometry_of(mesh)
+    stress = recover_stress(mesh, MAT, u, geo)
     zero = ExactSolution(load_at=lambda x: np.zeros_like(x),
                          stress_at=lambda x: np.zeros(np.asarray(x).shape[:-1] + (3, 3)))
-    assert stress_l2_error(field, zero) == 0.0
+    assert stress_l2_error(stress, geo, zero) == 0.0
 
 
 def test_stress_l2_error_constant_mismatch():
     # |Delta|_F * sqrt(area) for a constant tensor mismatch
     mesh = flat_grid_mesh(4, 4, lx=2.0, ly=1.5)
     u = np.zeros(3 * mesh.n_vertices)
-    field = recover_stress(mesh, MAT, u, geometry_of(mesh))
+    geo = geometry_of(mesh)
+    stress = recover_stress(mesh, MAT, u, geo)
     delta = np.array([[2.0, 0.5, 0.0], [0.5, -1.0, 0.0], [0.0, 0.0, 0.3]])
 
     def stress_at(x):
@@ -146,7 +147,7 @@ def test_stress_l2_error_constant_mismatch():
 
     exact = ExactSolution(load_at=lambda x: np.zeros_like(x), stress_at=stress_at)
     expected = np.linalg.norm(delta) * math.sqrt(2.0 * 1.5)
-    assert abs(stress_l2_error(field, exact) - expected) < 1e-12 * expected
+    assert abs(stress_l2_error(stress, geo, exact) - expected) < 1e-12 * expected
 
 
 def test_stress_l2_error_matches_bruteforce_recomputation():
@@ -156,16 +157,16 @@ def test_stress_l2_error_matches_bruteforce_recomputation():
     system = assemble(mesh, MAT, geo, exact.load_at(geo.points))
     fixed = apply_constraints(system, *cylinder_constraints(mesh))
     u, _ = solve(fixed, tol=1e-10)
-    field = recover_stress(mesh, MAT, u, geo)
-    err = stress_l2_error(field, exact)
+    stress = recover_stress(mesh, MAT, u, geo)
+    err = stress_l2_error(stress, geo, exact)
 
     # brute force: plain Python loops over elements and points
     total = 0.0
-    for e in range(field.n_elements):
-        for q in range(field.weights.shape[1]):
-            sig_e = exact.stress_at(field.points[e, q])
-            diff = sig_e - field.stresses[e, q]
-            total += field.weights[e, q] * float(np.sum(diff * diff))
+    for e in range(mesh.n_triangles):
+        for q in range(geo.measures.shape[1]):
+            sig_e = exact.stress_at(geo.points[e, q])
+            diff = sig_e - stress[e, q]
+            total += geo.measures[e, q] * float(np.sum(diff * diff))
     assert abs(err - math.sqrt(total)) <= 1e-10 * err
 
 
@@ -178,8 +179,9 @@ def test_stress_l2_error_stable_under_refined_quadrature():
     system = assemble(mesh, MAT, geo, exact.load_at(geo.points))
     fixed = apply_constraints(system, *cylinder_constraints(mesh))
     u = solve(fixed, tol=1e-10)[0]
-    err2 = stress_l2_error(recover_stress(mesh, MAT, u, geo), exact)
-    err4 = stress_l2_error(recover_stress(mesh, MAT, u, geometry_of(mesh, DEGREE4_RULE)), exact)
+    geo4 = geometry_of(mesh, DEGREE4_RULE)
+    err2 = stress_l2_error(recover_stress(mesh, MAT, u, geo), geo, exact)
+    err4 = stress_l2_error(recover_stress(mesh, MAT, u, geo4), geo4, exact)
     assert abs(err4 - err2) < 0.05 * err2
 
 
@@ -214,35 +216,40 @@ def test_export_vtk_roundtrip(tmp_path):
     mesh = build_cylinder_mesh(1.0, 4.0, 6, 3)
     rng = np.random.default_rng(23)
     u = rng.standard_normal((mesh.n_vertices, 3)) * 1e-3
-    field = recover_stress(mesh, MAT, u, geometry_of(mesh))
-    path = tmp_path / "solution.vtk"
-    export_vtk(mesh, u, field, path)
+    # the degree-4 rule's unequal weights tell a weighted cell average from a plain mean
+    for rule in (QUADRATURE_RULE, DEGREE4_RULE):
+        geo = geometry_of(mesh, rule)
+        stress = recover_stress(mesh, MAT, u, geo)
+        path = tmp_path / "solution.vtk"
+        export_vtk(mesh, u, stress, geo, path)
 
-    data = read_legacy_vtk(path)
-    assert data["points"].shape == (mesh.n_vertices, 3)
-    assert np.abs(data["points"] - mesh.vertices).max() < 1e-9
-    assert data["cells"].shape == (mesh.n_triangles, 3)
-    assert np.array_equal(data["cells"], mesh.triangles)
-    disp = data["point_vectors"]["displacement"]
-    assert disp.shape == (mesh.n_vertices, 3)
-    assert np.abs(disp - u).max() < 1e-12
-    stress = data["cell_fields"]["stress"]
-    assert stress.shape == (mesh.n_triangles, 6)
-    avg = field.cell_averages()
-    assert np.abs(stress[:, 0] - avg[:, 0, 0]).max() < 1e-9
-    assert np.abs(stress[:, 3] - avg[:, 0, 1]).max() < 1e-9
-    vm = data["cell_fields"]["von_mises"]
-    assert vm.shape == (mesh.n_triangles, 1)
-    assert np.abs(vm[:, 0] - von_mises_reference(avg)).max() < 1e-9
+        data = read_legacy_vtk(path)
+        assert data["points"].shape == (mesh.n_vertices, 3)
+        assert np.abs(data["points"] - mesh.vertices).max() < 1e-9
+        assert data["cells"].shape == (mesh.n_triangles, 3)
+        assert np.array_equal(data["cells"], mesh.triangles)
+        disp = data["point_vectors"]["displacement"]
+        assert disp.shape == (mesh.n_vertices, 3)
+        assert np.abs(disp - u).max() < 1e-12
+        # area-weighted element averages, one element at a time
+        avg = np.array([sum(w * s for w, s in zip(geo.measures[e], stress[e]))
+                        / geo.measures[e].sum() for e in range(mesh.n_triangles)])
+        cells = data["cell_fields"]["stress"]
+        assert cells.shape == (mesh.n_triangles, 6)
+        for k, (a, b) in enumerate([(0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (0, 2)]):
+            assert np.abs(cells[:, k] - avg[:, a, b]).max() < 1e-9
+        vm = data["cell_fields"]["von_mises"]
+        assert vm.shape == (mesh.n_triangles, 1)
+        assert np.abs(vm[:, 0] - von_mises_reference(avg)).max() < 1e-9
 
 
 def test_export_vtk_single_triangle(tmp_path):
     verts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     mesh = SurfaceMesh(verts, np.array([[0, 1, 2]]))
     u = np.zeros((3, 3))
-    field = recover_stress(mesh, MAT, u, geometry_of(mesh))
+    geo = geometry_of(mesh)
     path = tmp_path / "tri.vtk"
-    export_vtk(mesh, u, field, path)
+    export_vtk(mesh, u, recover_stress(mesh, MAT, u, geo), geo, path)
     data = read_legacy_vtk(path)
     assert data["points"].shape == (3, 3)
     assert data["cells"].shape == (1, 3)
@@ -270,9 +277,10 @@ def _vtk_single_triangle():
 def test_export_vtk_bytes_match_reference_writer(tmp_path, make):
     # the block writer must produce the per-number reference text exactly
     mesh, u, variant = make()
-    field = recover_stress(mesh, MAT, u, geometry_of(mesh, variant=variant))
-    export_vtk(mesh, u, field, tmp_path / "block.vtk")
-    write_legacy_vtk_reference(mesh, u, field, tmp_path / "reference.vtk")
+    geo = geometry_of(mesh, variant=variant)
+    stress = recover_stress(mesh, MAT, u, geo)
+    export_vtk(mesh, u, stress, geo, tmp_path / "block.vtk")
+    write_legacy_vtk_reference(mesh, u, stress, geo.measures, tmp_path / "reference.vtk")
     assert (tmp_path / "block.vtk").read_bytes() == (tmp_path / "reference.vtk").read_bytes()
 
 
@@ -338,17 +346,17 @@ def test_recover_stress_dimension_mismatch():
 def test_recover_stress_matches_double_projection_reference(case, variant):
     config = RunConfig(case=case, variant=variant)
     result = solve_case(config, 6)
-    mesh, field = result.mesh, result.field
+    mesh = result.mesh
     tris = mesh.triangles
     geo = geometry_of(mesh, variant=variant)
     ue = result.displacement.reshape(-1, 3)[tris]
     mat = MaterialModel(config.E, config.nu, config.t, config.mode)
-    ref = np.empty_like(field.stresses)
+    ref = np.empty_like(result.stress)
     for e in range(len(tris)):
         for q in range(geo.measures.shape[1]):
             n = geo.normals[e, q]
             eps_p = double_projection(tangential_strain(ue[e], geo.gradients[e, q]), n)
             proj = np.eye(3) - np.outer(n, n)
             ref[e, q] = 2.0 * mat.mu * eps_p + mat.lame_effective * np.trace(eps_p) * proj
-    assert np.abs(field.stresses - ref).max() <= 1e-13 * np.abs(ref).max()
+    assert np.abs(result.stress - ref).max() <= 1e-13 * np.abs(ref).max()
 
