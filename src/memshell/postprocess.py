@@ -37,6 +37,14 @@ def _nodal_displacements(mesh: SurfaceMesh, displacement) -> np.ndarray:
     return u.reshape(n, 3)
 
 
+def _require_stress_on(stress, geo: QuadraturePointData) -> None:
+    """Raise ValueError unless ``stress`` is sampled at ``geo``'s points."""
+    expected = geo.measures.shape + (3, 3)
+    if np.shape(stress) != expected:
+        raise ValueError(f"stress shape {np.shape(stress)} does not match the "
+                         f"(m, nq, 3, 3) = {expected} of its quadrature geometry")
+
+
 def recover_stress(mesh: SurfaceMesh, material: MaterialModel, displacement,
                    geo: QuadraturePointData) -> np.ndarray:
     """The (m, nq, 3, 3) stress at ``geo.points``, from the projected strain.
@@ -63,6 +71,7 @@ def stress_l2_error(stress, geo: QuadraturePointData, exact: ExactSolution) -> f
 
     ``stress`` holds the samples at ``geo.points``; ``geo.measures`` weighs them.
     """
+    _require_stress_on(stress, geo)
     sig_exact = np.asarray(exact.stress_at(geo.points.reshape(-1, 3)), dtype=float)
     diff = sig_exact.reshape(stress.shape) - stress
     sq = np.einsum("mqab,mqab->mq", diff, diff)
@@ -124,84 +133,22 @@ def _fmt(x: float) -> str:
     return format(float(x), ".12e")
 
 
-# ASCII words of the vectorised ``%.12e`` below, each a little-endian uint32
-# so that byte 0 of the word is byte 0 of the text.
-_DIGIT_WORDS = np.array([b"%04d" % k for k in range(10000)]).view("<u4")
-_LEAD_WORDS = np.array([b"\0\0%d." % d for d in range(10)]).view("<u4")
-_EXP_MAX = 290
-_EXP_WORDS = np.array([(b"e%+03d" % k).ljust(8, b"\0") for k in range(-_EXP_MAX, _EXP_MAX + 1)]
-                      ).view("<u4").reshape(-1, 2).T.copy()
-# 10^(12-e) for e in [-_EXP_MAX - 1, _EXP_MAX], at index e + _EXP_MAX + 1.
-_SCALES = np.array([float(f"1e{12 - e}") for e in range(-_EXP_MAX - 1, _EXP_MAX + 1)])
-
-
-def _row_texts(*arrays: np.ndarray) -> list[str]:
-    """Each 2-D array as lines of space-separated ``"%.12e"`` numbers.
-
-    The text is exactly CPython's ``"%.12e" % x``, formatted for all arrays
-    at once. Each number gets a 24-byte slot of six little-endian uint32
-    words: ``[0, sign, d0, '.']``, three words of four digits, ``'e±dd'``
-    and ``[third exponent digit or 0, 0, 0, separator]``; the zero bytes are
-    stripped at the end.
-
-    A finite ``|x|`` in [1e-290, 1e290] is scaled to ``m = |x| 10^(12-e)``
-    with ``e = floor(log10 |x|)``. The power of ten is ``float("1e<k>")``,
-    correctly rounded, so m differs from the exact decimal scaling m* by two
-    roundings: ``|m - m*| <= 2^-52 m* < 2.3e-3``. If m lies in
-    [1e12 + 1, 1e13 - 1), then 1e12 < m* < 1e13 - 0.99, so e is the printed
-    exponent and rounding m* cannot carry into a 14th digit. If also
-    ``|m - rint(m)| <= 0.49``, m* is on the same side of the nearest
-    half-integer, so the printed digits are N = rint(m). Every other number
-    (a log10 off by one near a power of ten, ties within the guard, the
-    interval ends, 0, -0, subnormals, out-of-range magnitudes, inf, nan) is
-    formatted by ``%`` itself, 1-2 % of a typical field.
-    """
-    x = np.concatenate([np.ravel(a) for a in arrays]).astype(float, copy=False)
-    ax = np.abs(x)
-    fast = (ax >= 1e-290) & (ax <= 1e290)
-    ax = np.where(fast, ax, 1.0)
-    e = np.floor(np.log10(ax)).astype(np.int64)
-    m = ax * _SCALES[e + _EXP_MAX + 1]
-    n = np.rint(m)
-    fast &= (m >= 1e12 + 1) & (m < 1e13 - 1) & (np.abs(m - n) <= 0.49)
-
-    q, w3 = np.divmod(np.where(fast, n, 1e12).astype(np.int64), 10000)
-    q, w2 = np.divmod(q, 10000)
-    d0, w1 = np.divmod(q, 10000)
-    e = np.where(fast, e, 0) + _EXP_MAX
-    words = np.empty((x.size, 6), dtype="<u4")
-    words[:, 0] = _LEAD_WORDS[d0] | np.signbit(x).astype("<u4") * (ord("-") << 8)
-    words[:, 1] = _DIGIT_WORDS[w1]
-    words[:, 2] = _DIGIT_WORDS[w2]
-    words[:, 3] = _DIGIT_WORDS[w3]
-    words[:, 4] = _EXP_WORDS[0, e]
-    words[:, 5] = _EXP_WORDS[1, e]
-    text = words.view(np.uint8)
-    slow = np.flatnonzero(~fast)
-    if slow.size:
-        pad = ("%-23.12e" * slow.size) % tuple(x[slow].tolist())
-        text[slow, :23] = np.frombuffer(pad.encode().replace(b" ", b"\0"),
-                                        dtype=np.uint8).reshape(-1, 23)
-    seps = [np.full(np.shape(a), ord(" "), dtype=np.uint8) for a in arrays]
-    for sep in seps:
-        sep[:, -1] = ord("\n")
-    text[:, 23] = np.concatenate([sep.ravel() for sep in seps])
-
-    ends = np.cumsum([0] + [np.size(a) for a in arrays])
-    return [text[i:j].tobytes().translate(None, b"\0").decode("ascii")
-            for i, j in zip(ends[:-1], ends[1:])]
-
-
 def export_vtk(mesh: SurfaceMesh, displacement, stress, geo: QuadraturePointData, path) -> None:
-    """Write a legacy ASCII VTK unstructured grid.
+    """Write a legacy VTK unstructured grid in ``BINARY`` form.
 
-    Points and triangle cells, point-data displacement vectors, cell-data
-    stress components (xx, yy, zz, xy, yz, xz of the element-average tensor,
-    weighted by ``geo.measures``) and that tensor's von Mises scalar.
+    An ASCII header (version 3.0, title ``membrane shell solution``), then in
+    order ``POINTS n double`` (the vertices), ``CELLS m 4m`` (``3 i j k`` per
+    triangle), ``CELL_TYPES m`` (5, a triangle), ``POINT_DATA n`` / ``VECTORS
+    displacement double`` and ``CELL_DATA m`` / ``FIELD stress_data 2`` with
+    ``stress 6 m double`` (xx, yy, zz, xy, yz, xz of the element-average tensor,
+    weighted by ``geo.measures``) and ``von_mises 1 m double`` (that tensor's
+    von Mises scalar). Each ASCII section line is followed by its data, as
+    big-endian float64 or (cells and cell types) int32, and a newline.
     """
     u = _nodal_displacements(mesh, displacement)
     n, m = mesh.n_vertices, mesh.n_triangles
     geo.require_elements(m)
+    _require_stress_on(stress, geo)
 
     avg = np.einsum("mq,mqab->mab", geo.measures, stress) / geo.measures.sum(axis=1)[:, None, None]
     comps = np.column_stack([
@@ -211,17 +158,19 @@ def export_vtk(mesh: SurfaceMesh, displacement, stress, geo: QuadraturePointData
     dev = avg - (np.trace(avg, axis1=1, axis2=2) / 3.0)[:, None, None] * np.eye(3)
     vm = np.sqrt(1.5 * np.einsum("mab,mab->m", dev, dev))
 
-    points, disp, sigma, mises = _row_texts(mesh.vertices, u, comps, vm[:, None])
-    with open(path, "w") as fh:
-        fh.write("# vtk DataFile Version 3.0\nmembrane shell solution\nASCII\n"
-                 "DATASET UNSTRUCTURED_GRID\n")
-        fh.write(f"POINTS {n} double\n" + points)
-        fh.write(f"CELLS {m} {4 * m}\n")
-        fh.write(("3 %d %d %d\n" * m) % tuple(mesh.triangles.ravel().tolist()))
-        fh.write(f"CELL_TYPES {m}\n" + "5\n" * m)
-        fh.write(f"POINT_DATA {n}\nVECTORS displacement double\n" + disp)
-        fh.write(f"CELL_DATA {m}\nFIELD stress_data 2\nstress 6 {m} double\n" + sigma)
-        fh.write(f"von_mises 1 {m} double\n" + mises)
+    sections = [
+        (f"POINTS {n} double", mesh.vertices.astype(">f8")),
+        (f"CELLS {m} {4 * m}", np.column_stack([np.full(m, 3), mesh.triangles]).astype(">i4")),
+        (f"CELL_TYPES {m}", np.full(m, 5, dtype=">i4")),
+        (f"POINT_DATA {n}\nVECTORS displacement double", u.astype(">f8")),
+        (f"CELL_DATA {m}\nFIELD stress_data 2\nstress 6 {m} double", comps.astype(">f8")),
+        (f"von_mises 1 {m} double", vm.astype(">f8")),
+    ]
+    with open(path, "wb") as fh:
+        fh.write(b"# vtk DataFile Version 3.0\nmembrane shell solution\nBINARY\n"
+                 b"DATASET UNSTRUCTURED_GRID\n")
+        for header, data in sections:
+            fh.write(header.encode("ascii") + b"\n" + data.tobytes() + b"\n")
 
 
 def write_convergence_csv(path, hs, errors) -> None:

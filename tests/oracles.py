@@ -8,13 +8,14 @@ the classical 2D constant-strain-triangle stiffness via the B-matrix,
 single-element kernels that solve each element Jacobian with
 ``np.linalg.solve``, dense assembly by explicit Python scatter loops,
 double-projection strain algebra via plain matrix products, a higher-order
-triangle quadrature rule, a minimal legacy-VTK reader and per-number
-writer, nodal constraint projection by dense products with an admissible
-basis built node by node, a seeded jittered cylinder mesh, and
+triangle quadrature rule, a minimal binary legacy-VTK reader and
+per-number writer, nodal constraint projection by dense products with an
+admissible basis built node by node, a seeded jittered cylinder mesh, and
 boundary-loop extraction by set queries and a successor dictionary.
 """
 
 import math
+import struct
 
 import numpy as np
 import scipy.sparse as sp
@@ -452,34 +453,53 @@ def jittered_cylinder_mesh(r: float, L: float, n: int, a: float, seed: int):
 
 
 def read_legacy_vtk(path):
-    """Minimal reader for the legacy ASCII VTK files written by the package.
+    """Minimal reader for the legacy BINARY VTK files written by the package.
 
-    Returns a dict with points, cells, point vector data, and cell field
-    arrays. Only the constructs used by the writer are supported.
+    Each section is an ASCII line, then the number of values its header
+    line gives, as big-endian float64 (``double``) or int32 (``CELLS`` and
+    ``CELL_TYPES``), decoded one value at a time with ``struct.unpack``, then a
+    newline. The sections are ``POINTS``, ``CELLS``, ``CELL_TYPES``,
+    ``POINT_DATA`` / ``VECTORS``, and ``CELL_DATA`` / ``FIELD`` with its arrays.
+    Returns a dict with points, cells, cell types, point vector data, and cell
+    field arrays. Only the constructs used by the writer are supported.
     """
-    with open(path) as fh:
-        tokens = fh.read().split()
-    out = {"points": None, "cells": None, "point_vectors": {}, "cell_fields": {}}
+    with open(path, "rb") as fh:
+        data = fh.read()
+    out = {"points": None, "cells": None, "cell_types": None,
+           "point_vectors": {}, "cell_fields": {}}
     k = 0
 
-    def take(n):
+    def line():
         nonlocal k
-        vals = tokens[k:k + n]
-        k += n
+        end = data.index(b"\n", k)
+        words = data[k:end].decode("ascii").split()
+        k = end + 1
+        return words
+
+    def values(count, fmt):
+        nonlocal k
+        size = struct.calcsize(fmt)
+        vals = [struct.unpack(fmt, data[k + i * size:k + (i + 1) * size])[0]
+                for i in range(count)]
+        k += count * size
+        assert data[k:k + 1] == b"\n", "binary block must end with a newline"
+        k += 1
         return vals
 
-    while k < len(tokens):
-        tok = tokens[k]
-        if tok == "POINTS":
-            n = int(tokens[k + 1])
-            k += 3
-            vals = [float(v) for v in take(3 * n)]
-            out["points"] = np.array(vals).reshape(n, 3)
-        elif tok == "CELLS":
-            m = int(tokens[k + 1])
-            total = int(tokens[k + 2])
-            k += 3
-            vals = [int(v) for v in take(total)]
+    assert line() == ["#", "vtk", "DataFile", "Version", "3.0"]
+    line()  # title
+    assert line() == ["BINARY"]
+    assert line() == ["DATASET", "UNSTRUCTURED_GRID"]
+    n = None
+    while k < len(data):
+        words = line()
+        if words[0] == "POINTS":
+            n = int(words[1])
+            assert words[2] == "double"
+            out["points"] = np.array(values(3 * n, ">d")).reshape(n, 3)
+        elif words[0] == "CELLS":
+            m, total = int(words[1]), int(words[2])
+            vals = values(total, ">i")
             cells = []
             i = 0
             while i < len(vals):
@@ -488,28 +508,19 @@ def read_legacy_vtk(path):
                 i += cnt + 1
             assert len(cells) == m
             out["cells"] = np.array(cells)
-        elif tok == "CELL_TYPES":
-            m = int(tokens[k + 1])
-            k += 2
-            take(m)
-        elif tok == "VECTORS":
-            name = tokens[k + 1]
-            k += 3
-            n = out["points"].shape[0]
-            vals = [float(v) for v in take(3 * n)]
-            out["point_vectors"][name] = np.array(vals).reshape(n, 3)
-        elif tok == "FIELD":
-            narr = int(tokens[k + 2])
-            k += 3
-            for _ in range(narr):
-                name = tokens[k]
-                ncomp = int(tokens[k + 1])
-                ntup = int(tokens[k + 2])
-                k += 4
-                vals = [float(v) for v in take(ncomp * ntup)]
-                out["cell_fields"][name] = np.array(vals).reshape(ntup, ncomp)
+        elif words[0] == "CELL_TYPES":
+            out["cell_types"] = np.array(values(int(words[1]), ">i"))
+        elif words[0] == "VECTORS":
+            assert words[2] == "double"
+            out["point_vectors"][words[1]] = np.array(values(3 * n, ">d")).reshape(n, 3)
+        elif words[0] == "FIELD":
+            for _ in range(int(words[2])):
+                name, ncomp, ntup, kind = line()
+                assert kind == "double"
+                ncomp, ntup = int(ncomp), int(ntup)
+                out["cell_fields"][name] = np.array(values(ncomp * ntup, ">d")).reshape(ntup, ncomp)
         else:
-            k += 1
+            assert words[0] in ("POINT_DATA", "CELL_DATA"), words
     return out
 
 
@@ -524,39 +535,41 @@ def von_mises_reference(tensors):
 
 
 def write_legacy_vtk_reference(mesh, displacement, stress, weights, path):
-    """Legacy ASCII VTK writer that formats one number per Python call.
+    """Legacy BINARY VTK writer that packs one number per ``struct.pack`` call.
 
-    The text ``memshell.postprocess.export_vtk`` must reproduce byte for byte:
-    every float as ``format(x, ".12e")``, one row per line. ``stress``
-    (m, nq, 3, 3) is averaged per element under ``weights`` (m, nq).
+    The bytes ``memshell.postprocess.export_vtk`` must reproduce exactly:
+    ASCII header and section lines, each section's numbers as big-endian
+    float64 (``">d"``) or int32 (``">i"``, the cells and cell types), one
+    newline after each section's numbers. ``stress`` (m, nq, 3, 3) is averaged
+    per element under ``weights`` (m, nq).
     """
-    def fmt(x):
-        return format(float(x), ".12e")
+    def doubles(rows):
+        return b"".join(struct.pack(">d", float(x)) for row in rows for x in row) + b"\n"
+
+    def ints(rows):
+        return b"".join(struct.pack(">i", int(x)) for row in rows for x in row) + b"\n"
 
     u = np.asarray(displacement, dtype=float).reshape(mesh.n_vertices, 3)
     n, m = mesh.n_vertices, mesh.n_triangles
     # the weighted averages and von Mises by export_vtk's arithmetic, as the
-    # texts agree only if the numbers agree to the last bit;
+    # bytes agree only if the numbers agree to the last bit;
     # test_export_vtk_roundtrip checks both against per-element references
     avg = np.einsum("mq,mqab->mab", weights, stress) / weights.sum(axis=1)[:, None, None]
     comps = [avg[:, 0, 0], avg[:, 1, 1], avg[:, 2, 2],
              avg[:, 0, 1], avg[:, 1, 2], avg[:, 0, 2]]
-    lines = ["# vtk DataFile Version 3.0", "membrane shell solution", "ASCII",
-             "DATASET UNSTRUCTURED_GRID", f"POINTS {n} double"]
-    lines += [" ".join(fmt(c) for c in row) for row in mesh.vertices]
-    lines.append(f"CELLS {m} {4 * m}")
-    lines += [f"3 {t[0]} {t[1]} {t[2]}" for t in mesh.triangles]
-    lines.append(f"CELL_TYPES {m}")
-    lines += ["5"] * m
-    lines += [f"POINT_DATA {n}", "VECTORS displacement double"]
-    lines += [" ".join(fmt(c) for c in row) for row in u]
-    lines += [f"CELL_DATA {m}", "FIELD stress_data 2", f"stress 6 {m} double"]
-    lines += [" ".join(fmt(c[e]) for c in comps) for e in range(m)]
     dev = avg - (np.trace(avg, axis1=1, axis2=2) / 3.0)[:, None, None] * np.eye(3)
-    lines.append(f"von_mises 1 {m} double")
-    lines += [fmt(v) for v in np.sqrt(1.5 * np.einsum("mab,mab->m", dev, dev))]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    mises = np.sqrt(1.5 * np.einsum("mab,mab->m", dev, dev))
+    parts = [b"# vtk DataFile Version 3.0\nmembrane shell solution\nBINARY\n",
+             b"DATASET UNSTRUCTURED_GRID\n",
+             f"POINTS {n} double\n".encode(), doubles(mesh.vertices),
+             f"CELLS {m} {4 * m}\n".encode(), ints([3, *t] for t in mesh.triangles),
+             f"CELL_TYPES {m}\n".encode(), ints([5] for _ in range(m)),
+             f"POINT_DATA {n}\nVECTORS displacement double\n".encode(), doubles(u),
+             f"CELL_DATA {m}\nFIELD stress_data 2\nstress 6 {m} double\n".encode(),
+             doubles([c[e] for c in comps] for e in range(m)),
+             f"von_mises 1 {m} double\n".encode(), doubles([v] for v in mises)]
+    with open(path, "wb") as fh:
+        fh.write(b"".join(parts))
 
 
 def apply_constraints_reference(system, nodes, directions):

@@ -37,7 +37,8 @@ REMOVED = (
     "deflate_translations", "AnalyticSurface", "signed_distance", "normal_at", "_normal",
     "_radial", "_tube_frame", "ON_SURFACE_TOL", "projector", "facet_areas", "facet_normals",
     "_facet_normals", "_facet_areas", "l2_norm", "_node_frames", "pressure_rhs",
-    "StressField", "cell_averages", "n_elements", "quadrature_rule",
+    "StressField", "cell_averages", "n_elements", "quadrature_rule", "_row_texts",
+    "_DIGIT_WORDS", "_LEAD_WORDS", "_EXP_MAX", "_EXP_WORDS", "_SCALES",
 )
 
 

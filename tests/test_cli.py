@@ -9,6 +9,8 @@ from memshell import cli, element, mesh
 from memshell.cli import RunConfig, main, run_convergence, solve_case
 from memshell.mesh import build_torus_mesh, import_mesh
 
+from oracles import read_legacy_vtk
+
 
 def _write_off(mesh, path):
     # repr(float(x)) is the shortest text that reads back to the same double;
@@ -67,6 +69,14 @@ def test_run_torus_uses_deflated_path(tmp_path):
     assert "deflated kernel dimension: 3" in report
     assert "rhs consistency: " in report
     assert "rigid-body component of solution: " in report
+
+
+def test_run_writes_the_solved_displacement_bit_for_bit(tmp_path):
+    out = tmp_path / "tor"
+    assert main(["run", "--case", "torus", "--n", "6", "--out", str(out)]) == 0
+    solved = solve_case(RunConfig(case="torus", n=6)).displacement
+    data = read_legacy_vtk(out / "solution.vtk")
+    assert np.array_equal(data["point_vectors"]["displacement"], solved.reshape(-1, 3))
 
 
 @pytest.mark.parametrize("case, dimension", [("torus", 6), ("cylinder", 1)])

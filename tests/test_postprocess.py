@@ -1,6 +1,7 @@
 """Stress recovery, error norms, rate fitting, and export tests."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,12 +13,13 @@ from memshell.geometry import (
     Cylinder,
     ExactSolution,
     MaterialModel,
+    Torus,
     cylinder_exact,
+    torus_exact,
 )
-from memshell.mesh import SurfaceMesh, build_cylinder_mesh, build_torus_mesh
+from memshell.mesh import SurfaceMesh, build_cylinder_mesh, build_torus_mesh, mesh_size
 from memshell.postprocess import (
     ConvergenceRecord,
-    _row_texts,
     export_vtk,
     fit_convergence,
     recover_stress,
@@ -31,6 +33,7 @@ from oracles import (
     double_projection,
     flat_grid_mesh,
     geometry_of,
+    jittered_cylinder_mesh,
     random_rotation,
     read_legacy_vtk,
     tangential_strain,
@@ -212,6 +215,28 @@ def test_fit_convergence_reports_residual():
     assert 0.8 < record.slope < 1.2
 
 
+@pytest.mark.parametrize("a", [0.1, 0.25])
+@pytest.mark.parametrize("seed", [1, 3])
+def test_stress_error_rate_on_jittered_cylinder_ladders(a, seed):
+    """First-order stress convergence of the interpolated variant on jittered
+    cylinders, n = 8, 16, 32.
+
+    Over seeds 0-29 the slopes measured 0.991-1.046 at a = 0.1 and
+    1.000-1.120 at a = 0.25; seed 1 gives the lowest at both amplitudes.
+    The facet variant is not gated here.
+    """
+    exact = cylinder_exact(1.0, MAT, Cylinder(1.0, 4.0))
+    records = []
+    for n in (8, 16, 32):
+        mesh = jittered_cylinder_mesh(1.0, 4.0, n, a, seed)
+        geo = geometry_of(mesh)
+        system = assemble(mesh, MAT, geo, exact.load_at(geo.points))
+        u, _ = solve(apply_constraints(system, *cylinder_constraints(mesh)), tol=1e-10)
+        error = stress_l2_error(recover_stress(mesh, MAT, u, geo), geo, exact)
+        records.append((mesh_size(mesh), error))
+    assert fit_convergence(records).slope >= 0.95
+
+
 def test_export_vtk_roundtrip(tmp_path):
     mesh = build_cylinder_mesh(1.0, 4.0, 6, 3)
     rng = np.random.default_rng(23)
@@ -224,13 +249,11 @@ def test_export_vtk_roundtrip(tmp_path):
         export_vtk(mesh, u, stress, geo, path)
 
         data = read_legacy_vtk(path)
-        assert data["points"].shape == (mesh.n_vertices, 3)
-        assert np.abs(data["points"] - mesh.vertices).max() < 1e-9
-        assert data["cells"].shape == (mesh.n_triangles, 3)
+        # float64 is stored bit for bit
+        assert np.array_equal(data["points"], mesh.vertices)
         assert np.array_equal(data["cells"], mesh.triangles)
-        disp = data["point_vectors"]["displacement"]
-        assert disp.shape == (mesh.n_vertices, 3)
-        assert np.abs(disp - u).max() < 1e-12
+        assert np.array_equal(data["cell_types"], np.full(mesh.n_triangles, 5))
+        assert np.array_equal(data["point_vectors"]["displacement"], u)
         # area-weighted element averages, one element at a time
         avg = np.array([sum(w * s for w, s in zip(geo.measures[e], stress[e]))
                         / geo.measures[e].sum() for e in range(mesh.n_triangles)])
@@ -275,7 +298,7 @@ def _vtk_single_triangle():
 @pytest.mark.parametrize("make", [_vtk_cylinder, _vtk_facet_torus, _vtk_single_triangle],
                          ids=["cylinder", "facet_torus", "single_triangle"])
 def test_export_vtk_bytes_match_reference_writer(tmp_path, make):
-    # the block writer must produce the per-number reference text exactly
+    # the block writer must produce the per-number reference bytes exactly
     mesh, u, variant = make()
     geo = geometry_of(mesh, variant=variant)
     stress = recover_stress(mesh, MAT, u, geo)
@@ -284,45 +307,18 @@ def test_export_vtk_bytes_match_reference_writer(tmp_path, make):
     assert (tmp_path / "block.vtk").read_bytes() == (tmp_path / "reference.vtk").read_bytes()
 
 
-def _percent_rows(a):
-    """The text ``_row_texts`` must produce: one ``"%.12e" % x`` per number."""
-    return "".join(" ".join("%.12e" % x for x in row) + "\n" for row in a.tolist())
-
-
-def test_rows_match_percent_format_on_random_bit_patterns():
-    # every sign, exponent and mantissa, nans and infinities included
-    bits = np.random.default_rng(41).integers(0, 2**64, size=150_000, dtype=np.uint64)
-    a = bits.view(np.float64).reshape(-1, 3)
-    assert _row_texts(a) == [_percent_rows(a)]
-
-
-def test_rows_match_percent_format_on_scaled_normals():
-    rng = np.random.default_rng(43)
-    scale = np.array([float(f"1e{k}") for k in rng.integers(-40, 40, size=60_000)])
-    a = (rng.standard_normal(60_000) * scale).reshape(-1, 6)
-    assert _row_texts(a) == [_percent_rows(a)]
-
-
-def test_rows_match_percent_format_on_edge_cases():
-    tiny = np.nextafter(0.0, 1.0)
-    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
-    three_digit = np.array([1.2345678901234 * float(f"1e{k}")
-                            for k in (*range(-308, -99, 7), *range(100, 308, 7))])
-    n13 = np.random.default_rng(47).integers(10**12, 10**13, size=2000)
-    values = np.concatenate([
-        [0.0, -0.0, tiny, -tiny, 2.2250738585072014e-308, np.inf, -np.inf, np.nan, -np.nan],
-        [123456789012.5, 1234567890123.5, 12345678901235.0, 0.5, 2.5, 1e-290, 1e290],
-        powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
-        three_digit, -three_digit,
-        n13 + 0.5,  # ties in the 13th digit
-        10 * n13 + 5.0,  # 14-digit integers ending in 5, also ties
-        np.arange(-80_000, 80_000, 7) / 8.0,  # k/8
-    ])
-    a = np.concatenate([values, np.zeros(-values.size % 3)]).reshape(-1, 3)
-    assert _row_texts(a) == [_percent_rows(a)]
-    # several arrays in one call, split at their ends
-    parts = [values[:, None], a[:5], values[:12].reshape(2, 6), a]
-    assert _row_texts(*parts) == [_percent_rows(p) for p in parts]
+@pytest.mark.parametrize("shape", [(192, 3, 3), (64, 1, 3, 3)])
+def test_stress_of_another_shape_rejected(tmp_path, shape):
+    # torus 8x4: 64 elements, three quadrature points each
+    mesh = build_torus_mesh(2.0, 1.0, 8, 4)
+    geo = geometry_of(mesh)
+    exact = torus_exact(1.0, MAT, Torus(2.0, 1.0))
+    message = re.escape(f"stress shape {shape} does not match the (m, nq, 3, 3) = (64, 3, 3, 3)")
+    with pytest.raises(ValueError, match=message):
+        stress_l2_error(np.zeros(shape), geo, exact)
+    with pytest.raises(ValueError, match=message):
+        export_vtk(mesh, np.zeros(3 * mesh.n_vertices), np.zeros(shape), geo, tmp_path / "x.vtk")
+    assert not (tmp_path / "x.vtk").exists()
 
 
 def test_write_convergence_csv(tmp_path):
