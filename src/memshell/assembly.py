@@ -5,14 +5,20 @@ The stiffness and load vector are assembled from the mesh's
 rule and the variant; nothing here reads either.
 
 Degrees of freedom are node-major: dof ``3*node + component`` with components
-0..2 the global x, y, z displacements. Dirichlet data are two arrays: the
-constrained nodes (k,) and one unit direction per node (k, 3), each imposing
-the homogeneous constraint ``q . u(node) = 0``. With the projection
-``P = I - q q^T`` at each constrained node and ``I`` elsewhere, the
-constrained system is ``P K P + (I - P)`` with right-hand side ``P b``: the
-direction ``q`` decouples with a unit diagonal and a zero load, and every
-vector stays in global xyz. This keeps the system symmetric and needs no
-penalty parameter.
+0..2 the global x, y, z displacements. The stiffness is assembled on its
+node-block pattern: each sorted (node, node) pair of the mesh's elements owns
+one 3x3 block, and the elements add their nine blocks into them one block of
+elements (:meth:`~memshell.element.QuadraturePointData.blocks`) at a time. The
+blocks become a CSR matrix with sorted indices. Besides the matrix, only the
+pattern and one block's element matrices are held at a time.
+
+Dirichlet data are two arrays: the constrained nodes (k,) and one unit
+direction per node (k, 3), each imposing the homogeneous constraint
+``q . u(node) = 0``. With the projection ``P = I - q q^T`` at each
+constrained node and ``I`` elsewhere, the constrained system is
+``P K P + (I - P)`` with right-hand side ``P b``: the direction ``q``
+decouples with a unit diagonal and a zero load, and every vector stays in
+global xyz. This keeps the system symmetric and needs no penalty parameter.
 """
 
 import numpy as np
@@ -62,11 +68,6 @@ class LinearSystem:
         return self.matrix.shape[0]
 
 
-def _element_dofs(triangles: np.ndarray) -> np.ndarray:
-    """(m, 9) global dof indices per element, node-major."""
-    return (3 * triangles[:, :, None] + np.arange(3)[None, None, :]).reshape(-1, 9)
-
-
 def assemble(mesh: SurfaceMesh, material, geo: QuadraturePointData, traction=None) -> LinearSystem:
     """Assemble the global stiffness and consistent load vector.
 
@@ -76,18 +77,23 @@ def assemble(mesh: SurfaceMesh, material, geo: QuadraturePointData, traction=Non
     gives a zero right-hand side.
     """
     geo.require_elements(mesh.n_triangles)
-    ke = batch_element_stiffness(geo, material)
-    dofs = _element_dofs(mesh.triangles).astype(np.int32)  # scipy's index type below 2^31 dofs
-    rows = np.repeat(dofs, 9, axis=1).ravel()
-    cols = np.tile(dofs, (1, 9)).ravel()
-    ndof = 3 * mesh.n_vertices
-    matrix = sp.coo_matrix((ke.ravel(), (rows, cols)), shape=(ndof, ndof)).tocsr()
-
-    rhs = np.zeros(ndof)
-    if traction is not None:
-        fe = batch_element_loads(geo, traction)
-        np.add.at(rhs, dofs.ravel(), fe.ravel())
-    return LinearSystem(matrix, rhs, coordinates=mesh.vertices)
+    n, tri = mesh.n_vertices, mesh.triangles
+    # block keys row * n + col of the element's node pairs (i, j); slot[e, 3i + j]
+    pairs, slot = np.unique((tri[:, :, None] * n + tri[:, None, :]).ravel(), return_inverse=True)
+    slot = slot.reshape(-1, 3, 1, 3, 1)
+    ab = np.arange(0, 9, 3)[:, None, None] + np.arange(3)  # offset 3a + b in a block
+    blocks = np.zeros(9 * pairs.size)
+    rhs = np.zeros((n, 3))
+    for s, sub in geo.blocks():
+        # K[e, (i, a), (j, b)] goes to entry (a, b) of block slot[e, 3i + j]
+        ke = batch_element_stiffness(sub, material)
+        np.add.at(blocks, (9 * slot[s] + ab).ravel(), ke.ravel())
+        if traction is not None:
+            np.add.at(rhs, tri[s], batch_element_loads(sub, traction[s]).reshape(-1, 3, 3))
+    bptr = np.searchsorted(pairs, n * np.arange(n + 1))
+    matrix = sp.bsr_matrix((blocks.reshape(-1, 3, 3), pairs % n, bptr),
+                           shape=(3 * n, 3 * n)).tocsr()
+    return LinearSystem(matrix, rhs.ravel(), coordinates=mesh.vertices)
 
 
 def cylinder_constraints(mesh: SurfaceMesh) -> tuple[np.ndarray, np.ndarray]:

@@ -33,8 +33,7 @@ __all__ = ["RunConfig", "run_case", "run_convergence", "main"]
 
 DEFAULT_RESOLUTIONS = (16, 32, 64, 128)
 # allowed values of the string options, shared by their flags and config keys
-CHOICES = {"case": ("cylinder", "torus", "import"), "variant": ("interpolated", "facet"),
-           "mode": ("plane_stress", "plane_strain")}
+CHOICES = {"case": ("cylinder", "torus", "import"), "variant": ("interpolated", "facet")}
 
 
 @dataclasses.dataclass
@@ -49,7 +48,6 @@ class RunConfig:
     E: float = 100.0
     nu: float = 0.5
     t: float = 0.01
-    mode: str = "plane_stress"
     F: float = 1.0
     p: float = 1.0
     variant: str = "interpolated"
@@ -83,7 +81,7 @@ class CaseResult:
 
 def _build_case(config: RunConfig, n: int):
     """Mesh, material, constraints (nodes, directions), exact solution; None where absent."""
-    material = geometry.MaterialModel(config.E, config.nu, config.t, config.mode)
+    material = geometry.MaterialModel(config.E, config.nu, config.t)
     surf, msh = _case_mesh(config, n)
     if config.case == "cylinder":
         exact = geometry.cylinder_exact(config.F, material, surf)
@@ -148,7 +146,7 @@ def _report_lines(config: RunConfig, result: CaseResult, n: int) -> list[str]:
         f"vertices: {result.mesh.n_vertices}",
         f"triangles: {result.mesh.n_triangles}",
         f"mesh size h: {result.h:.12e}",
-        f"material: E={config.E} nu={config.nu} t={config.t} mode={config.mode}",
+        f"material: E={config.E} nu={config.nu} t={config.t}",
         f"load scale: {config.F if config.case == 'cylinder' else config.p}",
         f"solver iterations: {result.report.iterations}",
         f"solver relative residual: {result.report.relative_residual:.6e}",
@@ -281,7 +279,6 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--E", type=float, help="Young's modulus")
     p.add_argument("--nu", type=float, help="Poisson's ratio")
     p.add_argument("--t", type=float, help="thickness")
-    p.add_argument("--mode", choices=CHOICES["mode"])
     p.add_argument("--F", type=float, help="cylinder total-force scale")
     p.add_argument("--p", type=float, help="torus/import gauge pressure")
     p.add_argument("--r", type=float, help="cylinder radius / torus minor radius")

@@ -63,46 +63,30 @@ class Torus:
 
 @dataclasses.dataclass(frozen=True)
 class MaterialModel:
-    """Linear isotropic material for a thin membrane.
+    """Linear isotropic plane-stress material for a thin membrane.
 
     Parameters
     ----------
     E : float
         Young's modulus, positive.
     nu : float
-        Poisson's ratio. Valid range is ``(-1, 1)`` for plane stress (the
-        incompressible value 1/2 is allowed there) and ``(-1, 1/2)`` for
-        plane strain.
+        Poisson's ratio in ``(-1, 1)``; the incompressible value 1/2 is
+        allowed.
     t : float
         Thickness, positive.
-    mode : {"plane_stress", "plane_strain"}
-        Selects the effective second Lame parameter used by the constitutive
-        law: ``E*nu/(1 - nu^2)`` for plane stress, the full
-        ``E*nu/((1 + nu)(1 - 2 nu))`` for plane strain.
     """
 
     E: float
     nu: float
     t: float
-    mode: str = "plane_stress"
 
     def __post_init__(self):
         if self.E <= 0:
             raise GeometryError(f"Young's modulus must be positive, got {self.E}")
         if self.t <= 0:
             raise GeometryError(f"thickness must be positive, got {self.t}")
-        if self.mode == "plane_stress":
-            if not -1.0 < self.nu < 1.0:
-                raise GeometryError(
-                    f"plane stress requires -1 < nu < 1, got nu={self.nu}"
-                )
-        elif self.mode == "plane_strain":
-            if not -1.0 < self.nu < 0.5:
-                raise GeometryError(
-                    f"plane strain requires -1 < nu < 1/2, got nu={self.nu}"
-                )
-        else:
-            raise GeometryError(f"unknown material mode {self.mode!r}")
+        if not -1.0 < self.nu < 1.0:
+            raise GeometryError(f"plane stress requires -1 < nu < 1, got nu={self.nu}")
 
     @property
     def mu(self) -> float:
@@ -110,19 +94,9 @@ class MaterialModel:
         return self.E / (2.0 * (1.0 + self.nu))
 
     @property
-    def lam(self) -> float:
-        """First Lame parameter E nu / ((1 + nu)(1 - 2 nu))."""
-        return self.E * self.nu / ((1.0 + self.nu) * (1.0 - 2.0 * self.nu))
-
-    @property
     def lam0(self) -> float:
         """Plane-stress effective Lame parameter 2 lam mu / (lam + 2 mu) = E nu / (1 - nu^2)."""
         return self.E * self.nu / (1.0 - self.nu**2)
-
-    @property
-    def lame_effective(self) -> float:
-        """The Lame parameter entering the membrane constitutive law."""
-        return self.lam0 if self.mode == "plane_stress" else self.lam
 
 
 @dataclasses.dataclass(frozen=True)

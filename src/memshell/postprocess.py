@@ -6,7 +6,10 @@ the tangential strain followed by the membrane constitutive law
 element normal by construction. It is a plain ``(m, nq, 3, 3)`` array
 sampled at ``geo.points`` of the case's
 :class:`~memshell.element.QuadraturePointData`; errors are integrated with
-``geo.measures`` and the export's cell averages are weighted by them.
+``geo.measures`` and the export's cell averages are weighted by them. The
+recovery writes each block of elements of
+:meth:`~memshell.element.QuadraturePointData.blocks` into the one result
+array, and the error is summed block by block.
 """
 
 import dataclasses
@@ -56,14 +59,17 @@ def recover_stress(mesh: SurfaceMesh, material: MaterialModel, displacement,
     """
     u = _nodal_displacements(mesh, displacement)
     geo.require_elements(mesh.n_triangles)
-    ue = u[mesh.triangles]
-
-    proj = geo.projectors()
-    # the basis gradients are tangential (grad n = 0), so P eps P = sym(P grad)
-    grad = proj @ (ue.swapaxes(1, 2)[:, None] @ geo.gradients)
-    eps_p = 0.5 * (grad + grad.swapaxes(-1, -2))
-    tr = np.trace(eps_p, axis1=-2, axis2=-1)
-    return 2.0 * material.mu * eps_p + material.lame_effective * tr[..., None, None] * proj
+    stress = np.empty(geo.measures.shape + (3, 3))
+    for s, sub in geo.blocks():
+        ue = u[mesh.triangles[s]]
+        proj = sub.projectors()
+        # the basis gradients are tangential (grad n = 0), so P eps P = sym(P grad)
+        grad = proj @ (ue.swapaxes(1, 2)[:, None] @ sub.gradients)
+        eps_p = 0.5 * (grad + grad.swapaxes(-1, -2))
+        tr = np.trace(eps_p, axis1=-2, axis2=-1)
+        np.multiply(2.0 * material.mu, eps_p, out=stress[s])
+        stress[s] += material.lam0 * tr[..., None, None] * proj
+    return stress
 
 
 def stress_l2_error(stress, geo: QuadraturePointData, exact: ExactSolution) -> float:
@@ -72,10 +78,12 @@ def stress_l2_error(stress, geo: QuadraturePointData, exact: ExactSolution) -> f
     ``stress`` holds the samples at ``geo.points``; ``geo.measures`` weighs them.
     """
     _require_stress_on(stress, geo)
-    sig_exact = np.asarray(exact.stress_at(geo.points.reshape(-1, 3)), dtype=float)
-    diff = sig_exact.reshape(stress.shape) - stress
-    sq = np.einsum("mqab,mqab->mq", diff, diff)
-    return math.sqrt(float(np.sum(geo.measures * sq)))
+    total = 0.0
+    for s, sub in geo.blocks():
+        sig_exact = np.asarray(exact.stress_at(sub.points.reshape(-1, 3)), dtype=float)
+        diff = sig_exact.reshape(stress[s].shape) - stress[s]
+        total += float(np.sum(sub.measures * np.einsum("mqab,mqab->mq", diff, diff)))
+    return math.sqrt(total)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -285,7 +285,7 @@ def element_stiffness(coords, normals, material, quad: QuadratureRule = QUADRATU
     coords = np.asarray(coords, dtype=float)
     normals = np.asarray(normals, dtype=float)
     mu = material.mu
-    lam = material.lame_effective
+    lam = material.lam0
     measure = np.linalg.norm(np.cross(coords[1] - coords[0], coords[2] - coords[0]))
 
     K = np.zeros((9, 9))

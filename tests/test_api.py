@@ -26,8 +26,9 @@ SUBMODULES = ("assembly", "cli", "element", "geometry", "mesh", "postprocess", "
 # and exact-surface queries live on in tests/oracles.py as references, and the
 # caller-stated kernel (the solver now detects it from the system), the
 # rotated constraint frames, the separate pressure load path, the stress
-# container (stresses are a plain array on the case's quadrature geometry)
-# and the rule-by-order lookup (one rule, QUADRATURE_RULE).
+# container (stresses are a plain array on the case's quadrature geometry),
+# the rule-by-order lookup (one rule, QUADRATURE_RULE) and the plane-strain
+# material mode (the membrane law is plane stress).
 REMOVED = (
     "DofMap", "ElementMatrices", "element_matrices", "REFERENCE_GRADIENTS", "_GRAD_RHS",
     "shape_values_and_ref_gradients", "element_jacobian", "basis_surface_gradients",
@@ -38,7 +39,8 @@ REMOVED = (
     "_radial", "_tube_frame", "ON_SURFACE_TOL", "projector", "facet_areas", "facet_normals",
     "_facet_normals", "_facet_areas", "l2_norm", "_node_frames", "pressure_rhs",
     "StressField", "cell_averages", "n_elements", "quadrature_rule", "_row_texts",
-    "_DIGIT_WORDS", "_LEAD_WORDS", "_EXP_MAX", "_EXP_WORDS", "_SCALES",
+    "_DIGIT_WORDS", "_LEAD_WORDS", "_EXP_MAX", "_EXP_WORDS", "_SCALES", "lame_effective",
+    "plane_strain",
 )
 
 

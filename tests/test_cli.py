@@ -202,6 +202,20 @@ def test_config_file_with_flag_override(tmp_path):
     assert "nu=0.3" in report
 
 
+def test_material_is_plane_stress_without_a_mode(tmp_path, capsys):
+    # the membrane law is plane stress: no --mode flag, no mode key or field
+    assert "mode" not in cli.CHOICES and not hasattr(RunConfig(), "mode")
+    with pytest.raises(SystemExit):
+        main(["run", "--mode", "plane_stress", "--out", str(tmp_path)])
+    cfg = tmp_path / "mode.cfg"
+    cfg.write_text("mode = plane_stress\n")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    assert "unknown config key 'mode'" in capsys.readouterr().err
+    assert main(["run", "--n", "4", "--out", str(tmp_path)]) == 0
+    report = (tmp_path / "report.txt").read_text().splitlines()
+    assert "material: E=100.0 nu=0.5 t=0.01" in report
+
+
 def test_config_file_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("flux_capacitance = 7\n")
@@ -231,7 +245,6 @@ def test_config_file_values_type_checked_like_flags(tmp_path, capsys, line, key)
 @pytest.mark.parametrize("key, value", [
     ("case", "cylindre"),
     ("variant", "facte"),
-    ("mode", "plane_strian"),
 ])
 def test_config_file_values_checked_against_flag_choices(tmp_path, capsys, monkeypatch,
                                                           key, value):

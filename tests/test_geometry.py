@@ -1,5 +1,6 @@
 """Surface parameters, the exact-surface oracle, material model, exact benchmark fields."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -141,10 +142,9 @@ def test_exact_fields_off_surface_are_those_of_the_closest_point(surface, exact)
 def test_material_derived_parameters():
     assert abs(MAT.mu - 100.0 / 3.0) < 1e-12
     assert abs(MAT.lam0 - 100.0 * 0.5 / 0.75) < 1e-12
-    assert MAT.lame_effective == MAT.lam0
-    strain_mat = MaterialModel(E=10.0, nu=0.25, t=1.0, mode="plane_strain")
-    assert abs(strain_mat.lam - 10.0 * 0.25 / (1.25 * 0.5)) < 1e-12
-    assert strain_mat.lame_effective == strain_mat.lam
+    # plane stress is the only law: no mode, no three-dimensional lam
+    assert [f.name for f in dataclasses.fields(MaterialModel)] == ["E", "nu", "t"]
+    assert not hasattr(MAT, "lam")
 
 
 def test_material_validation():
@@ -154,13 +154,9 @@ def test_material_validation():
     with pytest.raises(GeometryError):
         MaterialModel(E=1.0, nu=-1.0, t=1.0)
     with pytest.raises(GeometryError):
-        MaterialModel(E=1.0, nu=0.5, t=1.0, mode="plane_strain")
-    with pytest.raises(GeometryError):
         MaterialModel(E=-1.0, nu=0.3, t=1.0)
     with pytest.raises(GeometryError):
         MaterialModel(E=1.0, nu=0.3, t=0.0)
-    with pytest.raises(GeometryError):
-        MaterialModel(E=1.0, nu=0.3, t=1.0, mode="shell")
 
 
 def test_geometry_validation():

@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from memshell import element
 from memshell.assembly import apply_constraints, assemble, cylinder_constraints
 from memshell.cli import RunConfig, solve_case
 from memshell.element import QUADRATURE_RULE
@@ -171,6 +172,23 @@ def test_stress_l2_error_matches_bruteforce_recomputation():
             diff = sig_e - stress[e, q]
             total += geo.measures[e, q] * float(np.sum(diff * diff))
     assert abs(err - math.sqrt(total)) <= 1e-10 * err
+
+
+@pytest.mark.parametrize("variant", ["interpolated", "facet"])
+def test_recovery_and_error_over_several_element_blocks(monkeypatch, variant):
+    # blocks of 7 elements (several full ones and a partial last one) give the
+    # one-block stress bit for bit and its error up to the summation order
+    mesh = build_torus_mesh(1.0, 0.5, 10, 5)
+    assert mesh.n_triangles > 7 and mesh.n_triangles % 7
+    geo = geometry_of(mesh, variant=variant)
+    u = np.random.default_rng(5).standard_normal(3 * mesh.n_vertices)
+    exact = torus_exact(1.0, MAT, Torus(1.0, 0.5))
+    stress = recover_stress(mesh, MAT, u, geo)
+    err = stress_l2_error(stress, geo, exact)
+    monkeypatch.setattr(element, "BLOCK_ELEMENTS", 7)
+    blocked = recover_stress(mesh, MAT, u, geo)
+    assert np.array_equal(blocked, stress)
+    assert abs(stress_l2_error(blocked, geo, exact) - err) <= 1e-13 * err
 
 
 def test_stress_l2_error_stable_under_refined_quadrature():
@@ -346,13 +364,13 @@ def test_recover_stress_matches_double_projection_reference(case, variant):
     tris = mesh.triangles
     geo = geometry_of(mesh, variant=variant)
     ue = result.displacement.reshape(-1, 3)[tris]
-    mat = MaterialModel(config.E, config.nu, config.t, config.mode)
+    mat = MaterialModel(config.E, config.nu, config.t)
     ref = np.empty_like(result.stress)
     for e in range(len(tris)):
         for q in range(geo.measures.shape[1]):
             n = geo.normals[e, q]
             eps_p = double_projection(tangential_strain(ue[e], geo.gradients[e, q]), n)
             proj = np.eye(3) - np.outer(n, n)
-            ref[e, q] = 2.0 * mat.mu * eps_p + mat.lame_effective * np.trace(eps_p) * proj
+            ref[e, q] = 2.0 * mat.mu * eps_p + mat.lam0 * np.trace(eps_p) * proj
     assert np.abs(result.stress - ref).max() <= 1e-13 * np.abs(ref).max()
 
