@@ -14,11 +14,12 @@ pattern and one block's element matrices are held at a time.
 
 Dirichlet data are two arrays: the constrained nodes (k,) and one unit
 direction per node (k, 3), each imposing the homogeneous constraint
-``q . u(node) = 0``. With the projection ``P = I - q q^T`` at each
-constrained node and ``I`` elsewhere, the constrained system is
-``P K P + (I - P)`` with right-hand side ``P b``: the direction ``q``
-decouples with a unit diagonal and a zero load, and every vector stays in
-global xyz. This keeps the system symmetric and needs no penalty parameter.
+``q . u(node) = 0``. With ``Q`` holding ``q q^T`` in the diagonal block of each
+constrained node and ``P = I - Q``, the constrained system ``P K P + Q =
+K - (K Q + Q K - Q K Q - Q)``, ``P b = b - Q b`` is formed from sparse
+products; it differs from ``K`` only in the rows and columns of constrained
+nodes. ``q`` decouples with a unit diagonal and a zero load, every vector stays
+in global xyz, and the system stays symmetric without a penalty parameter.
 """
 
 import numpy as np
@@ -129,15 +130,14 @@ def apply_constraints(system: LinearSystem, nodes, directions) -> LinearSystem:
     """Impose ``directions[i] . u(nodes[i]) = 0`` on an assembled system.
 
     ``nodes`` (k,) lists each constrained node once; ``directions`` (k, 3)
-    holds its unit direction ``q``. With ``P = I - q q^T`` at each constrained
-    node and ``I`` elsewhere, returns the system ``P K P + (I - P)``,
-    ``P b``, carrying the constraints; the two directions orthogonal to
-    ``q`` remain natural (traction-free). With no constraints the input
+    holds its unit direction ``q``. With ``Q`` holding ``q q^T`` in each
+    constrained node's diagonal block and ``P = I - Q``, returns the system
+    ``P K P + Q = K - (K Q + Q K - Q K Q - Q)``, ``P b = b - Q b``, carrying
+    the constraints; the two directions orthogonal to ``q`` remain natural
+    (traction-free). The result differs from ``K`` only in the rows and
+    columns of constrained nodes, and has ``q q^T`` on each one's diagonal
+    whether or not ``K`` stored that block. With no constraints the input
     system is returned unchanged.
-
-    Only the 3x3 blocks in rows or columns of constrained nodes change:
-    ``K_ab`` becomes ``P_a K_ab P_b``, plus ``q q^T`` on a constrained
-    node's diagonal block (stored there if it was absent).
     """
     nodes = np.asarray(nodes, dtype=np.int64)
     directions = np.asarray(directions, dtype=float)
@@ -148,8 +148,7 @@ def apply_constraints(system: LinearSystem, nodes, directions) -> LinearSystem:
         return system
     if system.constraints is not None:
         raise ConstraintError("constraints have already been applied to this system")
-    n_nodes = system.ndof // 3
-    outside = (nodes < 0) | (nodes >= n_nodes)
+    outside = (nodes < 0) | (nodes >= system.ndof // 3)
     if outside.any():
         raise ConstraintError(f"constraint node {nodes[np.argmax(outside)]} out of range")
     norm = np.linalg.norm(directions, axis=1)
@@ -164,31 +163,13 @@ def apply_constraints(system: LinearSystem, nodes, directions) -> LinearSystem:
         raise ConstraintError(f"node {nodes[repeat.min()]} is constrained more than once")
     q = directions / norm[:, None]
 
-    qq = np.zeros((n_nodes, 3, 3))
-    qq[nodes] = q[:, :, None] * q[:, None, :]
-    P = np.eye(3) - qq
-    is_con = np.zeros(n_nodes, dtype=bool)
-    is_con[nodes] = True
-
-    K = system.matrix.tobsr((3, 3))
-    row = np.repeat(np.arange(n_nodes), np.diff(K.indptr))
-    col = K.indices
-    touched = np.flatnonzero(is_con[row] | is_con[col])
-    r, c = row[touched], col[touched]
-    blocks = P[r] @ K.data[touched] @ P[c]
-    diag = r == c
-    blocks[diag] += qq[r[diag]]
-    K.data[touched] = blocks
-    matrix = K.tocsr()
-    matrix.eliminate_zeros()
-    stored = np.zeros(n_nodes, dtype=bool)
-    stored[r[diag]] = True
-    if not stored[nodes].all():  # a constrained node without a stored diagonal block
-        qq[stored] = 0.0
-        ptr = np.arange(n_nodes + 1)
-        matrix = matrix + sp.bsr_matrix((qq, ptr[:-1], ptr), shape=matrix.shape).tocsr()
-
-    rhs = system.rhs.reshape(n_nodes, 3).copy()
-    rhs[nodes] = np.einsum("kab,kb->ka", P[nodes], rhs[nodes])
-    return LinearSystem(matrix, rhs.ravel(), constraints=(nodes, q),
+    K = system.matrix
+    dof = 3 * nodes[order, None] + np.arange(3)  # the constrained rows, ascending
+    Q = sp.csr_matrix(((q[order, :, None] * q[order, None, :]).ravel(),
+                       np.repeat(dof, 3, axis=0).ravel(),
+                       3 * np.searchsorted(dof.ravel(), np.arange(K.shape[0] + 1))), shape=K.shape)
+    KQ = K @ Q
+    change = KQ + Q @ K - Q @ KQ - Q
+    change.sort_indices()  # a sorted operand keeps the difference sorted, and is faster
+    return LinearSystem(K - change, system.rhs - Q @ system.rhs, constraints=(nodes, q),
                         coordinates=system.coordinates)

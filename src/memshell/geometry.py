@@ -26,6 +26,13 @@ class GeometryError(ValueError):
     """Invalid geometric or material parameters."""
 
 
+def _require_finite(owner: str, **values: float) -> None:
+    """Raise GeometryError naming the first parameter that is NaN or infinite."""
+    for name, value in values.items():
+        if not np.isfinite(value):
+            raise GeometryError(f"{owner} requires a finite {name}, got {name}={value}")
+
+
 @dataclasses.dataclass(frozen=True)
 class Cylinder:
     """Open cylinder of radius ``r`` about the x-axis, ends at x=0 and x=L."""
@@ -34,6 +41,7 @@ class Cylinder:
     L: float
 
     def __post_init__(self):
+        _require_finite("cylinder", r=self.r, L=self.L)
         if self.r <= 0 or self.L <= 0:
             raise GeometryError(f"cylinder requires r, L > 0, got r={self.r}, L={self.L}")
 
@@ -53,6 +61,7 @@ class Torus:
     r: float
 
     def __post_init__(self):
+        _require_finite("torus", R=self.R, r=self.r)
         if self.r <= 0:
             raise GeometryError(f"torus requires r > 0, got r={self.r}")
         if self.R <= self.r:
@@ -68,12 +77,12 @@ class MaterialModel:
     Parameters
     ----------
     E : float
-        Young's modulus, positive.
+        Young's modulus, positive and finite.
     nu : float
         Poisson's ratio in ``(-1, 1)``; the incompressible value 1/2 is
         allowed.
     t : float
-        Thickness, positive.
+        Thickness, positive and finite.
     """
 
     E: float
@@ -81,6 +90,7 @@ class MaterialModel:
     t: float
 
     def __post_init__(self):
+        _require_finite("material", E=self.E, t=self.t)
         if self.E <= 0:
             raise GeometryError(f"Young's modulus must be positive, got {self.E}")
         if self.t <= 0:

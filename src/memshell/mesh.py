@@ -149,9 +149,9 @@ class SurfaceMesh:
     Raises
     ------
     MeshError
-        On index errors, degenerate triangles, unreferenced vertices,
-        non-manifold or inconsistently oriented connectivity, or non-unit
-        normals.
+        On non-finite coordinates, index errors, degenerate triangles,
+        unreferenced vertices, non-manifold or inconsistently oriented
+        connectivity, or non-unit normals.
     """
 
     def __init__(self, vertices, triangles, nodal_normals=None, boundary_labels=None):
@@ -159,6 +159,9 @@ class SurfaceMesh:
         t = np.array(triangles, dtype=np.int64)
         if v.ndim != 2 or v.shape[1] != 3:
             raise MeshError(f"vertices must have shape (n, 3), got {v.shape}")
+        if not np.isfinite(v).all():
+            k = int(np.argmin(np.isfinite(v).all(axis=1)))
+            raise MeshError(f"vertex {k} has a non-finite coordinate {v[k].tolist()}")
         if t.ndim != 2 or t.shape[1] != 3:
             raise MeshError(f"triangles must have shape (m, 3), got {t.shape}")
         if t.size == 0:
@@ -192,7 +195,7 @@ class SurfaceMesh:
             nn = np.array(nodal_normals, dtype=float)
             if nn.shape != v.shape:
                 raise MeshError(f"nodal_normals must have shape {v.shape}, got {nn.shape}")
-            if np.any(np.abs(np.linalg.norm(nn, axis=1) - 1.0) > 1e-12):
+            if not np.all(np.abs(np.linalg.norm(nn, axis=1) - 1.0) <= 1e-12):  # NaN included
                 raise MeshError("nodal normals must have unit length (tolerance 1e-12)")
 
         self._vertices = _readonly(v)

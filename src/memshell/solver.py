@@ -167,7 +167,7 @@ def solve(system: LinearSystem, tol: float = 1e-10, max_iter: int | None = None,
         multiple of 3) whose 3x3 nodal diagonal blocks are each positive
         definite.
     tol : float
-        Relative residual target.
+        Relative residual target, in (0, 1).
     max_iter : int, optional
         Defaults to ``ceil(50 * sqrt(ndof))``.
     x0 : array, optional
@@ -180,9 +180,9 @@ def solve(system: LinearSystem, tol: float = 1e-10, max_iter: int | None = None,
     Raises
     ------
     SolverError
-        If ``tol`` is not positive, ``max_iter`` is below 1, ``ndof`` is not
-        a multiple of 3, or a nodal diagonal block is not positive definite
-        (the message names the parameter or the node).
+        If ``tol`` is not in (0, 1), ``max_iter`` is below 1, ``ndof`` is not
+        a multiple of 3, the right-hand side is not finite or a nodal diagonal
+        block is not positive definite (the message names the cause).
     NegativeCurvatureError
         If a search direction has non-positive curvature.
     IterationLimitError
@@ -191,6 +191,8 @@ def solve(system: LinearSystem, tol: float = 1e-10, max_iter: int | None = None,
     """
     if not tol > 0:  # NaN included
         raise SolverError(f"tol must be > 0, got {tol}")
+    if not tol < 1:
+        raise SolverError(f"tol must be < 1, got {tol}")
     if max_iter is not None and max_iter < 1:
         raise SolverError(f"max_iter must be >= 1, got {max_iter}")
     A = system.matrix
@@ -198,6 +200,9 @@ def solve(system: LinearSystem, tol: float = 1e-10, max_iter: int | None = None,
     ndof = system.ndof
     if ndof % 3:
         raise SolverError(f"system has {ndof} dofs; a node-major system needs a multiple of 3")
+    if not np.isfinite(b).all():
+        k = int(np.argmin(np.isfinite(b)))
+        raise SolverError(f"right-hand side (load) is not finite at dof {k} of node {k // 3}")
     if max_iter is None:
         max_iter = max(50, math.ceil(50.0 * math.sqrt(ndof)))
 

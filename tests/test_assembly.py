@@ -107,6 +107,21 @@ def test_assembly_memory_peak_is_a_small_multiple_of_the_matrix():
     assert peak <= 3.5 * (K.data.nbytes + K.indices.nbytes + K.indptr.nbytes)
 
 
+def test_constraint_memory_peak_is_a_small_multiple_of_the_matrix():
+    # Traced peak over the returned CSR's bytes at cylinder n=32: 2.48 for a
+    # read-back of the stiffness into 3x3 blocks, 1.46 for the sparse products.
+    mesh = build_cylinder_mesh(1.0, 4.0, 32, 32)
+    system = assemble(mesh, MAT, geometry_of(mesh))
+    constraints = cylinder_constraints(mesh)
+    tracemalloc.start()
+    try:
+        K = apply_constraints(system, *constraints).matrix
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.8 * (K.data.nbytes + K.indices.nbytes + K.indptr.nbytes)
+
+
 def test_assembled_matrix_symmetric_and_psd_behaviour():
     mesh = build_cylinder_mesh(1.0, 4.0, 8, 6)
     system = assemble(mesh, MAT, geometry_of(mesh))
@@ -317,6 +332,8 @@ def _assert_matches_reference(system, nodes, directions):
     ref = apply_constraints_reference(system, nodes, directions)
     scale = abs(ref.matrix).max()
     assert abs(got.matrix - ref.matrix).max() <= 1e-14 * scale
+    # sorted column indices and no stored zeros, as assemble leaves its matrix
+    assert got.matrix.has_canonical_format and np.all(got.matrix.data != 0)
     assert np.abs(got.rhs - ref.rhs).max() <= 1e-14 * max(np.abs(ref.rhs).max(), 1e-300)
     assert np.array_equal(got.constraints[0], ref.constraints[0])
     assert np.abs(got.constraints[1] - ref.constraints[1]).max() <= 1e-15
@@ -364,6 +381,14 @@ def test_apply_constraints_matches_reference_without_stored_diagonal_block():
     K[:3, 3:] = K[3:, :3] = 0.5
     system = LinearSystem(sp.csr_matrix(K), np.arange(1.0, 7.0))
     _assert_matches_reference(system, [1, 0], [np.array([1.0, 2.0, 2.0]) / 3.0, [0.0, 1.0, 0.0]])
+
+
+def test_apply_constraints_matches_reference_on_a_non_symmetric_matrix():
+    # the sparse form needs no symmetry of K: Q K is not taken as (K Q)^T
+    rng = np.random.default_rng(3)
+    K = rng.standard_normal((15, 15))
+    system = LinearSystem(sp.csr_matrix(K), rng.standard_normal(15))
+    _assert_matches_reference(system, *_random_constraints(rng, 5, 3))
 
 
 @pytest.mark.parametrize("directions, nodes, message", [

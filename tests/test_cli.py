@@ -271,6 +271,42 @@ def test_run_rejects_non_positive_tolerance(tmp_path, capsys):
     assert not (out / "report.txt").exists()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--E", "nan"], "[geometry]: material requires a finite E, got E=nan"),
+    (["--E", "inf"], "[geometry]: material requires a finite E, got E=inf"),
+    (["--t", "nan"], "[geometry]: material requires a finite t, got t=nan"),
+    (["--r", "nan"], "[geometry]: cylinder requires a finite r, got r=nan"),
+    (["--L", "inf"], "[geometry]: cylinder requires a finite L, got L=inf"),
+    (["--case", "torus", "--R", "inf"], "[geometry]: torus requires a finite R, got R=inf"),
+    (["--F", "nan"], "[solver]: right-hand side (load) is not finite at dof 0 of node 0"),
+    (["--case", "torus", "--p", "nan"],
+     "[solver]: right-hand side (load) is not finite at dof 0 of node 0"),
+    (["--case", "torus", "--tol", "1.5"], "[solver]: tol must be < 1, got 1.5"),
+    (["--case", "torus", "--tol", "inf"], "[solver]: tol must be < 1, got inf"),
+], ids=["E-nan", "E-inf", "t-nan", "r-nan", "L-inf", "R-inf", "F-nan", "p-nan", "tol-1.5",
+        "tol-inf"])
+def test_run_rejects_a_non_finite_or_out_of_range_value_by_name(tmp_path, capsys, flags, message):
+    out = tmp_path / "out"
+    assert main(["run", *flags, "--n", "6", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"memshell: error {message}\n"
+    assert not (out / "report.txt").exists()
+
+
+def test_import_rejects_a_nan_vertex_by_index(tmp_path, capsys):
+    off = tmp_path / "nan.off"
+    _write_off(build_torus_mesh(1.0, 0.5, 12, 6), off)
+    lines = off.read_text().splitlines()
+    lines[2 + 5] = "nan 0.0 0.5"  # vertex 5
+    off.write_text("\n".join(lines) + "\n")
+    message = "memshell: error [mesh]: vertex 5 has a non-finite coordinate [nan, 0.0, 0.5]\n"
+    assert main(["mesh-info", "--mesh", str(off)]) == 1
+    assert capsys.readouterr().err == message
+    out = tmp_path / "out"
+    assert main(["run", "--case", "import", "--mesh", str(off), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == message
+    assert not (out / "report.txt").exists()
+
+
 def test_config_file_mesh_key_names_the_import_mesh(tmp_path):
     off = tmp_path / "t.off"
     _write_off(build_torus_mesh(1.0, 0.5, 12, 6), off)

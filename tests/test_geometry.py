@@ -171,6 +171,22 @@ def test_geometry_validation():
         Torus(0.5, 0.5)
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: MaterialModel(math.nan, 0.3, 0.01), "material requires a finite E, got E=nan"),
+    (lambda: MaterialModel(math.inf, 0.3, 0.01), "material requires a finite E, got E=inf"),
+    (lambda: MaterialModel(1.0, 0.3, math.nan), "material requires a finite t, got t=nan"),
+    (lambda: Cylinder(math.nan, 4.0), "cylinder requires a finite r, got r=nan"),
+    (lambda: Cylinder(1.0, math.inf), "cylinder requires a finite L, got L=inf"),
+    (lambda: Torus(math.inf, 0.5), "torus requires a finite R, got R=inf"),
+    (lambda: Torus(1.0, -math.inf), "torus requires a finite r, got r=-inf"),
+], ids=["E-nan", "E-inf", "t-nan", "cylinder-r-nan", "cylinder-L-inf", "torus-R-inf",
+        "torus-r-minus-inf"])
+def test_non_finite_parameters_rejected_by_name(make, message):
+    with pytest.raises(GeometryError) as err:
+        make()
+    assert str(err.value) == message
+
+
 # ---------------------------------------------------------------------------
 # cylinder exact solution
 # ---------------------------------------------------------------------------

@@ -247,6 +247,22 @@ def test_degenerate_triangle_rejected():
         SurfaceMesh(verts, np.array([[0, 1, 2]]))
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_vertex_rejected_by_index(value):
+    verts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, value]])
+    message = rf"^vertex 2 has a non-finite coordinate \[0.0, 1.0, {value}\]$"
+    with pytest.raises(MeshError, match=message):
+        SurfaceMesh(verts, np.array([[0, 1, 2]]))
+
+
+@pytest.mark.parametrize("normal", [[math.nan, 0.0, 1.0], [0.0, 0.0, math.nan], [0.0, 0.0, 2.0]])
+def test_given_nodal_normals_must_be_unit_length(normal):
+    verts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    normals = np.array([[0.0, 0.0, 1.0], normal, [0.0, 0.0, 1.0]])
+    with pytest.raises(MeshError, match="unit length"):
+        SurfaceMesh(verts, np.array([[0, 1, 2]]), nodal_normals=normals)
+
+
 def test_unreferenced_vertex_rejected():
     verts = np.array([
         [0.0, 0.0, 0.0],

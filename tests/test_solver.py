@@ -79,6 +79,13 @@ def test_rejects_dof_count_not_a_multiple_of_three():
     ({"tol": math.nan}, "tol must be > 0, got nan"),
     ({"max_iter": 0}, "max_iter must be >= 1, got 0"),
     ({"max_iter": -3}, "max_iter must be >= 1, got -3"),
+    ({"tol": 1.0}, "tol must be < 1, got 1.0"),
+    ({"tol": 1.5}, "tol must be < 1, got 1.5"),
+    ({"tol": math.inf}, "tol must be < 1, got inf"),
+    ({"rhs": [2.0, 4.0, 8.0, 1.0, math.nan, 5.0]},
+     "right-hand side (load) is not finite at dof 4 of node 1"),
+    ({"rhs": [math.inf, 4.0, 8.0, 1.0, 3.0, 5.0]},
+     "right-hand side (load) is not finite at dof 0 of node 0"),
 ])
 def test_bad_solver_parameters_rejected_before_the_block_inverse(monkeypatch, kwargs, message):
     def never(A):
@@ -86,8 +93,10 @@ def test_bad_solver_parameters_rejected_before_the_block_inverse(monkeypatch, kw
 
     monkeypatch.setattr("memshell.solver._nodal_block_inverse", never)
     d = [2.0, 4.0, 8.0, 1.0, 3.0, 5.0]
+    kwargs = dict(kwargs)
+    rhs = kwargs.pop("rhs", d)
     with pytest.raises(SolverError) as err:
-        solve(_system(np.diag(d), d), **kwargs)
+        solve(_system(np.diag(d), rhs), **kwargs)
     assert str(err.value) == message
 
 
