@@ -7,10 +7,12 @@ rule and the variant; nothing here reads either.
 Degrees of freedom are node-major: dof ``3*node + component`` with components
 0..2 the global x, y, z displacements. The stiffness is assembled on its
 node-block pattern: each sorted (node, node) pair of the mesh's elements owns
-one 3x3 block, and the elements add their nine blocks into them one block of
-elements (:meth:`~memshell.element.QuadraturePointData.blocks`) at a time. The
-blocks become a CSR matrix with sorted indices. Besides the matrix, only the
-pattern and one block's element matrices are held at a time.
+one 3x3 block, laid out in the rows of a CSR matrix with sorted indices. The
+elements add their nine blocks straight into that matrix's data, one block of
+elements (:meth:`~memshell.element.QuadraturePointData.blocks`) at a time,
+through a map from each (element, node pair) to the pair's first CSR entry.
+Besides the matrix, only that int32 map and one block's element matrices are
+held at a time.
 
 Dirichlet data are two arrays: the constrained nodes (k,) and one unit
 direction per node (k, 3), each imposing the homogeneous constraint
@@ -79,21 +81,40 @@ def assemble(mesh: SurfaceMesh, material, geo: QuadraturePointData, traction=Non
     """
     geo.require_elements(mesh.n_triangles)
     n, tri = mesh.n_vertices, mesh.triangles
-    # block keys row * n + col of the element's node pairs (i, j); slot[e, 3i + j]
-    pairs, slot = np.unique((tri[:, :, None] * n + tri[:, None, :]).ravel(), return_inverse=True)
-    slot = slot.reshape(-1, 3, 1, 3, 1)
-    ab = np.arange(0, 9, 3)[:, None, None] + np.arange(3)  # offset 3a + b in a block
-    blocks = np.zeros(9 * pairs.size)
+    # block keys row * n + col of the element's node pairs (i, j), sorted once
+    # (np.unique's inverse would take several int64 copies of them); slot[e, 3i + j]
+    # numbers the distinct keys (blocks) in ascending order
+    keys = (tri[:, :, None] * n + tri[:, None, :]).ravel()
+    order = np.argsort(keys)
+    keys = keys[order]
+    first = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    itype = sp.get_index_dtype(maxval=9 * keys.size)
+    slot = np.empty(keys.size, dtype=itype)
+    slot[order] = np.cumsum(first, dtype=itype) - 1
+    row, col = np.divmod(keys[first], n)
+    del keys, order, first
+    # CSR row 3i + a holds row a of node i's blocks in column order, so entry
+    # (a, b) of block k of node row i sits at base[k] + a width[i] + b
+    width = 3 * np.bincount(row, minlength=n).astype(itype)
+    start = np.zeros(n + 1, dtype=itype)
+    np.cumsum(width, out=start[1:])
+    base = 2 * start[row] + 3 * np.arange(row.size, dtype=itype)
+    abc = np.arange(3, dtype=itype)
+    indptr = np.append(3 * start[:-1, None] + width[:, None] * abc, 3 * start[-1])
+    indices = np.empty(indptr[-1], dtype=itype)
+    indices[(base + abc[:, None] * width[row])[..., None] + abc] = 3 * col[:, None] + abc
+    slot = base[slot].reshape(-1, 3, 1, 3, 1)  # entry (0, 0) of each (e, i, j) block
+    del row, col, base
+    data = np.zeros(indices.size)
     rhs = np.zeros((n, 3))
     for s, sub in geo.blocks():
-        # K[e, (i, a), (j, b)] goes to entry (a, b) of block slot[e, 3i + j]
-        ke = batch_element_stiffness(sub, material)
-        np.add.at(blocks, (9 * slot[s] + ab).ravel(), ke.ravel())
+        # K[e, (i, a), (j, b)] goes to entry (a, b) of the block: slot + a width[i] + b
+        at = slot[s] + width[tri[s]][:, :, None, None, None] * abc[:, None, None] + abc
+        np.add.at(data, at.ravel(), batch_element_stiffness(sub, material).ravel())
         if traction is not None:
             np.add.at(rhs, tri[s], batch_element_loads(sub, traction[s]).reshape(-1, 3, 3))
-    bptr = np.searchsorted(pairs, n * np.arange(n + 1))
-    matrix = sp.bsr_matrix((blocks.reshape(-1, 3, 3), pairs % n, bptr),
-                           shape=(3 * n, 3 * n)).tocsr()
+    matrix = sp.csr_matrix((data, indices, indptr), shape=(3 * n, 3 * n))
     return LinearSystem(matrix, rhs.ravel(), coordinates=mesh.vertices)
 
 

@@ -117,6 +117,7 @@ def solve_case(config: RunConfig, n: int | None = None) -> CaseResult:
     """
     n = config.n if n is None else n
     msh, material, constraints, exact = _build_case(config, n)
+    h = mesh.mesh_size(msh)  # first: its (m, 3, 3) edge temporary then sits beside the mesh alone
     tris = msh.triangles
     geo = quadrature_geometry(msh.vertices[tris], msh.nodal_normals[tris], QUADRATURE_RULE,
                               config.variant)
@@ -125,11 +126,12 @@ def solve_case(config: RunConfig, n: int | None = None) -> CaseResult:
     if constraints is not None:
         system = assembly.apply_constraints(system, *constraints)
     u, report = solver.solve(system, tol=config.tol, max_iter=config.max_iter)
+    del system  # free the stiffness: the recovery and the error do not read it
     stress = postprocess.recover_stress(msh, material, u, geo)
     error = postprocess.stress_l2_error(stress, geo, exact) if exact is not None else None
     return CaseResult(
         mesh=msh,
-        h=mesh.mesh_size(msh),
+        h=h,
         displacement=u,
         geo=geo,
         stress=stress,

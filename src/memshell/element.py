@@ -95,8 +95,10 @@ QUADRATURE_RULE = QuadratureRule(
 
 
 #: Elements per block of the element layer: a block's (c, 9, 9) stiffness is
-#: 0.66 MB, inside a 2 MiB L2 cache; 256 to 2 048 gave the same case time.
-BLOCK_ELEMENTS = 1024
+#: 0.33 MB and its int32 scatter map 0.17 MB, small beside the assembled
+#: matrix. Sweep and ladder times at 1 024, 512 and 256 agreed within the
+#: host's noise; 512 halves the per-block transient of 1 024.
+BLOCK_ELEMENTS = 512
 
 
 @dataclasses.dataclass(frozen=True)

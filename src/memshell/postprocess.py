@@ -158,27 +158,31 @@ def export_vtk(mesh: SurfaceMesh, displacement, stress, geo: QuadraturePointData
     geo.require_elements(m)
     _require_stress_on(stress, geo)
 
-    avg = np.einsum("mq,mqab->mab", geo.measures, stress) / geo.measures.sum(axis=1)[:, None, None]
+    avg = np.einsum("mq,mqab->mab", geo.measures, stress)
+    avg /= geo.measures.sum(axis=1)[:, None, None]
     comps = np.column_stack([
         avg[:, 0, 0], avg[:, 1, 1], avg[:, 2, 2],
         avg[:, 0, 1], avg[:, 1, 2], avg[:, 0, 2],
     ])
-    dev = avg - (np.trace(avg, axis1=1, axis2=2) / 3.0)[:, None, None] * np.eye(3)
-    vm = np.sqrt(1.5 * np.einsum("mab,mab->m", dev, dev))
+    avg.reshape(-1, 9)[:, ::4] -= (np.trace(avg, axis1=1, axis2=2) / 3.0)[:, None]  # deviator
+    vm = np.sqrt(1.5 * np.einsum("mab,mab->m", avg, avg))
 
     sections = [
-        (f"POINTS {n} double", mesh.vertices.astype(">f8")),
-        (f"CELLS {m} {4 * m}", np.column_stack([np.full(m, 3), mesh.triangles]).astype(">i4")),
-        (f"CELL_TYPES {m}", np.full(m, 5, dtype=">i4")),
-        (f"POINT_DATA {n}\nVECTORS displacement double", u.astype(">f8")),
-        (f"CELL_DATA {m}\nFIELD stress_data 2\nstress 6 {m} double", comps.astype(">f8")),
-        (f"von_mises 1 {m} double", vm.astype(">f8")),
+        (f"POINTS {n} double", mesh.vertices, ">f8"),
+        (f"CELLS {m} {4 * m}", np.column_stack([np.full(m, 3), mesh.triangles]), ">i4"),
+        (f"CELL_TYPES {m}", np.full(m, 5), ">i4"),
+        (f"POINT_DATA {n}\nVECTORS displacement double", u, ">f8"),
+        (f"CELL_DATA {m}\nFIELD stress_data 2\nstress 6 {m} double", comps, ">f8"),
+        (f"von_mises 1 {m} double", vm, ">f8"),
     ]
     with open(path, "wb") as fh:
         fh.write(b"# vtk DataFile Version 3.0\nmembrane shell solution\nBINARY\n"
                  b"DATASET UNSTRUCTURED_GRID\n")
-        for header, data in sections:
-            fh.write(header.encode("ascii") + b"\n" + data.tobytes() + b"\n")
+        for header, data, dtype in sections:
+            # one section's big-endian copy at a time, written from its own buffer
+            fh.write(f"{header}\n".encode("ascii"))
+            fh.write(data.astype(dtype))
+            fh.write(b"\n")
 
 
 def write_convergence_csv(path, hs, errors) -> None:

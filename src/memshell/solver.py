@@ -6,12 +6,12 @@ that block carries the node's tangent/normal frame: it is stiff in the tangent
 plane and soft along the normal. The preconditioner inverts every such block,
 which makes CG invariant under a rigid rotation of the problem; scaling the
 x, y and z dofs separately would not be. Each block must be symmetric
-positive definite; a singular or indefinite block is reported with its node
-before the first iteration. A block whose three leading minors (``a00``,
-``a00 a11 - a10^2``, ``det``) are positive is positive definite (Sylvester's
-criterion), so ``lmin/lmax >= det/tr^3``; such blocks with
-``det > 1e-6 tr^3`` are inverted in closed form. Only the others go through
-``eigh``, which decides and words any failure.
+positive definite; a singular, indefinite or ill-conditioned block is
+reported with its node before the first iteration. A block whose three
+leading minors (``a00``, ``a00 a11 - a10^2``, ``det``) are positive is
+positive definite (Sylvester's criterion), so ``lmin/lmax >= det/tr^3``; such
+blocks with ``det > 1e-6 tr^3`` are inverted in closed form. Only the others
+go through ``eigh``, which decides and words any failure.
 
 A membrane system is symmetric positive semidefinite, and its kernel is
 detected, not assumed: :func:`rigid_body_basis` projects the rigid-body
@@ -119,6 +119,7 @@ def rigid_body_basis(system: LinearSystem) -> tuple[np.ndarray, int]:
     w, V = np.linalg.eigh(Z.T @ Z)
     keep = w > 1e-12 * w[-1]  # singular values above 1e-6 of the largest
     q = Z @ (V[:, keep] / np.sqrt(w[keep]))
+    del Z  # hold at most two (ndof, 6) arrays: q with A q, then q with the result
     energy, vec = np.linalg.eigh(q.T @ (system.matrix @ q))
     return q @ vec, int(np.sum(energy < 1e-12 * system.matrix.diagonal().mean()))
 
@@ -128,7 +129,8 @@ def _nodal_block_inverse(A) -> sp.csr_matrix:
 
     Reads the lower triangle of each block, so the inverse is exactly
     symmetric. Raises SolverError naming the first node whose block has
-    smallest eigenvalue <= 1e-12 times its largest (singular or indefinite).
+    smallest eigenvalue <= 1e-12 times its largest: "not positive definite"
+    for a ratio <= 0 (singular or indefinite), "ill-conditioned" otherwise.
     """
     ndof = A.shape[0]
     d0, d1, d2 = (A.diagonal(-k) for k in range(3))
@@ -138,7 +140,8 @@ def _nodal_block_inverse(A) -> sp.csr_matrix:
     det = a00 * cof[:, 0] + a10 * cof[:, 1] + a20 * cof[:, 2]
     closed = (a00 > 0) & (cof[:, 5] > 0) & (det > 0) & (det > 1e-6 * (a00 + a11 + a22) ** 3)
     cof /= np.where(closed, det, 1.0)[:, None]
-    inv = cof[:, [0, 1, 2, 1, 3, 4, 2, 4, 5]].reshape(-1, 3, 3)
+    # C order, so that it is the CSR data as it stands (cof[:, idx] is column-major)
+    inv = np.take(cof, [0, 1, 2, 1, 3, 4, 2, 4, 5], axis=1).reshape(-1, 3, 3)
     rest = np.flatnonzero(~closed)
     if rest.size:
         blocks = np.stack([v[rest] for v in lower], axis=1)[:, [0, 1, 3, 1, 2, 4, 3, 4, 5]]
@@ -147,13 +150,25 @@ def _nodal_block_inverse(A) -> sp.csr_matrix:
         if bad.size:
             lo, hi = lam[bad[0], 0], lam[bad[0], 2]
             ratio = lo / hi if hi > 0 else -math.inf
+            kind = "ill-conditioned" if ratio > 0 else "not positive definite"
             raise SolverError(
-                f"nodal block of node {rest[bad[0]]} is not positive definite: smallest/largest "
+                f"nodal block of node {rest[bad[0]]} is {kind}: smallest/largest "
                 f"eigenvalue ratio {ratio:.3e}; {bad.size} of {len(inv)} nodal blocks fail"
             )
         inv[rest] = (vec / lam[:, None, :]) @ vec.transpose(0, 2, 1)
-    ptr = np.arange(len(inv) + 1)
-    return sp.bsr_matrix((inv, ptr[:-1], ptr), shape=(ndof, ndof)).tocsr()
+    # row 3i + a of the block diagonal holds row a of block i, in columns 3i..3i+2
+    itype = sp.get_index_dtype(maxval=3 * ndof)
+    cols = np.arange(ndof, dtype=itype).reshape(-1, 3)
+    return sp.csr_matrix((inv.ravel(), np.repeat(cols, 3, axis=0).ravel(),
+                          3 * np.arange(ndof + 1, dtype=itype)), shape=(ndof, ndof))
+
+
+def _require_finite(v: np.ndarray, what: str) -> None:
+    """Raise SolverError naming the first non-finite dof of ``v`` and its node."""
+    finite = np.isfinite(v)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise SolverError(f"{what} is not finite at dof {k} of node {k // 3}")
 
 
 def solve(system: LinearSystem, tol: float = 1e-10, max_iter: int | None = None,
@@ -181,8 +196,9 @@ def solve(system: LinearSystem, tol: float = 1e-10, max_iter: int | None = None,
     ------
     SolverError
         If ``tol`` is not in (0, 1), ``max_iter`` is below 1, ``ndof`` is not
-        a multiple of 3, the right-hand side is not finite or a nodal diagonal
-        block is not positive definite (the message names the cause).
+        a multiple of 3, the right-hand side or ``x0`` is not finite or
+        misshapen, or a nodal diagonal block is not positive definite or is
+        ill-conditioned (the message names the cause).
     NegativeCurvatureError
         If a search direction has non-positive curvature.
     IterationLimitError
@@ -200,9 +216,12 @@ def solve(system: LinearSystem, tol: float = 1e-10, max_iter: int | None = None,
     ndof = system.ndof
     if ndof % 3:
         raise SolverError(f"system has {ndof} dofs; a node-major system needs a multiple of 3")
-    if not np.isfinite(b).all():
-        k = int(np.argmin(np.isfinite(b)))
-        raise SolverError(f"right-hand side (load) is not finite at dof {k} of node {k // 3}")
+    _require_finite(b, "right-hand side (load)")
+    if x0 is not None:
+        x0 = np.asarray(x0, dtype=float)
+        if x0.shape != (ndof,):
+            raise SolverError(f"initial guess has wrong shape {x0.shape}")
+        _require_finite(x0, "initial guess")
     if max_iter is None:
         max_iter = max(50, math.ceil(50.0 * math.sqrt(ndof)))
 
@@ -225,9 +244,7 @@ def solve(system: LinearSystem, tol: float = 1e-10, max_iter: int | None = None,
 
     M = _nodal_block_inverse(A)
 
-    x = np.zeros(ndof) if x0 is None else np.asarray(x0, dtype=float).copy()
-    if x.shape != (ndof,):
-        raise SolverError(f"initial guess has wrong shape {x.shape}")
+    x = np.zeros(ndof) if x0 is None else x0.copy()
     r = b.copy() if x0 is None else b - A @ deflate(x)
     tol2 = (tol * bnorm) ** 2
     z = M @ r

@@ -10,12 +10,14 @@ single-element kernels that solve each element Jacobian with
 double-projection strain algebra via plain matrix products, a higher-order
 triangle quadrature rule, a minimal binary legacy-VTK reader and
 per-number writer, nodal constraint projection by dense products with an
-admissible basis built node by node, a seeded jittered cylinder mesh, and
-boundary-loop extraction by set queries and a successor dictionary.
+admissible basis built node by node, a seeded jittered cylinder mesh,
+boundary-loop extraction by set queries and a successor dictionary, and the
+traced memory peak of one call.
 """
 
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import scipy.sparse as sp
@@ -686,3 +688,19 @@ def extract_boundary_loops_reference(triangles, n_vertices):
             cur = successor[cur]
         loops.append(np.asarray(loop, dtype=np.int64))
     return loops
+
+
+def traced_peak(call, *args, **kwargs):
+    """``(result, peak)``: what ``call(*args, **kwargs)`` returns and the peak
+    bytes that ``tracemalloc`` traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = call(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def csr_bytes(matrix) -> int:
+    """Bytes of a CSR matrix's data, indices and row pointer."""
+    return matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes

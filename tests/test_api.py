@@ -42,7 +42,7 @@ REMOVED = (
     "_facet_normals", "_facet_areas", "l2_norm", "_node_frames", "pressure_rhs",
     "StressField", "cell_averages", "n_elements", "quadrature_rule", "_row_texts",
     "_DIGIT_WORDS", "_LEAD_WORDS", "_EXP_MAX", "_EXP_WORDS", "_SCALES", "lame_effective",
-    "plane_strain", "tobsr",
+    "plane_strain", "tobsr", "bsr_matrix",
 )
 
 

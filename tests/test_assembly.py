@@ -1,7 +1,5 @@
 """Global assembly and Dirichlet constraints by nodal projection."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -20,8 +18,9 @@ from memshell.mesh import SurfaceMesh, build_cylinder_mesh, build_torus_mesh
 from memshell.postprocess import export_vtk, recover_stress
 from memshell.solver import solve
 
-from oracles import (admissible_basis, apply_constraints_reference, dense_assembly,
-                     element_stiffness, flat_grid_mesh, geometry_of, jittered_cylinder_mesh)
+from oracles import (admissible_basis, apply_constraints_reference, csr_bytes, dense_assembly,
+                     element_stiffness, flat_grid_mesh, geometry_of, jittered_cylinder_mesh,
+                     traced_peak)
 
 MAT = MaterialModel(E=100.0, nu=0.5, t=1e-2)
 
@@ -93,33 +92,23 @@ def test_assembly_over_several_element_blocks_matches_dense_oracle(monkeypatch, 
 
 def test_assembly_memory_peak_is_a_small_multiple_of_the_matrix():
     # Traced peak over the returned CSR's bytes at torus n=32: 7.0 for a COO
-    # assembly of all (m, 9, 9) element matrices at once, 2.7 for the
-    # node-block scatter one block of elements at a time.
+    # assembly of all (m, 9, 9) element matrices at once, 2.68 for a scatter
+    # into 3x3 blocks converted to CSR, 1.92 for the scatter into the CSR data.
     mesh = build_torus_mesh(1.0, 0.5, 64, 32)
     geo = geometry_of(mesh)
     traction = 1.0 * geo.normals
-    tracemalloc.start()
-    try:
-        K = assemble(mesh, MAT, geo, traction).matrix
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 3.5 * (K.data.nbytes + K.indices.nbytes + K.indptr.nbytes)
+    system, peak = traced_peak(assemble, mesh, MAT, geo, traction)
+    assert peak <= 2.2 * csr_bytes(system.matrix)
 
 
 def test_constraint_memory_peak_is_a_small_multiple_of_the_matrix():
     # Traced peak over the returned CSR's bytes at cylinder n=32: 2.48 for a
-    # read-back of the stiffness into 3x3 blocks, 1.46 for the sparse products.
+    # read-back of the stiffness into 3x3 blocks, 1.47 for the sparse products.
     mesh = build_cylinder_mesh(1.0, 4.0, 32, 32)
     system = assemble(mesh, MAT, geometry_of(mesh))
     constraints = cylinder_constraints(mesh)
-    tracemalloc.start()
-    try:
-        K = apply_constraints(system, *constraints).matrix
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.8 * (K.data.nbytes + K.indices.nbytes + K.indptr.nbytes)
+    constrained, peak = traced_peak(apply_constraints, system, *constraints)
+    assert peak <= 1.8 * csr_bytes(constrained.matrix)
 
 
 def test_assembled_matrix_symmetric_and_psd_behaviour():

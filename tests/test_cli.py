@@ -1,15 +1,21 @@
 """Command-line driver tests (in-process through ``main``)."""
 
+import os
+import subprocess
 import sys
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from memshell import cli, element, mesh
+from memshell import cli, element, mesh, postprocess, solver
+from memshell.assembly import assemble
 from memshell.cli import RunConfig, main, run_convergence, solve_case
+from memshell.geometry import MaterialModel
 from memshell.mesh import build_torus_mesh, import_mesh
 
-from oracles import read_legacy_vtk
+from oracles import csr_bytes, read_legacy_vtk, traced_peak
 
 
 def _write_off(mesh, path):
@@ -361,6 +367,57 @@ def test_solve_case_computes_quadrature_geometry_once(tmp_path, monkeypatch, cas
     result = solve_case(config)
     assert result.report.converged
     assert len(calls) == 1
+
+
+def test_solve_case_memory_peak_is_a_small_multiple_of_the_matrix():
+    # Traced peak of one torus n=32 case over its stiffness's CSR bytes: 4.01
+    # with a stiffness assembled from 3x3 blocks and held through the stress
+    # recovery, 3.25 with the scatter into the CSR data and the stiffness
+    # dropped after the solve.
+    config = RunConfig(case="torus", n=32)
+    result, peak = traced_peak(solve_case, config)
+    material = MaterialModel(config.E, config.nu, config.t)
+    assert peak <= 3.7 * csr_bytes(assemble(result.mesh, material, result.geo).matrix)
+
+
+@pytest.mark.parametrize("case", ["cylinder", "torus"])
+def test_solve_case_frees_the_stiffness_before_the_recovery(monkeypatch, case):
+    stiffness, held = [], []
+
+    def solve(system, **kwargs):
+        stiffness.append(weakref.ref(system.matrix))
+        return real_solve(system, **kwargs)
+
+    def recover_stress(*args):
+        held.append(stiffness[0]() is not None)
+        return real_recover(*args)
+
+    real_solve, real_recover = solver.solve, postprocess.recover_stress
+    monkeypatch.setattr(solver, "solve", solve)
+    monkeypatch.setattr(postprocess, "recover_stress", recover_stress)
+    solve_case(RunConfig(case=case, n=6))
+    assert held == [False]
+
+
+def test_a_run_imports_no_dense_or_iterative_scipy_solvers(tmp_path):
+    # scipy.linalg and scipy.sparse.linalg add import time and resident memory
+    # to every run; the pipeline needs neither, and a subprocess sees what a
+    # run imports without the test suite's own imports.
+    script = (
+        "import sys\n"
+        "from memshell import cli\n"
+        "for case in ('cylinder', 'torus'):\n"
+        f"    cli.run_case(cli.RunConfig(case=case, n=6, out={str(tmp_path)!r}))\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.split('.')[:2] == ['scipy', 'linalg']\n"
+        "             or m.split('.')[:3] == ['scipy', 'sparse', 'linalg']))\n"
+    )
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_failing_ladder_level_leaves_completed_rows(tmp_path, monkeypatch):

@@ -19,7 +19,7 @@ from memshell.solver import (
     rigid_body_basis,
     solve,
 )
-from oracles import field_l2_norm, flat_grid_mesh, geometry_of, random_rotation
+from oracles import field_l2_norm, flat_grid_mesh, geometry_of, random_rotation, traced_peak
 
 MAT = MaterialModel(E=100.0, nu=0.5, t=1e-2)
 
@@ -86,6 +86,7 @@ def test_rejects_dof_count_not_a_multiple_of_three():
      "right-hand side (load) is not finite at dof 4 of node 1"),
     ({"rhs": [math.inf, 4.0, 8.0, 1.0, 3.0, 5.0]},
      "right-hand side (load) is not finite at dof 0 of node 0"),
+    ({"x0": [0.0, 0.0, 0.0, 0.0, math.nan, 0.0]}, "initial guess is not finite at dof 4 of node 1"),
 ])
 def test_bad_solver_parameters_rejected_before_the_block_inverse(monkeypatch, kwargs, message):
     def never(A):
@@ -419,16 +420,33 @@ def test_ill_conditioned_block_takes_eigh_path(monkeypatch):
     ([np.eye(3), np.diag([1.0, 1.0, -2002.0])],
      "nodal block of node 1 is not positive definite: smallest/largest eigenvalue "
      "ratio -2.002e+03; 1 of 2 nodal blocks fail"),
+    ([np.eye(3), np.diag([2.0, 0.0, 1.0])],
+     "nodal block of node 1 is not positive definite: smallest/largest eigenvalue "
+     "ratio 0.000e+00; 1 of 2 nodal blocks fail"),
+    ([np.eye(3), np.diag([1.0, 1e-13, 1.0])],
+     "nodal block of node 1 is ill-conditioned: smallest/largest eigenvalue "
+     "ratio 1.000e-13; 1 of 2 nodal blocks fail"),
 ])
 def test_non_positive_definite_block_message(blocks, message):
     # det > 1e-6 tr^3 alone certifies none of them: node 1 of the first case has
     # a00 > 0 and a positive 2x2 minor but det < 0; in the fourth case node 1 has
-    # a00 < 0 and node 2 a negative 2x2 minor, both with det > 0; in the last
-    # case tr < 0, so det = -2002 > 1e-6 tr^3 although the block is indefinite
+    # a00 < 0 and node 2 a negative 2x2 minor, both with det > 0; in the fifth
+    # case tr < 0, so det = -2002 > 1e-6 tr^3 although the block is indefinite.
+    # A singular block (ratio 0) is not positive definite; a positive definite
+    # one whose ratio is below 1e-12 is ill-conditioned.
     A = sp.block_diag(blocks, format="csr")
     with pytest.raises(SolverError) as err:
         solve(LinearSystem(A, np.ones(A.shape[0])))
     assert str(err.value) == message
+
+
+def test_rigid_body_basis_memory_peak_is_a_small_multiple_of_the_modes():
+    # Traced peak over the returned (ndof, 6) modes at torus n=32: 3.35 while
+    # the unorthonormalised modes live on beside q and A q, 2.35 without them.
+    mesh = build_torus_mesh(1.0, 0.5, 64, 32)
+    system = assemble(mesh, MAT, geometry_of(mesh))
+    (modes, _), peak = traced_peak(rigid_body_basis, system)
+    assert peak <= 2.6 * modes.nbytes
 
 
 def test_deflated_solution_and_limit_iterate_carry_no_translation():
