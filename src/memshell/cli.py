@@ -117,7 +117,7 @@ def solve_case(config: RunConfig, n: int | None = None) -> CaseResult:
     """
     n = config.n if n is None else n
     msh, material, constraints, exact = _build_case(config, n)
-    h = mesh.mesh_size(msh)  # first: its (m, 3, 3) edge temporary then sits beside the mesh alone
+    h = mesh.mesh_size(msh)
     tris = msh.triangles
     geo = quadrature_geometry(msh.vertices[tris], msh.nodal_normals[tris], QUADRATURE_RULE,
                               config.variant)

@@ -53,14 +53,6 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _facet_cross(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
-    """Unnormalized facet normals (edge cross products, magnitude = 2 x area)."""
-    p0 = vertices[triangles[:, 0]]
-    p1 = vertices[triangles[:, 1]]
-    p2 = vertices[triangles[:, 2]]
-    return np.cross(p1 - p0, p2 - p0)
-
-
 def _extract_boundary_loops(triangles: np.ndarray, n_vertices: int) -> list[np.ndarray]:
     """Validate edge topology and return boundary loops in deterministic order.
 
@@ -173,11 +165,14 @@ class SurfaceMesh:
         if not referenced.all():
             raise MeshError(f"unreferenced vertex {int(np.nonzero(~referenced)[0][0])}")
 
-        cross = _facet_cross(v, t)
+        # edge k of a facet runs from its corner k to corner k+1 (mod 3); the
+        # cross product of edges 2 and 0 is the unnormalized facet normal
+        edges = v[t[:, [1, 2, 0]]] - v[t]
+        cross = np.cross(edges[:, 2], edges[:, 0])
         twice_area = np.linalg.norm(cross, axis=1)
-        e1 = np.linalg.norm(v[t[:, 1]] - v[t[:, 0]], axis=1)
-        e2 = np.linalg.norm(v[t[:, 2]] - v[t[:, 0]], axis=1)
-        degenerate = twice_area <= 1e-13 * e1 * e2
+        lengths = np.linalg.norm(edges, axis=2)
+        del edges  # not held through the topology checks below
+        degenerate = twice_area <= 1e-13 * lengths[:, 0] * lengths[:, 2]
         if np.any(degenerate):
             raise MeshError(f"degenerate triangle {int(np.nonzero(degenerate)[0][0])}")
 
@@ -202,6 +197,7 @@ class SurfaceMesh:
         self._triangles = _readonly(t)
         self._normals = _readonly(nn)
         self._area = float((0.5 * twice_area).sum())
+        self._longest_edge = float(lengths.max())
         self._boundary = tuple(
             BoundaryComponent(_readonly(loop), label)
             for loop, label in zip(loops, boundary_labels)
@@ -357,9 +353,7 @@ def build_torus_mesh(R: float, r: float, n_tor: int, n_pol: int) -> SurfaceMesh:
 
 def mesh_size(mesh: SurfaceMesh) -> float:
     """Maximum edge length of the mesh."""
-    t = mesh.triangles
-    d = mesh.vertices[t] - mesh.vertices[t[:, [1, 2, 0]]]
-    return float(np.linalg.norm(d, axis=2).max())
+    return mesh._longest_edge
 
 
 def _strip_comment(line: str) -> str:

@@ -66,6 +66,15 @@ def test_all_names_resolve(name):
     assert missing == []
 
 
+def test_package_exports_each_library_name_once():
+    # the package namespace is the union of the library modules' __all__
+    for name in sorted(set(SUBMODULES) - {"cli"}):
+        module = importlib.import_module(f"memshell.{name}")
+        for attr in module.__all__:
+            assert getattr(memshell, attr, None) is getattr(module, attr), f"{name}.{attr}"
+            assert memshell.__all__.count(attr) == 1, f"{name}.{attr}"
+
+
 def test_removed_names_absent_from_source():
     pattern = re.compile(r"\b(" + "|".join(REMOVED) + r")\b")
     found = [f"{path.name}:{k}: {m.group(1)}"

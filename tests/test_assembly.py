@@ -205,6 +205,25 @@ def test_cylinder_constraints_require_two_rings():
         cylinder_constraints(torus)
 
 
+def test_cylinder_constraints_reject_coincident_rings():
+    # an annulus in the plane x=0: both boundary rings have mean x 0
+    base = build_cylinder_mesh(1.0, 1.0, 8, 2)
+    v = base.vertices.copy()
+    v[:, 1:] *= 1.0 + v[:, :1]
+    v[:, 0] = 0.0
+    with pytest.raises(ConstraintError, match="^boundary rings coincide along the axis$"):
+        cylinder_constraints(SurfaceMesh(v, base.triangles))
+
+
+def test_constraints_applied_once():
+    mesh = build_cylinder_mesh(1.0, 4.0, 6, 3)
+    constraints = cylinder_constraints(mesh)
+    fixed = apply_constraints(assemble(mesh, MAT, geometry_of(mesh)), *constraints)
+    with pytest.raises(ConstraintError,
+                       match="^constraints have already been applied to this system$"):
+        apply_constraints(fixed, *constraints)
+
+
 def test_apply_constraints_noop_without_constraints():
     mesh = flat_grid_mesh(2, 2)
     geo = geometry_of(mesh)
@@ -225,6 +244,16 @@ def test_coordinates_of_wrong_shape_rejected(shape):
     with pytest.raises(ValueError, match=rf"node coordinates have shape \({shape[0]},.*"
                                          r"a system of 9 dofs needs \(3, 3\)"):
         LinearSystem(sp.eye(9), np.zeros(9), coordinates=np.zeros(shape))
+
+
+@pytest.mark.parametrize("matrix, rhs, message", [
+    (sp.csr_matrix((3, 6)), np.zeros(3), "system matrix must be square"),
+    (sp.eye(6), np.zeros(5), "right-hand side does not match the matrix dimension"),
+    (sp.eye(6), np.zeros((6, 1)), "right-hand side does not match the matrix dimension"),
+], ids=["non-square", "short-rhs", "column-rhs"])
+def test_misshapen_system_rejected(matrix, rhs, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        LinearSystem(matrix, rhs)
 
 
 def test_axis_aligned_constraint_equals_direct_elimination():

@@ -182,6 +182,11 @@ def test_mesh_info_generated_and_imported(tmp_path, capsys):
     assert rc == 0
     assert "vertices: 32" in capsys.readouterr().out
 
+    rc = main(["mesh-info", "--case", "cylinder", "--n", "4"])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-3:] == ["boundary components: 2", "  x=0: 4 vertices", "  x=L: 4 vertices"]
+
 
 @pytest.mark.parametrize("flags, message", [
     (["--case", "torus", "--R", "0.3", "--r", "0.5", "--n", "4"],
@@ -220,6 +225,21 @@ def test_material_is_plane_stress_without_a_mode(tmp_path, capsys):
     assert main(["run", "--n", "4", "--out", str(tmp_path)]) == 0
     report = (tmp_path / "report.txt").read_text().splitlines()
     assert "material: E=100.0 nu=0.5 t=0.01" in report
+
+
+def test_config_file_line_without_equals_sign(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("case = torus\nn 8  # no sign\n")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == ("memshell: error [builtins]: invalid config line: "
+                                       "'n 8  # no sign'\n")
+
+
+def test_solve_case_rejects_an_unknown_case():
+    # argparse and the config file check the case first; the library names it too
+    with pytest.raises(ValueError, match=r"^unknown case 'sphere' \(expected cylinder, "
+                                         r"torus, import\)$"):
+        solve_case(RunConfig(case="sphere", n=4))
 
 
 def test_config_file_unknown_key(tmp_path, capsys):

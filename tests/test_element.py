@@ -6,6 +6,7 @@ import sympy
 
 from memshell.element import (
     QUADRATURE_RULE,
+    QuadratureRule,
     SingularJacobianError,
     batch_element_loads,
     batch_element_stiffness,
@@ -69,6 +70,19 @@ def test_quadrature_weight_sums():
     assert abs(QUADRATURE_RULE.weights.sum() - 0.5) < 1e-15
 
 
+@pytest.mark.parametrize("points, weights, message", [
+    ([[0.2, 0.2], [0.6, 0.2]], [0.5], "points (2, 2) do not match 1 weights"),
+    ([[0.2, 0.2], [0.6, 0.2]], [0.75, -0.25], "quadrature weights must be positive"),
+    ([[1.0 / 3.0, 1.0 / 3.0]], [1.0], "quadrature weights must sum to 1/2, got 1.0"),
+    ([[0.7, 0.7]], [0.5], "quadrature points outside the reference triangle"),
+    ([[-0.1, 0.5]], [0.5], "quadrature points outside the reference triangle"),
+], ids=["shape", "negative-weight", "weight-sum", "beyond-hypotenuse", "negative-coordinate"])
+def test_quadrature_rule_rejects_bad_points_and_weights(points, weights, message):
+    with pytest.raises(ValueError) as err:
+        QuadratureRule(np.array(points), np.array(weights))
+    assert str(err.value) == message
+
+
 def test_quadrature_order2_integrates_xi_eta():
     rule = list(zip(QUADRATURE_RULE.points, QUADRATURE_RULE.weights))
     val = sum(w * xi * eta for (xi, eta), w in rule)
@@ -118,6 +132,25 @@ def test_jacobian_singular_when_normal_in_facet_plane():
     normals = np.tile(np.array([1.0, 0.0, 0.0]), (3, 1))  # in-plane normal
     with pytest.raises(SingularJacobianError):
         element_jacobian(coords, normals, 0.25, 0.25)
+
+
+@pytest.mark.parametrize("coords, normals, quad, variant, message", [
+    # the second element's corners are collinear
+    (np.stack([FLAT_COORDS, [[0.0, 0.0, 0.0], [1.0, 1.0, 0.0], [2.0, 2.0, 0.0]]]),
+     np.stack([FLAT_NORMALS, FLAT_NORMALS]), QUADRATURE_RULE, "facet",
+     "element 1: degenerate facet (zero area)"),
+    # opposite normals at corners 0 and 1 cancel at the midpoint of that edge
+    (FLAT_COORDS[None], np.array([[[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [0.0, 0.0, 1.0]]]),
+     QuadratureRule(np.array([[0.5, 0.0]]), np.array([0.5])), "interpolated",
+     "element 0: interpolated normal vanishes"),
+    (FLAT_COORDS[None], FLAT_NORMALS[None], QUADRATURE_RULE, "nodal",
+     "unknown geometry variant 'nodal'"),
+], ids=["degenerate-facet", "vanishing-normal", "unknown-variant"])
+def test_quadrature_geometry_rejects_bad_elements(coords, normals, quad, variant, message):
+    with pytest.raises(ValueError) as err:
+        quadrature_geometry(coords, normals, quad, variant)
+    assert str(err.value) == message
+    assert type(err.value) is (ValueError if variant == "nodal" else SingularJacobianError)
 
 
 def test_basis_gradients_flat_case():

@@ -17,7 +17,7 @@ from memshell.mesh import (
 )
 
 from oracles import (extract_boundary_loops_reference, facet_areas, facet_normals,
-                     flat_grid_mesh, surface_normal)
+                     flat_grid_mesh, jittered_cylinder_mesh, surface_normal)
 
 
 def test_cylinder_counts():
@@ -95,6 +95,8 @@ def test_torus_rejects_bad_radii():
         build_torus_mesh(0.5, 1.0, 8, 4)
     with pytest.raises(MeshError):
         build_torus_mesh(1.0, 0.5, 2, 4)
+    with pytest.raises(MeshError, match=r"minor radius must be positive, got r=0.0"):
+        build_torus_mesh(1.0, 0.0, 8, 4)
 
 
 def test_generated_meshes_pass_validation_at_several_resolutions():
@@ -274,6 +276,26 @@ def test_unreferenced_vertex_rejected():
         SurfaceMesh(verts, np.array([[0, 1, 2]]))
 
 
+_TRIANGLE = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"vertices": _TRIANGLE[:, :2]}, r"vertices must have shape \(n, 3\), got \(3, 2\)"),
+    ({"triangles": [0, 1, 2]}, r"triangles must have shape \(m, 3\), got \(3,\)"),
+    ({"triangles": np.zeros((0, 3))}, "mesh has no triangles"),
+    ({"triangles": [[0, 1, 3]]}, "triangle vertex index out of range"),
+    ({"triangles": [[0, -1, 2]]}, "triangle vertex index out of range"),
+    ({"nodal_normals": [[0.0, 0.0, 1.0]] * 2},
+     r"nodal_normals must have shape \(3, 3\), got \(2, 3\)"),
+    ({"boundary_labels": ["rim", "extra"]}, "2 boundary labels for 1 components"),
+], ids=["vertices", "triangles", "no-triangles", "index-high", "index-negative", "normals",
+        "labels"])
+def test_misshapen_mesh_input_rejected(kwargs, message):
+    args = {"vertices": _TRIANGLE, "triangles": [[0, 1, 2]], **kwargs}
+    with pytest.raises(MeshError, match=f"^{message}$"):
+        SurfaceMesh(**args)
+
+
 def test_import_off_single_triangle(tmp_path):
     path = tmp_path / "tri.off"
     path.write_text("OFF\n# a comment\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n")
@@ -328,6 +350,36 @@ def test_import_bad_number_names_the_line(tmp_path, name, text, line):
         import_mesh(path)
     assert line in str(info.value)
 
+
+@pytest.mark.parametrize("name, text, message", [
+    ("header.off", "COFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n", "missing OFF header"),
+    ("no-counts.off", "OFF\n", "missing OFF vertex/face counts"),
+    ("one-count.off", "OFF 3\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n",
+     "missing OFF vertex/face counts"),
+    ("bad-counts.off", "OFF\n3 one 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n",
+     r"invalid OFF counts: \['3', 'one', '0'\]"),
+    ("zero-ref.obj", "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 0 1 2\n",
+     "unsupported OBJ vertex reference '0'"),
+    ("negative-ref.obj", "v 0 0 0\nv 1 0 0\nv 0 1 0\nf -3 -2 -1\n",
+     "unsupported OBJ vertex reference '-3'"),
+    ("vertices-only.obj", "v 0 0 0\nv 1 0 0\nv 0 1 0\n", "OBJ file contains no triangle mesh"),
+    ("empty.obj", "# nothing\n", "OBJ file contains no triangle mesh"),
+], ids=["off-header", "off-no-counts", "off-one-count", "off-bad-counts", "obj-zero-ref",
+        "obj-negative-ref", "obj-vertices-only", "obj-empty"])
+def test_import_error_names_the_cause(tmp_path, name, text, message):
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(MeshError, match=f"^{message}$"):
+        import_mesh(path)
+
+
+def test_import_unreadable_file(tmp_path):
+    path = tmp_path / "missing.off"
+    with pytest.raises(MeshError) as err:
+        import_mesh(path)
+    assert str(err.value).startswith(f"cannot read mesh file {path}: ")
+
+
 def test_import_obj(tmp_path):
     path = tmp_path / "tri.obj"
     path.write_text(
@@ -376,17 +428,22 @@ def test_mesh_size_halves_under_refinement():
 
 
 def test_mesh_size_matches_edge_scan_cylinder():
-    mesh = build_cylinder_mesh(1.0, 4.0, 64, 64)
-    # brute-force scan over every triangle edge
-    best = 0.0
-    for tri in mesh.triangles:
-        for a, b in ((0, 1), (1, 2), (2, 0)):
-            best = max(best, float(np.linalg.norm(mesh.vertices[tri[a]] - mesh.vertices[tri[b]])))
-    h = mesh_size(mesh)
-    assert abs(h - best) < 1e-14
-    # the longest edge is the split diagonal of the parametric quad
+    structured = build_cylinder_mesh(1.0, 4.0, 64, 64)
+    jittered = jittered_cylinder_mesh(1.0, 1.0, 16, 0.3, 2)
+    for mesh in (structured, jittered):
+        # brute-force scan over every triangle edge
+        best = 0.0
+        for tri in mesh.triangles:
+            for a, b in ((0, 1), (1, 2), (2, 0)):
+                edge = mesh.vertices[tri[a]] - mesh.vertices[tri[b]]
+                best = max(best, float(np.linalg.norm(edge)))
+        assert abs(mesh_size(mesh) - best) < 1e-14
+    # the structured mesh's longest edge is the split diagonal of the parametric
+    # quad (corners 0 and 1 of every even triangle); the jittered mesh's is not
     expected = math.hypot(4.0 / 64.0, 2.0 * math.sin(math.pi / 64.0))
-    assert abs(h - expected) < 1e-12
+    assert abs(mesh_size(structured) - expected) < 1e-12
+    diagonals = jittered.vertices[jittered.triangles[::2, :2]]
+    assert mesh_size(jittered) > np.linalg.norm(diagonals[:, 1] - diagonals[:, 0], axis=1).max()
 
 
 def _imported_shuffled_torus(tmp_path):

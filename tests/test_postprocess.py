@@ -222,6 +222,12 @@ def test_convergence_rate_validation():
         ConvergenceRecord(h=np.array([0.1, 0.2, 0.05]),
                           error=np.array([1.0, 0.5, 0.2]),
                           slope=1.0, fit_residual=0.0)
+    with pytest.raises(ValueError, match="^h and error have different lengths$"):
+        ConvergenceRecord(h=np.array([0.2, 0.1, 0.05]), error=np.array([1.0, 0.5]),
+                          slope=1.0, fit_residual=0.0)
+    for h, error in (([0.2, 0.0, -0.1], [1.0, 0.5, 0.2]), ([0.2, 0.1, 0.05], [1.0, 0.0, 0.2])):
+        with pytest.raises(ValueError, match="^h and error values must be positive$"):
+            ConvergenceRecord(h=np.array(h), error=np.array(error), slope=1.0, fit_residual=0.0)
 
 
 def test_fit_convergence_reports_residual():

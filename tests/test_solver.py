@@ -87,6 +87,8 @@ def test_rejects_dof_count_not_a_multiple_of_three():
     ({"rhs": [math.inf, 4.0, 8.0, 1.0, 3.0, 5.0]},
      "right-hand side (load) is not finite at dof 0 of node 0"),
     ({"x0": [0.0, 0.0, 0.0, 0.0, math.nan, 0.0]}, "initial guess is not finite at dof 4 of node 1"),
+    ({"x0": [0.0] * 5}, "initial guess has wrong shape (5,)"),
+    ({"x0": np.zeros((6, 1))}, "initial guess has wrong shape (6, 1)"),
 ])
 def test_bad_solver_parameters_rejected_before_the_block_inverse(monkeypatch, kwargs, message):
     def never(A):
