@@ -12,7 +12,10 @@ elements add their nine blocks straight into that matrix's data, one block of
 elements (:meth:`~memshell.element.QuadraturePointData.blocks`) at a time,
 through a map from each (element, node pair) to the pair's first CSR entry.
 Besides the matrix, only that int32 map and one block's element matrices are
-held at a time.
+held at a time. The map and the CSR column indices add the column offsets
+(0, 1, 2) to the first entry of each block row by one long add per offset, as
+numpy runs an add along a length-3 axis several times slower. The loads go to
+the flat right-hand side in one scatter.
 
 Dirichlet data are two arrays: the constrained nodes (k,) and one unit
 direction per node (k, 3), each imposing the homogeneous constraint
@@ -71,6 +74,14 @@ class LinearSystem:
         return self.matrix.shape[0]
 
 
+def _plus_012(first: np.ndarray) -> np.ndarray:
+    """``first[..., None] + (0, 1, 2)`` in ``first``'s dtype, by one long add per offset."""
+    out = np.empty(first.shape + (3,), dtype=first.dtype)
+    for b in range(3):
+        np.add(first, b, out=out[..., b])
+    return out
+
+
 def assemble(mesh: SurfaceMesh, material, geo: QuadraturePointData, traction=None) -> LinearSystem:
     """Assemble the global stiffness and consistent load vector.
 
@@ -102,20 +113,25 @@ def assemble(mesh: SurfaceMesh, material, geo: QuadraturePointData, traction=Non
     base = 2 * start[row] + 3 * np.arange(row.size, dtype=itype)
     abc = np.arange(3, dtype=itype)
     indptr = np.append(3 * start[:-1, None] + width[:, None] * abc, 3 * start[-1])
+    rows = base + width[row] * abc[:, None]
     indices = np.empty(indptr[-1], dtype=itype)
-    indices[(base + abc[:, None] * width[row])[..., None] + abc] = 3 * col[:, None] + abc
-    slot = base[slot].reshape(-1, 3, 1, 3, 1)  # entry (0, 0) of each (e, i, j) block
-    del row, col, base
+    for b in range(3):
+        indices[rows + b] = 3 * col + b
+    slot = base[slot].reshape(-1, 3, 3)  # entry (0, 0) of each (e, i, j) block
+    del row, col, base, rows
     data = np.zeros(indices.size)
-    rhs = np.zeros((n, 3))
     for s, sub in geo.blocks():
-        # K[e, (i, a), (j, b)] goes to entry (a, b) of the block: slot + a width[i] + b
-        at = slot[s] + width[tri[s]][:, :, None, None, None] * abc[:, None, None] + abc
-        np.add.at(data, at.ravel(), batch_element_stiffness(sub, material).ravel())
-        if traction is not None:
-            np.add.at(rhs, tri[s], batch_element_loads(sub, traction[s]).reshape(-1, 3, 3))
+        # K[e, (i, a), (j, b)] goes to entry (a, b) of its block: slot + a width[i] + b
+        rows = np.empty(slot[s].shape[:2] + (3, 3), dtype=itype)  # [e, i, a, j]
+        rows[:, :, 0] = slot[s]
+        for a in (1, 2):
+            np.add(rows[:, :, a - 1], width[tri[s]][:, :, None], out=rows[:, :, a])
+        np.add.at(data, _plus_012(rows).ravel(), batch_element_stiffness(sub, material).ravel())
+    rhs = np.zeros(3 * n) if traction is None else np.bincount(
+        _plus_012(3 * tri.astype(itype)).ravel(), batch_element_loads(geo, traction).ravel(),
+        minlength=3 * n)
     matrix = sp.csr_matrix((data, indices, indptr), shape=(3 * n, 3 * n))
-    return LinearSystem(matrix, rhs.ravel(), coordinates=mesh.vertices)
+    return LinearSystem(matrix, rhs, coordinates=mesh.vertices)
 
 
 def cylinder_constraints(mesh: SurfaceMesh) -> tuple[np.ndarray, np.ndarray]:

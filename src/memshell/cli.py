@@ -346,10 +346,9 @@ def main(argv=None) -> int:
             print(f"wrote {outdir / 'convergence.csv'}")
             print(f"wrote {outdir / 'report.txt'}")
             return 0
-        if args.command == "mesh-info":
-            print("\n".join(_mesh_info_lines(_case_mesh(config, config.n)[1])))
-            return 0
-        raise ValueError(f"unknown command {args.command!r}")
+        # mesh-info: the subparsers are required, so argparse has rejected any other
+        print("\n".join(_mesh_info_lines(_case_mesh(config, config.n)[1])))
+        return 0
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         module = type(exc).__module__
         origin = module.rsplit(".", 1)[-1] if module.startswith("memshell") else module

@@ -97,9 +97,9 @@ def _extract_boundary_loops(triangles: np.ndarray, n_vertices: int) -> list[np.n
         loop = [start]
         visited.add(start)
         cur = successor[start]
+        # each vertex has one outgoing boundary edge (checked above) and as many
+        # incoming, so the successors are a permutation and every walk closes
         while cur != start:
-            if cur in visited:
-                raise MeshError(f"boundary loops touch at vertex {cur}")
             loop.append(cur)
             visited.add(cur)
             cur = successor[cur]
@@ -109,9 +109,9 @@ def _extract_boundary_loops(triangles: np.ndarray, n_vertices: int) -> list[np.n
 
 def _averaged_normals(vertices: np.ndarray, triangles: np.ndarray, cross: np.ndarray) -> np.ndarray:
     """Area-weighted average of incident facet normals, renormalized."""
-    acc = np.zeros_like(vertices)
-    for k in range(3):
-        np.add.at(acc, triangles[:, k], cross)
+    acc = np.bincount((3 * triangles.T[:, :, None] + np.arange(3)).ravel(),
+                      np.broadcast_to(cross, (3,) + cross.shape).ravel(),
+                      minlength=vertices.size).reshape(vertices.shape)
     norms = np.linalg.norm(acc, axis=1)
     scale = np.linalg.norm(cross, axis=1).max()
     if np.any(norms <= 1e-12 * scale):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.spatial import Delaunay
 
 from memshell import element
 from memshell.assembly import (
@@ -66,11 +67,26 @@ def test_sparse_assembly_matches_dense_oracle_small_meshes(mesh_builder):
     assert np.abs(system.rhs - rhs_oracle).max() <= 1e-13 * max(np.abs(rhs_oracle).max(), 1e-30)
 
 
+def _curved_delaunay_patch():
+    """A curved patch over a seeded Delaunay triangulation of 24 points: 37
+    elements, node valences 3 to 8, so node rows hold unequal block counts."""
+    xy = np.random.default_rng(0).uniform(0.0, 1.0, size=(24, 2))
+    tri = Delaunay(xy).simplices
+    e1, e2 = xy[tri[:, 1]] - xy[tri[:, 0]], xy[tri[:, 2]] - xy[tri[:, 0]]
+    clockwise = e1[:, 0] * e2[:, 1] < e1[:, 1] * e2[:, 0]
+    tri[clockwise] = tri[clockwise][:, ::-1]
+    pairs = np.unique(tri[:, :, None] * len(xy) + tri[:, None, :])
+    valence = np.bincount(pairs // len(xy)) - 1
+    assert valence.min() == 3 and valence.max() == 8
+    return SurfaceMesh(np.column_stack([xy, 0.3 * xy[:, 0] * xy[:, 1]]), tri)
+
+
 @pytest.mark.parametrize("variant", ["interpolated", "facet"])
 @pytest.mark.parametrize("mesh_builder", [
     lambda: build_torus_mesh(1.0, 0.5, 6, 4),     # 48 elements
     lambda: build_cylinder_mesh(1.0, 4.0, 5, 4),  # 40 elements
-], ids=["torus", "cylinder"])
+    _curved_delaunay_patch,                       # 37 elements
+], ids=["torus", "cylinder", "delaunay-patch"])
 def test_assembly_over_several_element_blocks_matches_dense_oracle(monkeypatch, mesh_builder,
                                                                     variant):
     # blocks of 7 elements: several full blocks and a partial last one

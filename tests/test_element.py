@@ -381,6 +381,21 @@ def test_batch_stiffness_matches_single_elements(variant):
 
 
 @pytest.mark.parametrize("variant", ["interpolated", "facet"])
+def test_batch_stiffness_gram_from_dual_basis_matches_full_gram(variant):
+    # the kernel builds G from three dot products through g_0 = -g_1 - g_2;
+    # the same contraction with the full product G = g g^T
+    coords, normals = _random_batch(np.random.default_rng(139), 200)
+    geo = quadrature_geometry(coords, normals, QUADRATURE_RULE, variant)
+    g, w = geo.gradients, geo.measures
+    gram = g @ g.swapaxes(-1, -2)
+    ref = MAT.t * (MAT.mu * np.einsum("eq,eqij,eqab->eiajb", w, gram, geo.projectors())
+                   + MAT.mu * np.einsum("eq,eqja,eqib->eiajb", w, g, g)
+                   + MAT.lam0 * np.einsum("eq,eqia,eqjb->eiajb", w, g, g)).reshape(-1, 9, 9)
+    K = batch_element_stiffness(geo, MAT)
+    assert np.all(np.abs(K - ref).max(axis=(1, 2)) <= 1e-14 * np.abs(ref).max(axis=(1, 2)))
+
+
+@pytest.mark.parametrize("variant", ["interpolated", "facet"])
 def test_dual_basis_gradients_match_jacobian_solve(variant):
     # closed-form dual basis against np.linalg.solve on each element Jacobian
     coords, normals = _random_batch(np.random.default_rng(137), 40)
