@@ -53,11 +53,12 @@ class LinearSystem:
     builds the rigid-body modes; a system without them has no kernel basis.
     ``constraints`` is the ``(nodes, directions)`` pair that
     :func:`apply_constraints` projected out, or ``None``; the matrix, the
-    right-hand side and the solution are in global xyz either way.
+    right-hand side and the solution are in global xyz either way. The
+    matrix is held as float64 CSR, whatever its input's type.
     """
 
     def __init__(self, matrix, rhs, constraints=None, coordinates=None):
-        self.matrix = sp.csr_matrix(matrix)
+        self.matrix = sp.csr_matrix(matrix, dtype=float)
         self.rhs = np.asarray(rhs, dtype=float)
         if self.matrix.shape[0] != self.matrix.shape[1]:
             raise ValueError("system matrix must be square")

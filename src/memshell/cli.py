@@ -154,6 +154,7 @@ def _report_lines(config: RunConfig, result: CaseResult, n: int) -> list[str]:
         f"solver relative residual: {result.report.relative_residual:.6e}",
         f"deflated kernel dimension: {result.report.deflated_dimension}",
         f"rhs consistency: {result.report.rhs_consistency:.6e}",
+        f"rigid-body share of load: {result.report.rigid_load_share:.6e}",
         f"rigid-body component of solution: {result.report.rigid_fraction:.6e}",
     ]
     if result.error is not None:

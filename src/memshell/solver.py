@@ -31,8 +31,11 @@ matrix) aborts with the iteration index.
 
 An iteration costs one matvec, one preconditioner apply (a CSR copy of the
 block-diagonal inverse), three dot products and in-place vector updates.
-The stop test ``r . r <= (tol ||b||)^2`` is confirmed on the recomputed true
-residual, from which CG restarts if it fails.
+Both products call scipy's compiled CSR kernel into work vectors allocated
+once per solve (:func:`_matvec`): on small systems, the dispatch of ``A @ p``
+around that same kernel costs as much as the kernel itself. The stop test
+``r . r <= (tol ||b||)^2`` is confirmed on the recomputed true residual, from
+which CG restarts if it fails.
 """
 
 import dataclasses
@@ -40,6 +43,7 @@ import math
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from .assembly import LinearSystem
 
@@ -80,10 +84,12 @@ class SolveReport:
     ``relative_residual`` is ``||K u - b|| / ||b||`` recomputed from scratch
     at exit, with ``b`` the (possibly deflated) right-hand side actually
     solved for. ``deflated_dimension`` is the dimension ``k`` of the kernel
-    found by :func:`rigid_body_basis`, with basis ``Z``. ``rhs_consistency``
-    is ``||Z^T b|| / ||b||`` for the right-hand side before its projection
-    (0 for a consistent load), and ``rigid_fraction`` is ``||Q^T u|| / ||u||``
-    for the returned ``u`` over all the rigid-body modes ``Q``.
+    found by :func:`rigid_body_basis`, with basis ``Z`` among all the
+    rigid-body modes ``Q``. For the right-hand side before its projection,
+    ``rhs_consistency`` is ``||Z^T b|| / ||b||`` (0 for a consistent load) and
+    ``rigid_load_share`` is ``||Q^T b|| / ||b||``, which also sees a load on a
+    near-kernel mode (a torque on the interpolated torus). ``rigid_fraction``
+    is ``||Q^T u|| / ||u||`` for the returned ``u``.
     """
 
     iterations: int
@@ -91,10 +97,15 @@ class SolveReport:
     deflated_dimension: int
     converged: bool
     rhs_consistency: float
+    rigid_load_share: float
     rigid_fraction: float
 
 
-def rigid_body_basis(system: LinearSystem) -> tuple[np.ndarray, int]:
+# the (component, k) block of the rotation e_k x x_i, linear in x_i
+_ROTATION = np.cross(np.eye(3), np.eye(3)[:, None]).transpose(0, 2, 1).reshape(3, 9)
+
+
+def rigid_body_basis(system: LinearSystem, diagonal: np.ndarray) -> tuple[np.ndarray, int]:
     """Orthonormal rigid-body modes ``Q`` (ndof, m <= 6) and the kernel dimension ``k``.
 
     The translations and the rotations about the centroid of the coordinates
@@ -102,16 +113,16 @@ def rigid_body_basis(system: LinearSystem) -> tuple[np.ndarray, int]:
     :func:`~memshell.assembly.apply_constraints`) and the columns this makes
     dependent dropped. The columns are then rotated onto
     the eigenvectors of ``Q^T A Q``, by ascending energy; the leading ``k``,
-    below ``1e-12 * mean(diag A)``, span the kernel. No coordinates: m = k = 0.
+    below ``1e-12 * mean(diag A)``, span the kernel. ``diagonal`` is
+    ``diag A``, which :func:`solve` also reads for the block inverse. No
+    coordinates: m = k = 0.
     """
     ndof = system.ndof
     if system.coordinates is None:
         return np.zeros((ndof, 0)), 0
     x = system.coordinates - system.coordinates.mean(axis=0)
-    # the (component, k) block of the rotation e_k x x_i, linear in x_i
-    rot = np.cross(np.eye(3), np.eye(3)[:, None]).transpose(0, 2, 1).reshape(3, 9)
-    Z = np.concatenate([np.broadcast_to(np.eye(3), (len(x), 3, 3)), (x @ rot).reshape(-1, 3, 3)],
-                       axis=2)
+    Z = np.concatenate([np.broadcast_to(np.eye(3), (len(x), 3, 3)),
+                        (x @ _ROTATION).reshape(-1, 3, 3)], axis=2)
     if system.constraints is not None:
         nodes, d = system.constraints
         Z[nodes] = (np.eye(3) - d[:, :, None] * d[:, None, :]) @ Z[nodes]
@@ -121,19 +132,32 @@ def rigid_body_basis(system: LinearSystem) -> tuple[np.ndarray, int]:
     q = Z @ (V[:, keep] / np.sqrt(w[keep]))
     del Z  # hold at most two (ndof, 6) arrays: q with A q, then q with the result
     energy, vec = np.linalg.eigh(q.T @ (system.matrix @ q))
-    return q @ vec, int(np.sum(energy < 1e-12 * system.matrix.diagonal().mean()))
+    return q @ vec, int(np.sum(energy < 1e-12 * diagonal.mean()))
 
 
-def _nodal_block_inverse(A) -> sp.csr_matrix:
-    """Block-diagonal inverse of the 3x3 nodal diagonal blocks of ``A`` (CSR).
+def _matvec(A: sp.csr_matrix, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out = A v`` by scipy's compiled CSR kernel; ``A``, ``v`` and ``out`` float64.
 
-    Reads the lower triangle of each block, so the inverse is exactly
-    symmetric. Raises SolverError naming the first node whose block has
+    ``A @ v`` runs the same kernel (each row summed in storage order into a
+    zeroed output), so the result is equal bit for bit, but its Python
+    dispatch and fresh output add ~5 us a product: as much as the kernel on
+    a torus at n=6 (216 dofs). The one caller of scipy's private module.
+    """
+    out.fill(0.0)
+    _sparsetools.csr_matvec(*A.shape, A.indptr, A.indices, A.data, v, out)
+    return out
+
+
+def _nodal_block_inverse(d0: np.ndarray, d1: np.ndarray, d2: np.ndarray) -> sp.csr_matrix:
+    """Block-diagonal inverse (CSR) of the 3x3 nodal diagonal blocks of ``A``.
+
+    ``d0``, ``d1`` and ``d2`` are ``A.diagonal(-k)`` for k = 0, 1, 2: the
+    lower triangle of each block, so the inverse is exactly symmetric.
+    Raises SolverError naming the first node whose block has
     smallest eigenvalue <= 1e-12 times its largest: "not positive definite"
     for a ratio <= 0 (singular or indefinite), "ill-conditioned" otherwise.
     """
-    ndof = A.shape[0]
-    d0, d1, d2 = (A.diagonal(-k) for k in range(3))
+    ndof = len(d0)
     a00, a10, a11, a20, a21, a22 = lower = (d0[::3], d1[::3], d0[1::3], d2[::3], d1[1::3], d0[2::3])
     cof = np.stack([a11 * a22 - a21 * a21, a20 * a21 - a10 * a22, a10 * a21 - a11 * a20,
                     a00 * a22 - a20 * a20, a10 * a20 - a00 * a21, a00 * a11 - a10 * a10], axis=1)
@@ -225,7 +249,8 @@ def solve(system: LinearSystem, tol: float = 1e-10, max_iter: int | None = None,
     if max_iter is None:
         max_iter = max(50, math.ceil(50.0 * math.sqrt(ndof)))
 
-    modes, kdim = rigid_body_basis(system)
+    diagonals = [A.diagonal(-k) for k in range(3)]
+    modes, kdim = rigid_body_basis(system, diagonals[0])
     Z = modes[:, :kdim]
 
     def deflate(v):
@@ -236,26 +261,33 @@ def solve(system: LinearSystem, tol: float = 1e-10, max_iter: int | None = None,
         vnorm = float(np.linalg.norm(v))
         return float(np.linalg.norm(basis.T @ v)) / vnorm if vnorm else 0.0
 
-    consistency = share(Z, b)
+    consistency, load_share = share(Z, b), share(modes, b)
     b = deflate(b)
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
-        return np.zeros(ndof), SolveReport(0, 0.0, kdim, True, consistency, 0.0)
+        return np.zeros(ndof), SolveReport(0, 0.0, kdim, True, consistency, load_share, 0.0)
 
-    M = _nodal_block_inverse(A)
-
+    M = _nodal_block_inverse(*diagonals)
+    del diagonals  # not held through the iterations, where the solve peaks
     x = np.zeros(ndof) if x0 is None else x0.copy()
-    r = b.copy() if x0 is None else b - A @ deflate(x)
+    # the work vectors of the whole solve: the products go into Ap and z
+    Ap, z, tmp = np.empty(ndof), np.empty(ndof), np.empty(ndof)
+
+    def true_residual():  # r = b - A x, with the kernel part of x removed first
+        np.subtract(b, _matvec(A, deflate(x), Ap), out=r)
+
+    r = b.copy()
+    if x0 is not None:
+        true_residual()
     tol2 = (tol * bnorm) ** 2
-    z = M @ r
-    p = z
+    p = _matvec(M, r, z).copy()
     rz = float(r @ z)
     iterations = 0
     converged = float(r @ r) <= tol2
 
     while not converged and iterations < max_iter:
         iterations += 1
-        Ap = A @ p
+        _matvec(A, p, Ap)
         pAp = float(p @ Ap)
         if pAp <= 0.0:
             raise NegativeCurvatureError(
@@ -263,32 +295,33 @@ def solve(system: LinearSystem, tol: float = 1e-10, max_iter: int | None = None,
                 iteration=iterations,
             )
         alpha = rz / pAp
-        x += alpha * p
+        x += np.multiply(p, alpha, out=tmp)
         Ap *= alpha
         r -= Ap
         if restart := float(r @ r) <= tol2:
             # guard against recurrence drift: recompute the true residual
-            r = b - A @ deflate(x)
+            true_residual()
             if float(r @ r) <= tol2:
                 converged = True
                 break
-        z = M @ r
+        _matvec(M, r, z)
         rz_new = float(r @ z)
         if restart:
-            p = z
+            p[:] = z
         else:
             p *= rz_new / rz
             p += z
         rz = rz_new
 
     if not converged:
-        r = b - A @ deflate(x)
+        true_residual()
     report = SolveReport(
         iterations=iterations,
         relative_residual=float(np.linalg.norm(r)) / bnorm,
         deflated_dimension=kdim,
         converged=converged,
         rhs_consistency=consistency,
+        rigid_load_share=load_share,
         rigid_fraction=share(modes, x),
     )
     if not converged:

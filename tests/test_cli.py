@@ -73,7 +73,8 @@ def test_run_torus_uses_deflated_path(tmp_path):
     assert rc == 0
     report = (out / "report.txt").read_text()
     assert "deflated kernel dimension: 3" in report
-    assert "rhs consistency: " in report
+    lines = [line.split(": ")[0] for line in report.splitlines()]
+    assert lines[lines.index("rhs consistency") + 1] == "rigid-body share of load"
     assert "rigid-body component of solution: " in report
 
 
