@@ -31,7 +31,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .element import QuadraturePointData, batch_element_loads, batch_element_stiffness
-from .mesh import SurfaceMesh
+from .mesh import SurfaceMesh, _indices
 
 __all__ = [
     "ConstraintError",
@@ -177,7 +177,7 @@ def apply_constraints(system: LinearSystem, nodes, directions) -> LinearSystem:
     whether or not ``K`` stored that block. With no constraints the input
     system is returned unchanged.
     """
-    nodes = np.asarray(nodes, dtype=np.int64)
+    nodes = _indices(nodes, ConstraintError, "constraint nodes")
     directions = np.asarray(directions, dtype=float)
     if nodes.ndim != 1 or directions.shape != (nodes.size, 3):
         raise ConstraintError(f"constraints need nodes (k,) and directions (k, 3), "

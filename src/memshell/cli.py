@@ -20,6 +20,7 @@ torus R=1, r=1/2). The resolution parameter ``n`` maps to
 
 import argparse
 import dataclasses
+import functools
 import sys
 import typing
 from pathlib import Path
@@ -56,11 +57,6 @@ class RunConfig:
     out: str = "out"
     mesh_path: str | None = None
 
-    def resolved_r(self) -> float:
-        if self.r is not None:
-            return self.r
-        return 1.0 if self.case == "cylinder" else 0.5
-
 
 @dataclasses.dataclass
 class CaseResult:
@@ -79,33 +75,28 @@ class CaseResult:
     report: "solver.SolveReport"
 
 
-def _build_case(config: RunConfig, n: int):
-    """Mesh, material, constraints (nodes, directions), exact solution; None where absent."""
-    material = geometry.MaterialModel(config.E, config.nu, config.t)
-    surf, msh = _case_mesh(config, n)
-    if config.case == "cylinder":
-        exact = geometry.cylinder_exact(config.F, material, surf)
-        return msh, material, assembly.cylinder_constraints(msh), exact
-    if config.case == "torus":
-        return msh, material, None, geometry.torus_exact(config.p, material, surf)
-    return msh, material, None, None
-
-
-def _case_mesh(config: RunConfig, n: int):
-    """The case's surface (None for an imported mesh) and its mesh at resolution ``n``."""
+def _case(config: RunConfig, n: int):
+    """Mesh at resolution ``n``, constraints (nodes, directions) and exact solution as a
+    function of the material, None where absent: the one place that decides a case."""
     if config.case == "import":
         if not config.mesh_path:
             raise ValueError("case 'import' requires a mesh file (--mesh)")
-        return None, mesh.import_mesh(config.mesh_path)
+        if config.variant == "facet":
+            raise ValueError("the facet variant is not run on imported meshes: its load balance "
+                             "holds only on structured meshes")
+        return mesh.import_mesh(config.mesh_path), None, None
     if config.mesh_path:
         raise ValueError(f"mesh file {config.mesh_path} is only read by case 'import', "
                          f"not by case {config.case!r}")
     if config.case == "cylinder":
-        surf = geometry.Cylinder(config.resolved_r(), config.L)
-        return surf, mesh.build_cylinder_mesh(surf.r, surf.L, n, n)
+        surf = geometry.Cylinder(1.0 if config.r is None else config.r, config.L)
+        msh = mesh.build_cylinder_mesh(surf.r, surf.L, n, n)
+        return (msh, assembly.cylinder_constraints(msh),
+                functools.partial(geometry.cylinder_exact, config.F, surface=surf))
     if config.case == "torus":
-        surf = geometry.Torus(config.R, config.resolved_r())
-        return surf, mesh.build_torus_mesh(surf.R, surf.r, 2 * n, n)
+        surf = geometry.Torus(config.R, 0.5 if config.r is None else config.r)
+        return (mesh.build_torus_mesh(surf.R, surf.r, 2 * n, n), None,
+                functools.partial(geometry.torus_exact, config.p, surface=surf))
     raise ValueError(f"unknown case {config.case!r} (expected cylinder, torus, import)")
 
 
@@ -115,8 +106,9 @@ def solve_case(config: RunConfig, n: int | None = None) -> CaseResult:
     The load at the quadrature points is the exact one of a benchmark case,
     or for an imported mesh the pressure ``p`` on the variant's normals.
     """
-    n = config.n if n is None else n
-    msh, material, constraints, exact = _build_case(config, n)
+    material = geometry.MaterialModel(config.E, config.nu, config.t)
+    msh, constraints, exact_of = _case(config, config.n if n is None else n)
+    exact = exact_of(material) if exact_of is not None else None
     h = mesh.mesh_size(msh)
     tris = msh.triangles
     geo = quadrature_geometry(msh.vertices[tris], msh.nodal_normals[tris], QUADRATURE_RULE,
@@ -129,22 +121,15 @@ def solve_case(config: RunConfig, n: int | None = None) -> CaseResult:
     del system  # free the stiffness: the recovery and the error do not read it
     stress = postprocess.recover_stress(msh, material, u, geo)
     error = postprocess.stress_l2_error(stress, geo, exact) if exact is not None else None
-    return CaseResult(
-        mesh=msh,
-        h=h,
-        displacement=u,
-        geo=geo,
-        stress=stress,
-        error=error,
-        report=report,
-    )
+    return CaseResult(mesh=msh, h=h, displacement=u, geo=geo, stress=stress, error=error,
+                      report=report)
 
 
-def _report_lines(config: RunConfig, result: CaseResult, n: int) -> list[str]:
+def _report_lines(config: RunConfig, result: CaseResult) -> list[str]:
     lines = [
         f"case: {config.case}",
         f"variant: {config.variant}",
-        f"resolution n: {n}",
+        f"resolution n: {config.n}",
         f"vertices: {result.mesh.n_vertices}",
         f"triangles: {result.mesh.n_triangles}",
         f"mesh size h: {result.h:.12e}",
@@ -170,7 +155,7 @@ def run_case(config: RunConfig) -> dict:
     vtk_path = outdir / "solution.vtk"
     postprocess.export_vtk(result.mesh, result.displacement, result.stress, result.geo, vtk_path)
     report_path = outdir / "report.txt"
-    report_path.write_text("\n".join(_report_lines(config, result, config.n)) + "\n")
+    report_path.write_text("\n".join(_report_lines(config, result)) + "\n")
     return {
         "vtk": vtk_path,
         "report": report_path,
@@ -348,7 +333,7 @@ def main(argv=None) -> int:
             print(f"wrote {outdir / 'report.txt'}")
             return 0
         # mesh-info: the subparsers are required, so argparse has rejected any other
-        print("\n".join(_mesh_info_lines(_case_mesh(config, config.n)[1])))
+        print("\n".join(_mesh_info_lines(_case(config, config.n)[0])))
         return 0
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         module = type(exc).__module__

@@ -53,6 +53,17 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _indices(values, error: type[Exception], name: str) -> np.ndarray:
+    """``values`` as int64; ``error`` names the first entry that is not an integer."""
+    values = np.asarray(values)
+    with np.errstate(invalid="ignore"):  # NaN and inf are non-integral, caught below
+        indices = values.astype(np.int64)
+    if (bad := indices != values).any():
+        at = np.unravel_index(np.argmax(bad), bad.shape)
+        raise error(f"{name} entry {list(map(int, at))} is not an integer: {values[at]}")
+    return indices
+
+
 def _extract_boundary_loops(triangles: np.ndarray, n_vertices: int) -> list[np.ndarray]:
     """Validate edge topology and return boundary loops in deterministic order.
 
@@ -148,7 +159,7 @@ class SurfaceMesh:
 
     def __init__(self, vertices, triangles, nodal_normals=None, boundary_labels=None):
         v = np.array(vertices, dtype=float)
-        t = np.array(triangles, dtype=np.int64)
+        t = _indices(triangles, MeshError, "triangles")
         if v.ndim != 2 or v.shape[1] != 3:
             raise MeshError(f"vertices must have shape (n, 3), got {v.shape}")
         if not np.isfinite(v).all():
@@ -375,6 +386,8 @@ def _parse_off(lines: list[str]) -> tuple[np.ndarray, np.ndarray]:
         nv, nf = int(counts[0]), int(counts[1])
     except ValueError as exc:
         raise MeshError(f"invalid OFF counts: {counts}") from exc
+    if nv < 0 or nf < 0:
+        raise MeshError(f"invalid OFF counts: {counts}")
     if len(rows) < nv + nf:
         raise MeshError(f"OFF file truncated: expected {nv} vertices and {nf} faces")
     verts = []

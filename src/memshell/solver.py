@@ -306,11 +306,8 @@ def solve(system: LinearSystem, tol: float = 1e-10, max_iter: int | None = None,
                 break
         _matvec(M, r, z)
         rz_new = float(r @ z)
-        if restart:
-            p[:] = z
-        else:
-            p *= rz_new / rz
-            p += z
+        p *= 0.0 if restart else rz_new / rz
+        p += z
         rz = rz_new
 
     if not converged:

@@ -30,7 +30,8 @@ SUBMODULES = ("assembly", "cli", "element", "geometry", "mesh", "postprocess", "
 # the rule-by-order lookup (one rule, QUADRATURE_RULE), the plane-strain
 # material mode (the membrane law is plane stress) and the read-back of a
 # CSR matrix into 3x3 blocks (``tobsr`` leaves block column indices unsorted,
-# which once gave silent zero blocks; constraints are sparse products now).
+# which once gave silent zero blocks; constraints are sparse products now)
+# and the case decision spread over three functions (``cli._case`` holds it).
 REMOVED = (
     "DofMap", "ElementMatrices", "element_matrices", "REFERENCE_GRADIENTS", "_GRAD_RHS",
     "shape_values_and_ref_gradients", "element_jacobian", "basis_surface_gradients",
@@ -42,7 +43,7 @@ REMOVED = (
     "_facet_normals", "_facet_areas", "l2_norm", "_node_frames", "pressure_rhs",
     "StressField", "cell_averages", "n_elements", "quadrature_rule", "_row_texts",
     "_DIGIT_WORDS", "_LEAD_WORDS", "_EXP_MAX", "_EXP_WORDS", "_SCALES", "lame_effective",
-    "plane_strain", "tobsr", "bsr_matrix",
+    "plane_strain", "tobsr", "bsr_matrix", "_build_case", "_case_mesh", "resolved_r",
 )
 
 

@@ -446,6 +446,16 @@ def test_constraint_errors_match_reference(directions, nodes, message):
         assert str(err.value) == message
 
 
+def test_non_integral_constraint_node_rejected_by_position():
+    # a cast to int would constrain node 1
+    system = LinearSystem(sp.eye(6, format="csr"), np.ones(6))
+    with pytest.raises(ConstraintError,
+                       match=r"^constraint nodes entry \[0\] is not an integer: 1.9$"):
+        apply_constraints(system, [1.9], [[1.0, 0.0, 0.0]])
+    nodes, _ = apply_constraints(system, np.array([1.0]), [[1.0, 0.0, 0.0]]).constraints
+    assert nodes.dtype == np.int64 and nodes.tolist() == [1]
+
+
 def test_assemble_reports_failing_element():
     # second element's nodal normals all lie in its facet plane
     verts = np.array([

@@ -18,6 +18,13 @@ from memshell.mesh import build_torus_mesh, import_mesh
 from oracles import csr_bytes, read_legacy_vtk, traced_peak
 
 
+def _source_env():
+    """The environment with this checkout's ``src`` first on a subprocess's path."""
+    src = str(Path(cli.__file__).parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def _write_off(mesh, path):
     # repr(float(x)) is the shortest text that reads back to the same double;
     # the repr of a numpy scalar is not a number under numpy >= 2.
@@ -120,16 +127,34 @@ def test_run_import_case(tmp_path):
     assert "stress L2 error" not in report  # no exact solution for imports
 
 
-@pytest.mark.parametrize("variant", ["interpolated", "facet"])
-def test_import_case_load_scales_with_the_pressure(tmp_path, variant):
-    # the import case's load is p on the variant's normals: linear in p
+def test_import_case_load_scales_with_the_pressure(tmp_path):
+    # the import case's load is p on the normals: linear in p
     off = tmp_path / "torus.off"
     _write_off(build_torus_mesh(1.0, 0.5, 12, 6), off)
-    stresses = [solve_case(RunConfig(case="import", variant=variant, mesh_path=str(off), p=p)).stress
+    stresses = [solve_case(RunConfig(case="import", mesh_path=str(off), p=p)).stress
                 for p in (1.0, 2.5)]
     scale = np.abs(stresses[0]).max()
     assert scale > 0
     assert np.abs(stresses[1] - 2.5 * stresses[0]).max() <= 1e-9 * scale
+
+
+def test_import_case_fences_off_the_facet_variant(tmp_path, capsys, monkeypatch):
+    # The facet load balance holds only on structured meshes: on a jittered
+    # torus OFF (n=24, a = 0.1) the facet run exited 0 with max |u| = 101.9,
+    # against 0.48 interpolated. The fence stops it before the file is read,
+    # and mesh-info, which builds the same case, rejects it alike.
+    def never(path):
+        raise AssertionError("mesh file read")
+
+    monkeypatch.setattr(mesh, "import_mesh", never)
+    out = tmp_path / "out"
+    for command in ("run", "mesh-info"):
+        assert main([command, "--case", "import", "--variant", "facet", "--mesh",
+                     str(tmp_path / "t.off"), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "memshell: error [builtins]: the facet variant is not run on imported meshes: its "
+            "load balance holds only on structured meshes\n"), command
+    assert not (out / "report.txt").exists() and not (out / "solution.vtk").exists()
 
 
 def test_convergence_command_writes_table(tmp_path, capsys):
@@ -433,12 +458,22 @@ def test_a_run_imports_no_dense_or_iterative_scipy_solvers(tmp_path):
         "             if m.split('.')[:2] == ['scipy', 'linalg']\n"
         "             or m.split('.')[:3] == ['scipy', 'sparse', 'linalg']))\n"
     )
-    src = str(Path(cli.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                         env=env, check=True).stdout
+                         env=_source_env(), check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_module_entry_point_exits_with_the_status_of_main(tmp_path):
+    command = [sys.executable, "-m", "memshell.cli", "run", "--case"]
+    ok = subprocess.run([*command, "torus", "--n", "6", "--out", str(tmp_path / "tor")],
+                        capture_output=True, text=True, env=_source_env())
+    assert ok.returncode == 0, ok.stderr
+    assert (tmp_path / "tor" / "report.txt").exists()
+    bad = subprocess.run([*command, "import"], capture_output=True, text=True,
+                         env=_source_env(), cwd=tmp_path)
+    assert bad.returncode == 1
+    assert bad.stderr == ("memshell: error [builtins]: case 'import' requires a mesh file "
+                          "(--mesh)\n")
 
 
 def test_failing_ladder_level_leaves_completed_rows(tmp_path, monkeypatch):

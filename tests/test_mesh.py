@@ -296,6 +296,15 @@ def test_misshapen_mesh_input_rejected(kwargs, message):
         SurfaceMesh(**args)
 
 
+@pytest.mark.parametrize("index", [1.7, np.nan])
+def test_non_integral_triangle_index_rejected_by_position(index):
+    # a cast to int would read 1.7 as vertex 1
+    with pytest.raises(MeshError, match=rf"^triangles entry \[0, 1\] is not an integer: {index}$"):
+        SurfaceMesh(_TRIANGLE, [[0, index, 2.0]])
+    for triangles in ([[0.0, 1.0, 2.0]], np.array([[0, 1, 2]], dtype=np.uint8)):
+        assert SurfaceMesh(_TRIANGLE, triangles).triangles.tolist() == [[0, 1, 2]]
+
+
 def test_import_off_single_triangle(tmp_path):
     path = tmp_path / "tri.off"
     path.write_text("OFF\n# a comment\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n")
@@ -358,14 +367,16 @@ def test_import_bad_number_names_the_line(tmp_path, name, text, line):
      "missing OFF vertex/face counts"),
     ("bad-counts.off", "OFF\n3 one 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n",
      r"invalid OFF counts: \['3', 'one', '0'\]"),
+    ("negative-counts.off", "OFF\n-1 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n",
+     r"invalid OFF counts: \['-1', '1', '0'\]"),
     ("zero-ref.obj", "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 0 1 2\n",
      "unsupported OBJ vertex reference '0'"),
     ("negative-ref.obj", "v 0 0 0\nv 1 0 0\nv 0 1 0\nf -3 -2 -1\n",
      "unsupported OBJ vertex reference '-3'"),
     ("vertices-only.obj", "v 0 0 0\nv 1 0 0\nv 0 1 0\n", "OBJ file contains no triangle mesh"),
     ("empty.obj", "# nothing\n", "OBJ file contains no triangle mesh"),
-], ids=["off-header", "off-no-counts", "off-one-count", "off-bad-counts", "obj-zero-ref",
-        "obj-negative-ref", "obj-vertices-only", "obj-empty"])
+], ids=["off-header", "off-no-counts", "off-one-count", "off-bad-counts", "off-negative-counts",
+        "obj-zero-ref", "obj-negative-ref", "obj-vertices-only", "obj-empty"])
 def test_import_error_names_the_cause(tmp_path, name, text, message):
     path = tmp_path / name
     path.write_text(text)
