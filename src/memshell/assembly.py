@@ -14,8 +14,8 @@ through a map from each (element, node pair) to the pair's first CSR entry.
 Besides the matrix, only that int32 map and one block's element matrices are
 held at a time. The map and the CSR column indices add the column offsets
 (0, 1, 2) to the first entry of each block row by one long add per offset, as
-numpy runs an add along a length-3 axis several times slower. The loads go to
-the flat right-hand side in one scatter.
+numpy runs an add along a length-3 axis several times slower. The loads are
+computed per block too and go to the flat right-hand side in one scatter.
 
 Dirichlet data are two arrays: the constrained nodes (k,) and one unit
 direction per node (k, 3), each imposing the homogeneous constraint
@@ -121,6 +121,7 @@ def assemble(mesh: SurfaceMesh, material, geo: QuadraturePointData, traction=Non
     slot = base[slot].reshape(-1, 3, 3)  # entry (0, 0) of each (e, i, j) block
     del row, col, base, rows
     data = np.zeros(indices.size)
+    loads = np.zeros((tri.shape[0], 9))
     for s, sub in geo.blocks():
         # K[e, (i, a), (j, b)] goes to entry (a, b) of its block: slot + a width[i] + b
         rows = np.empty(slot[s].shape[:2] + (3, 3), dtype=itype)  # [e, i, a, j]
@@ -128,9 +129,9 @@ def assemble(mesh: SurfaceMesh, material, geo: QuadraturePointData, traction=Non
         for a in (1, 2):
             np.add(rows[:, :, a - 1], width[tri[s]][:, :, None], out=rows[:, :, a])
         np.add.at(data, _plus_012(rows).ravel(), batch_element_stiffness(sub, material).ravel())
-    rhs = np.zeros(3 * n) if traction is None else np.bincount(
-        _plus_012(3 * tri.astype(itype)).ravel(), batch_element_loads(geo, traction).ravel(),
-        minlength=3 * n)
+        if traction is not None:
+            loads[s] = batch_element_loads(sub, traction[s])
+    rhs = np.bincount(_plus_012(3 * tri.astype(itype)).ravel(), loads.ravel(), minlength=3 * n)
     matrix = sp.csr_matrix((data, indices, indptr), shape=(3 * n, 3 * n))
     return LinearSystem(matrix, rhs, coordinates=mesh.vertices)
 

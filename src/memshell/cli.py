@@ -149,9 +149,9 @@ def _report_lines(config: RunConfig, result: CaseResult) -> list[str]:
 
 def run_case(config: RunConfig) -> dict:
     """Execute one run; returns artifact paths and headline numbers."""
-    outdir = Path(config.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     result = solve_case(config)
+    outdir = Path(config.out)
+    outdir.mkdir(parents=True, exist_ok=True)  # only for a case that was accepted
     vtk_path = outdir / "solution.vtk"
     postprocess.export_vtk(result.mesh, result.displacement, result.stress, result.geo, vtk_path)
     report_path = outdir / "report.txt"
@@ -169,7 +169,8 @@ def run_convergence(config: RunConfig, resolutions=None) -> tuple[
     """Run a refinement ladder and fit the stress-error rate.
 
     The ladder is checked before any level is solved: it needs at least 3
-    strictly increasing resolutions. The CSV table is rewritten after each
+    strictly increasing resolutions. The output directory is made after the
+    first level is solved, and the CSV table is rewritten after each
     resolution, so a failing level leaves the completed rows on disk.
     """
     if config.case not in ("cylinder", "torus"):
@@ -179,18 +180,17 @@ def run_convergence(config: RunConfig, resolutions=None) -> tuple[
         raise ValueError(f"resolution ladder {','.join(map(str, resolutions))}: a rate fit "
                          "needs at least 3 strictly increasing resolutions")
     outdir = Path(config.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     csv_path = outdir / "convergence.csv"
 
     results: list[CaseResult] = []
     hs: list[float] = []
     errors: list[float] = []
-    postprocess.write_convergence_csv(csv_path, hs, errors)
     for n in resolutions:
         result = solve_case(config, n)
         results.append(result)
         hs.append(result.h)
         errors.append(result.error)
+        outdir.mkdir(parents=True, exist_ok=True)
         postprocess.write_convergence_csv(csv_path, hs, errors)
 
     record = postprocess.fit_convergence(list(zip(hs, errors)))

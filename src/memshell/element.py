@@ -4,7 +4,8 @@ Linear triangles are extended into 3D through a nodal normal field: the
 element Jacobian stacks the two (constant) facet tangents with the unit
 normal, either interpolated from the nodes and renormalized per quadrature
 point ("interpolated" variant) or taken as the facet normal ("facet"
-variant). Physical basis gradients solve ``J g = (d/dxi, d/deta, 0)``; the
+variant), constant on the element, so that its normals and gradients carry
+one point. Physical basis gradients solve ``J g = (d/dxi, d/deta, 0)``; the
 batched kernels use the closed-form inverse, the dual basis
 ``d_xi = (t_eta x n)/det``, ``d_eta = (n x t_xi)/det`` with
 ``det = n . (t_xi x t_eta)``. The gradients are therefore exactly tangential
@@ -114,7 +115,8 @@ class QuadraturePointData:
     gradients : (m, nq, 3, 3)
         Tangential basis gradients, ``[e, q, node, xyz]``.
     normals : (m, nq, 3)
-        Unit variant normal at each quadrature point.
+        Unit variant normal at each quadrature point. The facet variant's
+        normals and gradients are constant: one point, (m, 1, ...), for all.
     measures : (m, nq)
         Quadrature weight times facet surface measure (so that summing
         ``measures * integrand`` integrates over the discrete surface).
@@ -145,7 +147,7 @@ class QuadraturePointData:
                                          self.points[s], self.shape_values)
 
     def projectors(self) -> np.ndarray:
-        """(m, nq, 3, 3) tangent-plane projectors ``P = I - n n^T``."""
+        """Tangent-plane projectors ``P = I - n n^T``, one per normal."""
         proj = self.normals[..., :, None] @ -self.normals[..., None, :]
         proj.reshape(-1, 9)[:, ::4] += 1.0
         return proj
@@ -162,9 +164,6 @@ def quadrature_geometry(coords, normals, quad: QuadratureRule, variant: str) -> 
     """
     coords = np.asarray(coords, dtype=float)
     normals = np.asarray(normals, dtype=float)
-    m = coords.shape[0]
-    nq = len(quad)
-
     t_xi = coords[:, 1] - coords[:, 0]
     t_eta = coords[:, 2] - coords[:, 0]
     cross = np.cross(t_xi, t_eta)
@@ -185,7 +184,7 @@ def quadrature_geometry(coords, normals, quad: QuadratureRule, variant: str) -> 
             raise SingularJacobianError("interpolated normal vanishes", element=e)
         nhat = n0 / nn[..., None]
     elif variant == "facet":
-        nhat = np.broadcast_to((cross / cn[:, None])[:, None, :], (m, nq, 3)).copy()
+        nhat = (cross / cn[:, None])[:, None, :]  # constant on the facet: one point
     else:
         raise ValueError(f"unknown geometry variant {variant!r}")
 
@@ -195,7 +194,7 @@ def quadrature_geometry(coords, normals, quad: QuadratureRule, variant: str) -> 
         e = int(np.nonzero(bad.any(axis=1))[0][0])
         raise SingularJacobianError("normal lies in the facet plane", element=e)
 
-    gradients = np.empty((m, nq, 3, 3))
+    gradients = np.empty(nhat.shape[:2] + (3, 3))
     gradients[:, :, 1] = np.cross(t_eta[:, None, :], nhat) / dets[..., None]
     gradients[:, :, 2] = np.cross(nhat, t_xi[:, None, :]) / dets[..., None]
     np.negative(gradients[:, :, 1], out=gradients[:, :, 0])
@@ -233,20 +232,22 @@ def batch_element_stiffness(geo: QuadraturePointData, material) -> np.ndarray:
     The gradients sum to zero, ``g_0 = -g_1 - g_2`` (:func:`quadrature_geometry`
     builds them so), so ``G = C d`` with ``d = (g_1.g_1, g_1.g_2, g_2.g_2)``
     and the constant ``C`` of ``_GRAM_FROM_DOTS``; then ``GP = C sum_q w d P``.
+    A facet geometry's one point carries the summed weights (a constant integrand).
     """
-    m, nq = geo.measures.shape
+    m, nq = geo.gradients.shape[:2]
+    w = geo.measures.reshape(m, nq, -1).sum(axis=2)
     g = geo.gradients.reshape(m, nq, 9)
     mu_t = material.t * material.mu
 
     buf = np.empty((m, 81))
-    np.matmul(geo.measures[:, None, :] * g.swapaxes(1, 2), g, out=buf.reshape(m, 9, 9))  # H
+    np.matmul(w[:, None, :] * g.swapaxes(1, 2), g, out=buf.reshape(m, 9, 9))  # H
     K = (material.t * material.lam0) * buf
     buf *= mu_t
     K += np.take(buf, _FROM_H, axis=1)
 
     g1, g2 = g[..., 3:6], g[..., 6:]
     dots = np.stack([np.einsum("mqa,mqa->mq", x, y) for x, y in ((g1, g1), (g1, g2), (g2, g2))], 1)
-    dots *= mu_t * geo.measures[:, None, :]
+    dots *= mu_t * w[:, None, :]
     np.matmul(_GRAM_FROM_DOTS, dots @ geo.projectors().reshape(m, nq, 9), out=buf.reshape(m, 9, 9))
     K += np.take(buf, _FROM_GP, axis=1)
     return K.reshape(m, 9, 9)

@@ -75,23 +75,21 @@ def _extract_boundary_loops(triangles: np.ndarray, n_vertices: int) -> list[np.n
         curves touch in a vertex.
     """
     n = int(n_vertices)
-    ea = triangles.ravel().astype(np.int64)
-    eb = triangles[:, [1, 2, 0]].ravel().astype(np.int64)
-    key = ea * n + eb
-    rkey = eb * n + ea
-    skey = np.sort(key)
-    if np.any(skey[1:] == skey[:-1]):
-        # a repeated directed edge; more than two uses of the undirected
-        # edge (both directions counted) makes it non-manifold
-        def uses(k):
-            return np.searchsorted(skey, k, "right") - np.searchsorted(skey, k, "left")
-
-        if np.any(uses(key) + uses(rkey) > 2):
-            raise MeshError("non-manifold edge: more than two incident triangles")
+    ea = triangles.ravel()
+    eb = triangles[:, [1, 2, 0]].ravel()
+    # one sort of the undirected edge keys puts all uses of an edge side by side
+    key = np.minimum(ea, eb) * n + np.maximum(ea, eb)
+    order = np.argsort(key)
+    key = key[order]
+    same = key[1:] == key[:-1]  # the i-th and (i+1)-th sorted uses share their edge
+    if (same[1:] & same[:-1]).any():
+        raise MeshError("non-manifold edge: more than two incident triangles")
+    start = ea[order]
+    if (same & (start[1:] == start[:-1])).any():
         raise MeshError("inconsistent orientation: a directed edge is used by two triangles")
-
-    pos = np.minimum(np.searchsorted(skey, rkey), skey.size - 1)
-    boundary = skey[pos] != rkey
+    paired = np.append(same, False)
+    paired[1:] |= same
+    boundary = np.sort(order[~paired])  # the edges used once, in triangle order
     ba = ea[boundary]
     bb = eb[boundary]
     order = np.argsort(ba, kind="stable")
@@ -178,11 +176,12 @@ class SurfaceMesh:
 
         # edge k of a facet runs from its corner k to corner k+1 (mod 3); the
         # cross product of edges 2 and 0 is the unnormalized facet normal
-        edges = v[t[:, [1, 2, 0]]] - v[t]
+        corners = v[t]
+        edges = corners.take([1, 2, 0], axis=1) - corners
         cross = np.cross(edges[:, 2], edges[:, 0])
         twice_area = np.linalg.norm(cross, axis=1)
         lengths = np.linalg.norm(edges, axis=2)
-        del edges  # not held through the topology checks below
+        del corners, edges  # not held through the topology checks below
         degenerate = twice_area <= 1e-13 * lengths[:, 0] * lengths[:, 2]
         if np.any(degenerate):
             raise MeshError(f"degenerate triangle {int(np.nonzero(degenerate)[0][0])}")

@@ -3,11 +3,12 @@
 The recovered stress is the in-plane tensor obtained by double projection of
 the tangential strain followed by the membrane constitutive law
 ``sigma = 2 mu e_P + lam tr(e_P) P``; it is symmetric and annihilates the
-element normal by construction. It is a plain ``(m, nq, 3, 3)`` array
+element normal by construction. It is a read-only ``(m, nq, 3, 3)`` array
 sampled at ``geo.points`` of the case's
-:class:`~memshell.element.QuadraturePointData`; errors are integrated with
-``geo.measures`` and the export's cell averages are weighted by them. The
-recovery writes each block of elements of
+:class:`~memshell.element.QuadraturePointData`; the facet variant's stress is
+computed once per element and broadcast over the points. Errors are
+integrated with ``geo.measures`` and the export's cell averages are weighted
+by them. The recovery writes each block of elements of
 :meth:`~memshell.element.QuadraturePointData.blocks` into the one result
 array, and the error is summed block by block.
 """
@@ -50,7 +51,7 @@ def _require_stress_on(stress, geo: QuadraturePointData) -> None:
 
 def recover_stress(mesh: SurfaceMesh, material: MaterialModel, displacement,
                    geo: QuadraturePointData) -> np.ndarray:
-    """The (m, nq, 3, 3) stress at ``geo.points``, from the projected strain.
+    """The read-only (m, nq, 3, 3) stress at ``geo.points``, from the projected strain.
 
     ``displacement`` may be a flat dof vector of length ``3*n_vertices`` or an
     ``(n_vertices, 3)`` array of nodal displacements (global components).
@@ -59,7 +60,7 @@ def recover_stress(mesh: SurfaceMesh, material: MaterialModel, displacement,
     """
     u = _nodal_displacements(mesh, displacement)
     geo.require_elements(mesh.n_triangles)
-    stress = np.empty(geo.measures.shape + (3, 3))
+    stress = np.empty(geo.gradients.shape[:2] + (3, 3))
     for s, sub in geo.blocks():
         ue = u[mesh.triangles[s]]
         proj = sub.projectors()
@@ -69,7 +70,7 @@ def recover_stress(mesh: SurfaceMesh, material: MaterialModel, displacement,
         tr = np.trace(eps_p, axis1=-2, axis2=-1)
         np.multiply(2.0 * material.mu, eps_p, out=stress[s])
         stress[s] += material.lam0 * tr[..., None, None] * proj
-    return stress
+    return np.broadcast_to(stress, geo.measures.shape + (3, 3))
 
 
 def stress_l2_error(stress, geo: QuadraturePointData, exact: ExactSolution) -> float:
@@ -158,7 +159,8 @@ def export_vtk(mesh: SurfaceMesh, displacement, stress, geo: QuadraturePointData
     geo.require_elements(m)
     _require_stress_on(stress, geo)
 
-    avg = np.einsum("mq,mqab->mab", geo.measures, stress)
+    # einsum's sum order follows the strides: a broadcast stress is read as its copy
+    avg = np.einsum("mq,mqab->mab", geo.measures, np.ascontiguousarray(stress))
     avg /= geo.measures.sum(axis=1)[:, None, None]
     comps = np.column_stack([
         avg[:, 0, 0], avg[:, 1, 1], avg[:, 2, 2],

@@ -333,6 +333,15 @@ def geometry_of(mesh, quad: QuadratureRule = QUADRATURE_RULE,
     return quadrature_geometry(mesh.vertices[tris], mesh.nodal_normals[tris], quad, variant)
 
 
+def per_point_geometry(geo: QuadraturePointData) -> QuadraturePointData:
+    """``geo`` with its gradients and normals copied to every point of the rule:
+    a facet geometry's one point, written out per point as an interpolated one is."""
+    m, nq = geo.measures.shape
+    return QuadraturePointData(np.broadcast_to(geo.gradients, (m, nq, 3, 3)).copy(),
+                               np.broadcast_to(geo.normals, (m, nq, 3)).copy(),
+                               geo.measures, geo.points, geo.shape_values)
+
+
 def dense_assembly(mesh, material, load_at, quad, variant="interpolated"):
     """Brute-force dense assembly by Python scatter loops over elements."""
     ndof = 3 * mesh.n_vertices
@@ -556,7 +565,8 @@ def write_legacy_vtk_reference(mesh, displacement, stress, weights, path):
     # the weighted averages and von Mises by export_vtk's arithmetic, as the
     # bytes agree only if the numbers agree to the last bit;
     # test_export_vtk_roundtrip checks both against per-element references
-    avg = np.einsum("mq,mqab->mab", weights, stress) / weights.sum(axis=1)[:, None, None]
+    avg = np.einsum("mq,mqab->mab", weights, np.ascontiguousarray(stress))
+    avg /= weights.sum(axis=1)[:, None, None]
     comps = [avg[:, 0, 0], avg[:, 1, 1], avg[:, 2, 2],
              avg[:, 0, 1], avg[:, 1, 2], avg[:, 0, 2]]
     dev = avg - (np.trace(avg, axis1=1, axis2=2) / 3.0)[:, None, None] * np.eye(3)

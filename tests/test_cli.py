@@ -375,6 +375,19 @@ def test_import_case_requires_mesh(capsys):
     assert "mesh" in capsys.readouterr().err.lower()
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--case", "import"],
+    ["run", "--case", "cylinder", "--mesh", "x.off"],
+    ["convergence", "--case", "import"],
+    ["convergence", "--case", "cylinder", "--mesh", "x.off"],
+], ids=["run-import", "run-cylinder-mesh", "convergence-import", "convergence-cylinder-mesh"])
+def test_rejected_case_creates_nothing(tmp_path, monkeypatch, argv):
+    # the default output directory is made only for a case that was accepted
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["run", "convergence", "mesh-info"])
 @pytest.mark.parametrize("case", ["cylinder", "torus"])
 def test_mesh_file_rejected_outside_import_case(tmp_path, capsys, command, case):

@@ -16,6 +16,7 @@ from memshell.geometry import MaterialModel
 from memshell.mesh import build_cylinder_mesh, build_torus_mesh
 
 from oracles import (
+    DEGREE4_RULE,
     basis_surface_gradients,
     cst_stiffness_embedded,
     double_projection,
@@ -23,6 +24,7 @@ from oracles import (
     element_load,
     element_stiffness,
     geometry_of,
+    per_point_geometry,
     random_rotation,
     random_valid_element,
     shape_values_and_ref_gradients,
@@ -402,10 +404,23 @@ def test_dual_basis_gradients_match_jacobian_solve(variant):
     geo = quadrature_geometry(coords, normals, QUADRATURE_RULE, variant)
     for e in range(40):
         for q, (xi, eta) in enumerate(QUADRATURE_RULE.points):
+            k = 0 if variant == "facet" else q  # a facet's one point stands for every point
             J = element_jacobian(coords[e], normals[e], xi, eta, variant)
             g = basis_surface_gradients(J)
-            assert np.abs(geo.gradients[e, q] - g).max() <= 1e-13 * np.abs(g).max()
-            assert np.abs(geo.normals[e, q] - J[2]).max() <= 1e-15
+            assert np.abs(geo.gradients[e, k] - g).max() <= 1e-13 * np.abs(g).max()
+            assert np.abs(geo.normals[e, k] - J[2]).max() <= 1e-15
+
+
+@pytest.mark.parametrize("rule", [QUADRATURE_RULE, DEGREE4_RULE], ids=["3-point", "degree-4"])
+def test_facet_stiffness_equals_per_point_integration(rule):
+    # the facet integrand is constant, so its one point with the summed
+    # weights integrates what the rule's points integrate one by one
+    coords, normals = _random_batch(np.random.default_rng(143), 200)
+    geo = quadrature_geometry(coords, normals, rule, "facet")
+    assert geo.gradients.shape == (200, 1, 3, 3) and geo.normals.shape == (200, 1, 3)
+    K = batch_element_stiffness(geo, MAT)
+    ref = batch_element_stiffness(per_point_geometry(geo), MAT)
+    assert np.all(np.abs(K - ref).max(axis=(1, 2)) <= 1e-14 * np.abs(ref).max(axis=(1, 2)))
 
 
 def test_batch_stiffness_reports_singular_element():

@@ -35,6 +35,7 @@ from oracles import (
     flat_grid_mesh,
     geometry_of,
     jittered_cylinder_mesh,
+    per_point_geometry,
     random_rotation,
     read_legacy_vtk,
     tangential_strain,
@@ -374,9 +375,34 @@ def test_recover_stress_matches_double_projection_reference(case, variant):
     ref = np.empty_like(result.stress)
     for e in range(len(tris)):
         for q in range(geo.measures.shape[1]):
-            n = geo.normals[e, q]
-            eps_p = double_projection(tangential_strain(ue[e], geo.gradients[e, q]), n)
+            k = 0 if variant == "facet" else q  # a facet's one point stands for every point
+            n = geo.normals[e, k]
+            eps_p = double_projection(tangential_strain(ue[e], geo.gradients[e, k]), n)
             proj = np.eye(3) - np.outer(n, n)
             ref[e, q] = 2.0 * mat.mu * eps_p + mat.lam0 * np.trace(eps_p) * proj
     assert np.abs(result.stress - ref).max() <= 1e-13 * np.abs(ref).max()
 
+
+
+def _facet_torus_stress():
+    # three blocks of elements, a displacement with every strain component
+    mesh = build_torus_mesh(1.0, 0.5, 34, 17)
+    geo = geometry_of(mesh, variant="facet")
+    u = np.random.default_rng(151).standard_normal(3 * mesh.n_vertices)
+    return mesh, geo, u, recover_stress(mesh, MAT, u, geo)
+
+
+def test_facet_stress_is_one_read_only_value_per_element():
+    mesh, geo, u, stress = _facet_torus_stress()
+    assert stress.shape == geo.measures.shape + (3, 3)
+    assert not stress.flags.writeable
+    assert np.array_equal(stress, recover_stress(mesh, MAT, u, per_point_geometry(geo)))
+
+
+def test_error_and_export_read_the_facet_stress_as_its_copy(tmp_path):
+    mesh, geo, u, stress = _facet_torus_stress()
+    exact = torus_exact(1.0, MAT, Torus(1.0, 0.5))
+    assert stress_l2_error(stress, geo, exact) == stress_l2_error(np.array(stress), geo, exact)
+    export_vtk(mesh, u, stress, geo, tmp_path / "view.vtk")
+    export_vtk(mesh, u, np.array(stress), geo, tmp_path / "copy.vtk")
+    assert (tmp_path / "view.vtk").read_bytes() == (tmp_path / "copy.vtk").read_bytes()
