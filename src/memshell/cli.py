@@ -275,7 +275,7 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", type=float, help="solver relative residual target")
     p.add_argument("--max-iter", type=int, dest="max_iter")
     p.add_argument("--out", help="output directory")
-    p.add_argument("--mesh", dest="mesh_path", help="mesh file for case 'import'")
+    p.add_argument("--mesh", dest="mesh_path", help="OFF mesh file for case 'import'")
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:

@@ -1,4 +1,4 @@
-"""Triangulated surfaces: validated containers, benchmark generators, topology, I/O.
+"""Triangulated surfaces: validated containers, generators, topology, OFF import.
 
 A :class:`SurfaceMesh` couples an oriented triangle mesh with a unit normal
 field in the nodes. Construction validates manifoldness, consistent
@@ -408,58 +408,22 @@ def _parse_off(lines: list[str]) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(verts), np.asarray(faces, dtype=np.int64)
 
 
-def _parse_obj(lines: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    verts: list[list[float]] = []
-    faces: list[list[int]] = []
-    for raw in lines:
-        row = _strip_comment(raw).split()
-        if not row:
-            continue
-        if row[0] == "v":
-            try:
-                x, y, z = (float(s) for s in row[1:4])
-            except ValueError as exc:
-                raise MeshError(f"invalid OBJ vertex line: {raw.strip()}") from exc
-            verts.append([x, y, z])
-        elif row[0] == "f":
-            refs = row[1:]
-            if len(refs) != 3:
-                raise MeshError(f"only triangular faces are supported: {raw.strip()}")
-            idx = []
-            for ref in refs:
-                try:
-                    i = int(ref.split("/")[0])
-                except ValueError as exc:
-                    raise MeshError(f"invalid OBJ face line: {raw.strip()}") from exc
-                if i <= 0:
-                    raise MeshError(f"unsupported OBJ vertex reference {ref!r}")
-                idx.append(i - 1)
-            faces.append(idx)
-        # all other OBJ records (vn, vt, o, g, s, mtl...) are ignored
-    if not verts or not faces:
-        raise MeshError("OBJ file contains no triangle mesh")
-    return np.asarray(verts), np.asarray(faces, dtype=np.int64)
-
-
 def import_mesh(path) -> SurfaceMesh:
-    """Read an ASCII OFF or OBJ triangle mesh.
+    """Read an ASCII OFF triangle mesh.
 
-    The file suffix (``.off`` or ``.obj``, in any case) decides the format.
-    Faces must be triangles and consistently oriented; nodal normals are set
-    to the area-weighted facet-normal averages. Vertex coordinates must be
-    plain numbers, as Python's ``float()`` reads them.
+    The file suffix must be ``.off``, in any case; any other is rejected
+    before the file is read. Faces must be triangles and consistently
+    oriented; nodal normals are set to the area-weighted facet-normal
+    averages. Vertex coordinates must be plain numbers, as Python's
+    ``float()`` reads them.
     """
     path = Path(path)
     fmt = path.suffix.lstrip(".").lower()
+    if fmt != "off":
+        raise MeshError(f"unsupported mesh format {fmt!r} (expected 'off')")
     try:
         text = path.read_text()
     except OSError as exc:
         raise MeshError(f"cannot read mesh file {path}: {exc}") from exc
-    lines = text.splitlines()
-    if fmt == "off":
-        verts, faces = _parse_off(lines)
-    elif fmt == "obj":
-        verts, faces = _parse_obj(lines)
-    else:
-        raise MeshError(f"unsupported mesh format {fmt!r} (expected 'off' or 'obj')")
+    verts, faces = _parse_off(text.splitlines())
     return SurfaceMesh(verts, faces)

@@ -29,16 +29,18 @@ true-residual check and the exit): the same iterates in exact arithmetic,
 and a solution without kernel component. Negative curvature (an indefinite
 matrix) aborts with the iteration index.
 
-An iteration costs one matvec, one preconditioner apply (a CSR copy of the
-block-diagonal inverse), three dot products and in-place vector updates.
-Both products call scipy's compiled CSR kernel into work vectors allocated
-once per solve (:func:`_matvec`): on small systems, the dispatch of ``A @ p``
-around that same kernel costs as much as the kernel itself. The stop test
-``r . r <= (tol ||b||)^2`` is confirmed on the recomputed true residual, from
-which CG restarts if it fails.
+An iteration costs one matvec, one preconditioner apply, three dot products
+and in-place vector updates. The CG loop sees the preconditioner only as that
+apply, ``precondition(r, out) -> out``, built once per solve: here the CSR
+product of the block-diagonal inverse. Both products call scipy's compiled
+CSR kernel into work vectors allocated once per solve (:func:`_matvec`): on
+small systems, the dispatch of ``A @ p`` around that same kernel costs as
+much as the kernel itself. The stop test ``r . r <= (tol ||b||)^2`` is
+confirmed on the recomputed true residual, from which CG restarts if it fails.
 """
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -267,7 +269,7 @@ def solve(system: LinearSystem, tol: float = 1e-10, max_iter: int | None = None,
     if bnorm == 0.0:
         return np.zeros(ndof), SolveReport(0, 0.0, kdim, True, consistency, load_share, 0.0)
 
-    M = _nodal_block_inverse(*diagonals)
+    precondition = functools.partial(_matvec, _nodal_block_inverse(*diagonals))
     del diagonals  # not held through the iterations, where the solve peaks
     x = np.zeros(ndof) if x0 is None else x0.copy()
     # the work vectors of the whole solve: the products go into Ap and z
@@ -280,7 +282,7 @@ def solve(system: LinearSystem, tol: float = 1e-10, max_iter: int | None = None,
     if x0 is not None:
         true_residual()
     tol2 = (tol * bnorm) ** 2
-    p = _matvec(M, r, z).copy()
+    p = precondition(r, z).copy()
     rz = float(r @ z)
     iterations = 0
     converged = float(r @ r) <= tol2
@@ -304,7 +306,7 @@ def solve(system: LinearSystem, tol: float = 1e-10, max_iter: int | None = None,
             if float(r @ r) <= tol2:
                 converged = True
                 break
-        _matvec(M, r, z)
+        precondition(r, z)
         rz_new = float(r @ z)
         p *= 0.0 if restart else rz_new / rz
         p += z

@@ -10,7 +10,7 @@ single-element kernels that solve each element Jacobian with
 double-projection strain algebra via plain matrix products, a higher-order
 triangle quadrature rule, a minimal binary legacy-VTK reader and
 per-number writer, nodal constraint projection by dense products with an
-admissible basis built node by node, a seeded jittered cylinder mesh,
+admissible basis built node by node, seeded jittered cylinder and torus meshes,
 boundary-loop extraction by set queries and a successor dictionary, and the
 traced memory peak of one call.
 """
@@ -26,7 +26,7 @@ from memshell.assembly import ConstraintError, LinearSystem
 from memshell.element import (QUADRATURE_RULE, QuadraturePointData, QuadratureRule,
                               SingularJacobianError, quadrature_geometry)
 from memshell.geometry import Cylinder, GeometryError
-from memshell.mesh import MeshError, SurfaceMesh, build_cylinder_mesh
+from memshell.mesh import MeshError, SurfaceMesh, build_cylinder_mesh, build_torus_mesh
 
 # ---------------------------------------------------------------------------
 # exact surfaces: each is the set of points at distance r from its core, the
@@ -461,6 +461,28 @@ def jittered_cylinder_mesh(r: float, L: float, n: int, a: float, seed: int):
     normals = np.column_stack([np.zeros_like(x), np.cos(angle), np.sin(angle)])
     return SurfaceMesh(np.column_stack([x, r * normals[:, 1:]]), base.triangles,
                        nodal_normals=normals)
+
+
+def jittered_torus_mesh(R: float, r: float, n: int, a: float, seed: int):
+    """The structured 2n x n torus mesh with its vertices moved along the surface.
+
+    Vertex ``i n + j`` of ``build_torus_mesh(R, r, 2n, n)`` sits at phi =
+    2 pi i / (2n) and theta = 2 pi j / n; each vertex's (phi, theta) moves
+    by a seeded uniform +-a of that spacing. The vertices stay on the exact
+    surface, the nodal normals are the exact ones and the connectivity is
+    unchanged, so for a < 1/2 the orientation is too.
+    """
+    base = build_torus_mesh(R, r, 2 * n, n)
+    i, j = np.divmod(np.arange(base.n_vertices), n)
+    shift = np.random.default_rng(seed).uniform(-a, a, size=(len(i), 2))
+    shift *= [np.pi / n, 2 * np.pi / n]
+    phi = np.pi * i / n + shift[:, 0]
+    theta = 2 * np.pi * j / n + shift[:, 1]
+    rho = R + r * np.sin(theta)
+    vertices = np.column_stack([rho * np.cos(phi), rho * np.sin(phi), r * np.cos(theta)])
+    normals = np.column_stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi),
+                               np.cos(theta)])
+    return SurfaceMesh(vertices, base.triangles, nodal_normals=normals)
 
 
 def read_legacy_vtk(path):

@@ -44,6 +44,7 @@ REMOVED = (
     "StressField", "cell_averages", "n_elements", "quadrature_rule", "_row_texts",
     "_DIGIT_WORDS", "_LEAD_WORDS", "_EXP_MAX", "_EXP_WORDS", "_SCALES", "lame_effective",
     "plane_strain", "tobsr", "bsr_matrix", "_build_case", "_case_mesh", "resolved_r",
+    "_parse_obj",
 )
 
 

@@ -388,6 +388,16 @@ def test_rejected_case_creates_nothing(tmp_path, monkeypatch, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_import_case_rejects_an_obj_file(tmp_path, monkeypatch, capsys):
+    # OFF is the one mesh format read; an OBJ file is refused before a run starts
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "x.obj").write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n")
+    assert main(["run", "--case", "import", "--mesh", "x.obj"]) == 1
+    assert capsys.readouterr().err == ("memshell: error [mesh]: unsupported mesh format "
+                                       "'obj' (expected 'off')\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["x.obj"]
+
+
 @pytest.mark.parametrize("command", ["run", "convergence", "mesh-info"])
 @pytest.mark.parametrize("case", ["cylinder", "torus"])
 def test_mesh_file_rejected_outside_import_case(tmp_path, capsys, command, case):

@@ -349,9 +349,7 @@ def test_import_off_rejects_numpy_scalar_repr(tmp_path):
 @pytest.mark.parametrize("name, text, line", [
     ("face.off", "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 x\n", "3 0 1 x"),
     ("short.off", "OFF\n4 2 0\n0 0 0\n1 0 0\n0 1 0\n1 1 0\n3 0 1 2\n3 1 3\n", "3 1 3"),
-    ("vertex.obj", "v 0 0 0\nv 1 0 x\nv 0 1 0\nf 1 2 3\n", "v 1 0 x"),
-    ("face.obj", "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 x\n", "f 1 2 x"),
-], ids=["off-face", "off-short-face", "obj-vertex", "obj-face"])
+], ids=["off-face", "off-short-face"])
 def test_import_bad_number_names_the_line(tmp_path, name, text, line):
     path = tmp_path / name
     path.write_text(text)
@@ -369,14 +367,7 @@ def test_import_bad_number_names_the_line(tmp_path, name, text, line):
      r"invalid OFF counts: \['3', 'one', '0'\]"),
     ("negative-counts.off", "OFF\n-1 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n",
      r"invalid OFF counts: \['-1', '1', '0'\]"),
-    ("zero-ref.obj", "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 0 1 2\n",
-     "unsupported OBJ vertex reference '0'"),
-    ("negative-ref.obj", "v 0 0 0\nv 1 0 0\nv 0 1 0\nf -3 -2 -1\n",
-     "unsupported OBJ vertex reference '-3'"),
-    ("vertices-only.obj", "v 0 0 0\nv 1 0 0\nv 0 1 0\n", "OBJ file contains no triangle mesh"),
-    ("empty.obj", "# nothing\n", "OBJ file contains no triangle mesh"),
-], ids=["off-header", "off-no-counts", "off-one-count", "off-bad-counts", "off-negative-counts",
-        "obj-zero-ref", "obj-negative-ref", "obj-vertices-only", "obj-empty"])
+], ids=["off-header", "off-no-counts", "off-one-count", "off-bad-counts", "off-negative-counts"])
 def test_import_error_names_the_cause(tmp_path, name, text, message):
     path = tmp_path / name
     path.write_text(text)
@@ -391,37 +382,21 @@ def test_import_unreadable_file(tmp_path):
     assert str(err.value).startswith(f"cannot read mesh file {path}: ")
 
 
-def test_import_obj(tmp_path):
-    path = tmp_path / "tri.obj"
-    path.write_text(
-        "# comment\nv 0 0 0\nv 1 0 0\nv 0 1 0\nvn 0 0 1\nf 1//1 2//1 3//1\n"
-    )
-    mesh = import_mesh(path)
-    assert mesh.n_vertices == 3
-    assert mesh.n_triangles == 1
-
-
-def test_import_obj_non_triangle_error(tmp_path):
-    path = tmp_path / "quad.obj"
-    path.write_text("v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nf 1 2 3 4\n")
-    with pytest.raises(MeshError, match="triangular"):
-        import_mesh(path)
-
-
 def test_import_inconsistent_orientation_error(tmp_path):
-    path = tmp_path / "bad.obj"
-    path.write_text(
-        "v 0 0 0\nv 1 0 0\nv 0 1 0\nv 1 1 0\nf 1 2 3\nf 1 2 4\n"
-    )
+    path = tmp_path / "bad.off"
+    path.write_text("OFF\n4 2 0\n0 0 0\n1 0 0\n0 1 0\n1 1 0\n3 0 1 2\n3 0 1 3\n")
     with pytest.raises(MeshError, match="orientation"):
         import_mesh(path)
 
 
 def test_import_unknown_format(tmp_path):
-    path = tmp_path / "mesh.stl"
-    path.write_text("whatever")
-    with pytest.raises(MeshError, match="format"):
-        import_mesh(path)
+    # OBJ is not read either: OFF is the one mesh format
+    for fmt in ("stl", "obj"):
+        path = tmp_path / f"mesh.{fmt}"
+        path.write_text("whatever")
+        message = rf"^unsupported mesh format '{fmt}' \(expected 'off'\)$"
+        with pytest.raises(MeshError, match=message):
+            import_mesh(path)
 
 
 def test_mesh_size_unit_right_triangle():

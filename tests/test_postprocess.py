@@ -35,6 +35,7 @@ from oracles import (
     flat_grid_mesh,
     geometry_of,
     jittered_cylinder_mesh,
+    jittered_torus_mesh,
     per_point_geometry,
     random_rotation,
     read_legacy_vtk,
@@ -260,6 +261,28 @@ def test_stress_error_rate_on_jittered_cylinder_ladders(a, seed):
         error = stress_l2_error(recover_stress(mesh, MAT, u, geo), geo, exact)
         records.append((mesh_size(mesh), error))
     assert fit_convergence(records).slope >= 0.95
+
+
+@pytest.mark.parametrize("a", [0.1, 0.25])
+def test_stress_error_rate_on_jittered_torus_ladders(a):
+    """Stress convergence of the interpolated variant on jittered tori,
+    n = 8, 16, 32, seed 1.
+
+    Over seeds 0-29 the slopes measured 0.808-0.852 at a = 0.1 and
+    0.838-0.941 at a = 0.25; seed 1 gives 0.825 and 0.870, and the
+    structured ladder 0.799 (the deficit at the crown circles). The facet
+    variant is not gated here: it does not converge on jittered meshes.
+    """
+    exact = torus_exact(1.0, MAT, Torus(1.0, 0.5))
+    records = []
+    for n in (8, 16, 32):
+        mesh = jittered_torus_mesh(1.0, 0.5, n, a, 1)
+        geo = geometry_of(mesh)
+        u, report = solve(assemble(mesh, MAT, geo, exact.load_at(geo.points)), tol=1e-10)
+        assert report.converged
+        error = stress_l2_error(recover_stress(mesh, MAT, u, geo), geo, exact)
+        records.append((mesh_size(mesh), error))
+    assert fit_convergence(records).slope >= 0.78
 
 
 def test_export_vtk_roundtrip(tmp_path):
