@@ -17,18 +17,30 @@ held at a time. The map and the CSR column indices add the column offsets
 numpy runs an add along a length-3 axis several times slower. The loads are
 computed per block too and go to the flat right-hand side in one scatter.
 
+A system's matrix is a :class:`CSR` record of three plain arrays, and the
+sparse algebra calls scipy's compiled CSR kernels, loaded from their file: the
+``scipy.sparse`` package import would double a run's start-up time.
+``LinearSystem.matrix`` imports it on first access, for callers that ask.
+
 Dirichlet data are two arrays: the constrained nodes (k,) and one unit
 direction per node (k, 3), each imposing the homogeneous constraint
 ``q . u(node) = 0``. With ``Q`` holding ``q q^T`` in the diagonal block of each
 constrained node and ``P = I - Q``, the constrained system ``P K P + Q =
 K - (K Q + Q K - Q K Q - Q)``, ``P b = b - Q b`` is formed from sparse
-products; it differs from ``K`` only in the rows and columns of constrained
-nodes. ``q`` decouples with a unit diagonal and a zero load, every vector stays
-in global xyz, and the system stays symmetric without a penalty parameter.
+products by the kernels that scipy's operators call, so it is the same bit for
+bit; it differs from ``K`` only in the rows and columns of constrained nodes.
+``q`` decouples with a unit diagonal and a zero load, every vector stays in
+global xyz, and the system stays symmetric without a penalty parameter.
 """
 
+import functools
+import importlib.machinery
+import importlib.util
+import os
+import sys
+from typing import NamedTuple
+
 import numpy as np
-import scipy.sparse as sp
 
 from .element import QuadraturePointData, batch_element_loads, batch_element_stiffness
 from .mesh import SurfaceMesh, _indices
@@ -42,6 +54,67 @@ __all__ = [
 ]
 
 
+def _load_kernels():
+    """``scipy.sparse._sparsetools``, loaded from its file without running a package ``__init__``.
+
+    Registered under its name, so that a later ``import scipy.sparse`` uses
+    the same module; one imported before is returned as it is. Where the file
+    is not found (another install layout), the package import provides it.
+    """
+    name = "scipy.sparse._sparsetools"
+    if name not in sys.modules:
+        scipy = importlib.util.find_spec("scipy")
+        spec = scipy and importlib.machinery.FileFinder(
+            os.path.join(scipy.submodule_search_locations[0], "sparse"),
+            (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES),
+        ).find_spec(name)
+        if spec is None:
+            importlib.import_module(name)
+        else:
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            sys.modules[name] = module
+    return sys.modules[name]
+
+
+_sparsetools = _load_kernels()
+
+
+def _index_dtype(maxval: int) -> type:
+    """int32 for index arrays whose values stay at most ``maxval``, where that fits."""
+    return np.int32 if maxval <= np.iinfo(np.int32).max else np.int64
+
+
+class CSR(NamedTuple):
+    """A square CSR matrix's arrays, named as scipy's; entries past ``indptr[-1]`` are unused."""
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (len(self.indptr) - 1,) * 2
+
+
+def _product(A: CSR, B: CSR) -> CSR:
+    """``A B`` by the two kernels of scipy's CSR product; its rows come out unsorted."""
+    n = A.shape[0]
+    return _combine(_sparsetools.csr_matmat, A, B,
+                    _sparsetools.csr_matmat_maxnnz(n, n, A.indptr, A.indices, B.indptr, B.indices))
+
+
+def _combine(kernel, A: CSR, B: CSR, nnz: int | None = None) -> CSR:
+    """``kernel`` on ``A`` and ``B`` as scipy calls it: into room for ``nnz`` entries, by default
+    both operands' (``csr_plus_csr``, ``csr_minus_csr``), cut to those kept (zeros drop out)."""
+    nnz = int(A.indptr[-1]) + int(B.indptr[-1]) if nnz is None else nnz
+    itype = np.result_type(A.indices, B.indices, _index_dtype(nnz))  # no narrower than the input
+    C = CSR(np.empty(nnz), np.empty(nnz, itype), np.empty(len(A.indptr), itype))
+    kernel(*A.shape, *A[::-1], *B[::-1], *C[::-1])  # each as (indptr, indices, data)
+    end = C.indptr[-1]
+    return CSR(C.data[:end], C.indices[:end], C.indptr)
+
+
 class ConstraintError(ValueError):
     """Invalid or inconsistent Dirichlet constraint data."""
 
@@ -49,20 +122,26 @@ class ConstraintError(ValueError):
 class LinearSystem:
     """Sparse symmetric system ``K u = b`` with node coordinates and its constraints.
 
-    ``coordinates`` (ndof/3, 3) are the node positions, from which the solver
-    builds the rigid-body modes; a system without them has no kernel basis.
-    ``constraints`` is the ``(nodes, directions)`` pair that
-    :func:`apply_constraints` projected out, or ``None``; the matrix, the
-    right-hand side and the solution are in global xyz either way. The
-    matrix is held as float64 CSR, whatever its input's type.
+    ``csr`` is the float64 matrix as a :class:`CSR` record: the ``matrix``
+    given if it is one, else read through ``scipy.sparse.csr_matrix``, which
+    is imported then. ``matrix`` is a scipy CSR matrix on the same arrays,
+    built on first access. ``coordinates`` (ndof/3, 3) are the node positions,
+    from which the solver builds the rigid-body modes; a system without them
+    has no kernel basis. ``constraints`` is the ``(nodes, directions)`` pair
+    that :func:`apply_constraints` projected out, or ``None``; the matrix, the
+    right-hand side and the solution are in global xyz either way.
     """
 
     def __init__(self, matrix, rhs, constraints=None, coordinates=None):
-        self.matrix = sp.csr_matrix(matrix, dtype=float)
+        if not isinstance(matrix, CSR):
+            import scipy.sparse
+            matrix = scipy.sparse.csr_matrix(matrix, dtype=float)
+            if matrix.shape[0] != matrix.shape[1]:
+                raise ValueError("system matrix must be square")
+            matrix = CSR(matrix.data, matrix.indices, matrix.indptr)
+        self.csr = matrix
         self.rhs = np.asarray(rhs, dtype=float)
-        if self.matrix.shape[0] != self.matrix.shape[1]:
-            raise ValueError("system matrix must be square")
-        if self.rhs.shape != (self.matrix.shape[0],):
+        if self.rhs.shape != (self.ndof,):
             raise ValueError("right-hand side does not match the matrix dimension")
         self.constraints = constraints
         self.coordinates = None if coordinates is None else np.asarray(coordinates, dtype=float)
@@ -72,7 +151,12 @@ class LinearSystem:
 
     @property
     def ndof(self) -> int:
-        return self.matrix.shape[0]
+        return self.csr.shape[0]
+
+    @functools.cached_property
+    def matrix(self):
+        import scipy.sparse
+        return scipy.sparse.csr_matrix(self.csr, shape=self.csr.shape)
 
 
 def _plus_012(first: np.ndarray) -> np.ndarray:
@@ -101,7 +185,7 @@ def assemble(mesh: SurfaceMesh, material, geo: QuadraturePointData, traction=Non
     keys = keys[order]
     first = np.ones(keys.size, dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    itype = sp.get_index_dtype(maxval=9 * keys.size)
+    itype = _index_dtype(9 * keys.size)
     slot = np.empty(keys.size, dtype=itype)
     slot[order] = np.cumsum(first, dtype=itype) - 1
     row, col = np.divmod(keys[first], n)
@@ -132,8 +216,7 @@ def assemble(mesh: SurfaceMesh, material, geo: QuadraturePointData, traction=Non
         if traction is not None:
             loads[s] = batch_element_loads(sub, traction[s])
     rhs = np.bincount(_plus_012(3 * tri.astype(itype)).ravel(), loads.ravel(), minlength=3 * n)
-    matrix = sp.csr_matrix((data, indices, indptr), shape=(3 * n, 3 * n))
-    return LinearSystem(matrix, rhs, coordinates=mesh.vertices)
+    return LinearSystem(CSR(data, indices, indptr), rhs, coordinates=mesh.vertices)
 
 
 def cylinder_constraints(mesh: SurfaceMesh) -> tuple[np.ndarray, np.ndarray]:
@@ -202,13 +285,18 @@ def apply_constraints(system: LinearSystem, nodes, directions) -> LinearSystem:
         raise ConstraintError(f"node {nodes[repeat.min()]} is constrained more than once")
     q = directions / norm[:, None]
 
-    K = system.matrix
-    dof = 3 * nodes[order, None] + np.arange(3)  # the constrained rows, ascending
-    Q = sp.csr_matrix(((q[order, :, None] * q[order, None, :]).ravel(),
-                       np.repeat(dof, 3, axis=0).ravel(),
-                       3 * np.searchsorted(dof.ravel(), np.arange(K.shape[0] + 1))), shape=K.shape)
-    KQ = K @ Q
-    change = KQ + Q @ K - Q @ KQ - Q
-    change.sort_indices()  # a sorted operand keeps the difference sorted, and is faster
-    return LinearSystem(K - change, system.rhs - Q @ system.rhs, constraints=(nodes, q),
-                        coordinates=system.coordinates)
+    K, n = system.csr, system.ndof
+    itype = _index_dtype(3 * n)
+    dof = 3 * nodes[order, None].astype(itype) + np.arange(3, dtype=itype)  # ascending rows
+    Q = CSR((q[order, :, None] * q[order, None, :]).ravel(), np.repeat(dof, 3, axis=0).ravel(),
+            3 * np.searchsorted(dof.ravel(), np.arange(n + 1)).astype(itype))
+    KQ = _product(K, Q)
+    change = _combine(_sparsetools.csr_plus_csr, KQ, _product(Q, K))
+    change = _combine(_sparsetools.csr_minus_csr, change, _product(Q, KQ))
+    change = _combine(_sparsetools.csr_minus_csr, change, Q)
+    # a sorted operand keeps the difference sorted, and is faster
+    _sparsetools.csr_sort_indices(n, change.indptr, change.indices, change.data)
+    Qb = np.zeros(n)
+    _sparsetools.csr_matvec(n, n, *Q[::-1], system.rhs, Qb)
+    return LinearSystem(_combine(_sparsetools.csr_minus_csr, K, change), system.rhs - Qb,
+                        constraints=(nodes, q), coordinates=system.coordinates)

@@ -32,11 +32,14 @@ matrix) aborts with the iteration index.
 An iteration costs one matvec, one preconditioner apply, three dot products
 and in-place vector updates. The CG loop sees the preconditioner only as that
 apply, ``precondition(r, out) -> out``, built once per solve: here the CSR
-product of the block-diagonal inverse. Both products call scipy's compiled
-CSR kernel into work vectors allocated once per solve (:func:`_matvec`): on
-small systems, the dispatch of ``A @ p`` around that same kernel costs as
-much as the kernel itself. The stop test ``r . r <= (tol ||b||)^2`` is
-confirmed on the recomputed true residual, from which CG restarts if it fails.
+product of the block-diagonal inverse. The matrix and that inverse are
+:class:`~memshell.assembly.CSR` records, on whose arrays the solver calls
+scipy's compiled kernels as :mod:`.assembly` loads them: ``csr_diagonal``,
+``csr_matvecs`` for ``A Q`` and ``csr_matvec`` for both products of an
+iteration, into work vectors allocated once per solve (:func:`_matvec`). On
+small systems, the dispatch of ``A @ p`` around that kernel costs as much as
+the kernel itself. The stop test ``r . r <= (tol ||b||)^2`` is confirmed on the
+recomputed true residual, from which CG restarts if it fails.
 """
 
 import dataclasses
@@ -44,10 +47,8 @@ import functools
 import math
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse import _sparsetools
 
-from .assembly import LinearSystem
+from .assembly import CSR, LinearSystem, _index_dtype, _sparsetools
 
 __all__ = [
     "SolverError",
@@ -133,24 +134,28 @@ def rigid_body_basis(system: LinearSystem, diagonal: np.ndarray) -> tuple[np.nda
     keep = w > 1e-12 * w[-1]  # singular values above 1e-6 of the largest
     q = Z @ (V[:, keep] / np.sqrt(w[keep]))
     del Z  # hold at most two (ndof, 6) arrays: q with A q, then q with the result
-    energy, vec = np.linalg.eigh(q.T @ (system.matrix @ q))
+    Aq = np.zeros(q.shape)
+    _sparsetools.csr_matvecs(ndof, ndof, q.shape[1], *system.csr[::-1], q.ravel(), Aq.ravel())
+    energy, vec = np.linalg.eigh(q.T @ Aq)
+    del Aq
     return q @ vec, int(np.sum(energy < 1e-12 * diagonal.mean()))
 
 
-def _matvec(A: sp.csr_matrix, v: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``out = A v`` by scipy's compiled CSR kernel; ``A``, ``v`` and ``out`` float64.
+def _matvec(A: CSR, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out = A v`` by scipy's compiled CSR kernel; ``A`` (a record or a scipy
+    CSR matrix), ``v`` and ``out`` float64.
 
     ``A @ v`` runs the same kernel (each row summed in storage order into a
     zeroed output), so the result is equal bit for bit, but its Python
     dispatch and fresh output add ~5 us a product: as much as the kernel on
-    a torus at n=6 (216 dofs). The one caller of scipy's private module.
+    a torus at n=6 (216 dofs).
     """
     out.fill(0.0)
     _sparsetools.csr_matvec(*A.shape, A.indptr, A.indices, A.data, v, out)
     return out
 
 
-def _nodal_block_inverse(d0: np.ndarray, d1: np.ndarray, d2: np.ndarray) -> sp.csr_matrix:
+def _nodal_block_inverse(d0: np.ndarray, d1: np.ndarray, d2: np.ndarray) -> CSR:
     """Block-diagonal inverse (CSR) of the 3x3 nodal diagonal blocks of ``A``.
 
     ``d0``, ``d1`` and ``d2`` are ``A.diagonal(-k)`` for k = 0, 1, 2: the
@@ -183,10 +188,10 @@ def _nodal_block_inverse(d0: np.ndarray, d1: np.ndarray, d2: np.ndarray) -> sp.c
             )
         inv[rest] = (vec / lam[:, None, :]) @ vec.transpose(0, 2, 1)
     # row 3i + a of the block diagonal holds row a of block i, in columns 3i..3i+2
-    itype = sp.get_index_dtype(maxval=3 * ndof)
+    itype = _index_dtype(3 * ndof)
     cols = np.arange(ndof, dtype=itype).reshape(-1, 3)
-    return sp.csr_matrix((inv.ravel(), np.repeat(cols, 3, axis=0).ravel(),
-                          3 * np.arange(ndof + 1, dtype=itype)), shape=(ndof, ndof))
+    return CSR(inv.ravel(), np.repeat(cols, 3, axis=0).ravel(),
+               3 * np.arange(ndof + 1, dtype=itype))
 
 
 def _require_finite(v: np.ndarray, what: str) -> None:
@@ -223,8 +228,9 @@ def solve(system: LinearSystem, tol: float = 1e-10, max_iter: int | None = None,
     SolverError
         If ``tol`` is not in (0, 1), ``max_iter`` is below 1, ``ndof`` is not
         a multiple of 3, the right-hand side or ``x0`` is not finite or
-        misshapen, or a nodal diagonal block is not positive definite or is
-        ill-conditioned (the message names the cause).
+        misshapen, a stored matrix entry is not finite (the message names
+        its row, column and node), or a nodal diagonal block is not positive
+        definite or is ill-conditioned (the message names the cause).
     NegativeCurvatureError
         If a search direction has non-positive curvature.
     IterationLimitError
@@ -237,7 +243,7 @@ def solve(system: LinearSystem, tol: float = 1e-10, max_iter: int | None = None,
         raise SolverError(f"tol must be < 1, got {tol}")
     if max_iter is not None and max_iter < 1:
         raise SolverError(f"max_iter must be >= 1, got {max_iter}")
-    A = system.matrix
+    A = system.csr
     b = system.rhs.astype(float)
     ndof = system.ndof
     if ndof % 3:
@@ -248,10 +254,18 @@ def solve(system: LinearSystem, tol: float = 1e-10, max_iter: int | None = None,
         if x0.shape != (ndof,):
             raise SolverError(f"initial guess has wrong shape {x0.shape}")
         _require_finite(x0, "initial guess")
+    finite = np.isfinite(A.data[:A.indptr[-1]])
+    if not finite.all():
+        k = int(np.argmin(finite))
+        row = int(np.searchsorted(A.indptr, k, side="right")) - 1
+        raise SolverError(f"system matrix is not finite at row {row}, column {A.indices[k]} "
+                          f"(node {row // 3})")
     if max_iter is None:
         max_iter = max(50, math.ceil(50.0 * math.sqrt(ndof)))
 
-    diagonals = [A.diagonal(-k) for k in range(3)]
+    diagonals = [np.empty(max(ndof - k, 0)) for k in range(3)]
+    for k, d in enumerate(diagonals):
+        _sparsetools.csr_diagonal(-k, ndof, ndof, *A[::-1], d)
     modes, kdim = rigid_body_basis(system, diagonals[0])
     Z = modes[:, :kdim]
 

@@ -654,6 +654,29 @@ def apply_constraints_reference(system, nodes, directions):
                         coordinates=system.coordinates)
 
 
+def apply_constraints_scipy_reference(system, nodes, directions):
+    """Nodal projection ``K - (K Q + Q K - Q K Q - Q)``, ``b - Q b`` by scipy's sparse operators.
+
+    ``apply_constraints`` calls the compiled kernels behind these operators
+    on plain arrays and must reproduce them bit for bit. The data are taken
+    as valid: distinct nodes (k,) and unit directions (k, 3).
+    """
+    nodes = np.asarray(nodes)
+    directions = np.asarray(directions, dtype=float)
+    order = np.argsort(nodes, kind="stable")
+    q = directions / np.linalg.norm(directions, axis=1)[:, None]
+    K = system.matrix
+    dof = 3 * nodes[order, None] + np.arange(3)  # the constrained rows, ascending
+    Q = sp.csr_matrix(((q[order, :, None] * q[order, None, :]).ravel(),
+                       np.repeat(dof, 3, axis=0).ravel(),
+                       3 * np.searchsorted(dof.ravel(), np.arange(K.shape[0] + 1))), shape=K.shape)
+    KQ = K @ Q
+    change = KQ + Q @ K - Q @ KQ - Q
+    change.sort_indices()
+    return LinearSystem(K - change, system.rhs - Q @ system.rhs, constraints=(nodes, q),
+                        coordinates=system.coordinates)
+
+
 def admissible_basis(ndof: int, nodes, directions) -> np.ndarray:
     """Orthonormal basis (ndof, ndof - k) of the node-major ``u`` with ``q . u(node) = 0``.
 

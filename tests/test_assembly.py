@@ -19,7 +19,8 @@ from memshell.mesh import SurfaceMesh, build_cylinder_mesh, build_torus_mesh
 from memshell.postprocess import export_vtk, recover_stress
 from memshell.solver import solve
 
-from oracles import (admissible_basis, apply_constraints_reference, csr_bytes, dense_assembly,
+from oracles import (admissible_basis, apply_constraints_reference,
+                     apply_constraints_scipy_reference, csr_bytes, dense_assembly,
                      element_stiffness, flat_grid_mesh, geometry_of, jittered_cylinder_mesh,
                      traced_peak)
 
@@ -262,6 +263,19 @@ def test_coordinates_of_wrong_shape_rejected(shape):
         LinearSystem(sp.eye(9), np.zeros(9), coordinates=np.zeros(shape))
 
 
+def test_system_keeps_its_csr_record_and_wraps_it_for_scipy_on_first_access():
+    mesh = build_cylinder_mesh(1.0, 4.0, 4, 3)
+    system = assemble(mesh, MAT, geometry_of(mesh))
+    record = system.csr
+    assert LinearSystem(record, system.rhs).csr is record
+    K = system.matrix
+    assert type(K) is sp.csr_matrix and system.matrix is K and K.shape == record.shape
+    for name in ("data", "indices", "indptr"):
+        assert np.shares_memory(getattr(K, name), getattr(record, name)), name
+    dense = LinearSystem(K.toarray(), system.rhs)
+    assert np.array_equal(dense.matrix.toarray(), K.toarray())
+
+
 @pytest.mark.parametrize("matrix, rhs, message", [
     (sp.csr_matrix((3, 6)), np.zeros(3), "system matrix must be square"),
     (sp.eye(6), np.zeros(5), "right-hand side does not match the matrix dimension"),
@@ -361,8 +375,16 @@ def test_apply_constraints_preserves_symmetry_and_far_rows():
         assert np.abs(K0[sl] - K1[sl]).max() == 0.0
 
 
+def _assert_bit_identical_to_scipy_operators(got, system, nodes, directions):
+    ref = apply_constraints_scipy_reference(system, nodes, directions)
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(got.csr, name), getattr(ref.csr, name)), name
+    assert np.array_equal(got.rhs, ref.rhs)
+
+
 def _assert_matches_reference(system, nodes, directions):
     got = apply_constraints(system, nodes, directions)
+    _assert_bit_identical_to_scipy_operators(got, system, nodes, directions)
     ref = apply_constraints_reference(system, nodes, directions)
     scale = abs(ref.matrix).max()
     assert abs(got.matrix - ref.matrix).max() <= 1e-14 * scale
@@ -381,6 +403,33 @@ def test_apply_constraints_matches_reference_on_cylinders(n):
     geo = geometry_of(mesh)
     system = assemble(mesh, MAT, geo, load(geo.points))
     _assert_matches_reference(system, *cylinder_constraints(mesh))
+
+
+@pytest.mark.parametrize("n", [3, 8, 16, 64])
+def test_apply_constraints_is_bit_identical_to_scipy_operators_on_cylinders(n):
+    # the benchmark ladder's sizes; the dense reference above stops at n=16
+    mesh = build_cylinder_mesh(1.0, 4.0, n, n)
+    load = cylinder_exact(1.0, MAT, Cylinder(1.0, 4.0)).load_at
+    geo = geometry_of(mesh)
+    system = assemble(mesh, MAT, geo, load(geo.points))
+    nodes, directions = cylinder_constraints(mesh)
+    got = apply_constraints(system, nodes, directions)
+    _assert_bit_identical_to_scipy_operators(got, system, nodes, directions)
+
+
+def test_apply_constraints_on_int64_indices_matches_int32():
+    # scipy keeps int64 indices once a matrix has them; the kernels then need
+    # int64 outputs
+    mesh = build_cylinder_mesh(1.0, 4.0, 8, 8)
+    system = assemble(mesh, MAT, geometry_of(mesh))
+    wide = system.matrix.copy()
+    wide.indices, wide.indptr = wide.indices.astype(np.int64), wide.indptr.astype(np.int64)
+    constraints = cylinder_constraints(mesh)
+    got = apply_constraints(LinearSystem(wide, system.rhs), *constraints)
+    ref = apply_constraints(system, *constraints)
+    assert got.csr.indices.dtype == got.csr.indptr.dtype == np.int64
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(got.csr, name), getattr(ref.csr, name)), name
 
 
 def _random_constraints(rng, n_nodes, n_constrained):

@@ -468,22 +468,76 @@ def test_solve_case_frees_the_stiffness_before_the_recovery(monkeypatch, case):
     assert held == [False]
 
 
-def test_a_run_imports_no_dense_or_iterative_scipy_solvers(tmp_path):
-    # scipy.linalg and scipy.sparse.linalg add import time and resident memory
-    # to every run; the pipeline needs neither, and a subprocess sees what a
-    # run imports without the test suite's own imports.
+@pytest.fixture(scope="module")
+def scipy_modules_of_a_run(tmp_path_factory):
+    """The scipy modules that a run of both cases imports, seen from a
+    subprocess, without the test suite's own imports."""
+    out = tmp_path_factory.mktemp("run")
     script = (
         "import sys\n"
         "from memshell import cli\n"
         "for case in ('cylinder', 'torus'):\n"
-        f"    cli.run_case(cli.RunConfig(case=case, n=6, out={str(tmp_path)!r}))\n"
-        "print(sorted(m for m in sys.modules\n"
-        "             if m.split('.')[:2] == ['scipy', 'linalg']\n"
-        "             or m.split('.')[:3] == ['scipy', 'sparse', 'linalg']))\n"
+        f"    cli.run_case(cli.RunConfig(case=case, n=6, out={str(out)!r}))\n"
+        "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=_source_env(), check=True).stdout.split()
+
+
+def test_a_run_imports_no_dense_or_iterative_scipy_solvers(scipy_modules_of_a_run):
+    # scipy.linalg and scipy.sparse.linalg add import time and resident memory
+    # to every run; the pipeline needs neither
+    assert [m for m in scipy_modules_of_a_run
+            if m.split('.')[:2] == ['scipy', 'linalg']
+            or m.split('.')[:3] == ['scipy', 'sparse', 'linalg']] == []
+
+
+def test_a_run_imports_of_scipy_sparse_only_its_compiled_kernels(scipy_modules_of_a_run):
+    # the scipy.sparse package import costs a run more start-up time and
+    # resident memory than numpy does; the CSR kernels come from their file
+    assert [m for m in scipy_modules_of_a_run
+            if m.split('.')[:2] == ['scipy', 'sparse']] == ["scipy.sparse._sparsetools"]
+
+
+@pytest.mark.parametrize("sparse_first", [False, True], ids=["sparse-after-a-run",
+                                                             "sparse-before-memshell"])
+def test_scipy_sparse_and_a_run_share_one_kernel_module(tmp_path, sparse_first):
+    imports = ["import scipy.sparse as sp\n",
+               "from memshell import assembly, cli\n"
+               f"cli.run_case(cli.RunConfig(case='cylinder', n=6, out={str(tmp_path)!r}))\n"]
+    script = "".join(imports if sparse_first else imports[::-1]) + (
+        "import sys\n"
+        "import numpy as np\n"
+        "import scipy.sparse._compressed\n"
+        "from scipy.sparse import _sparsetools\n"
+        "kernels = {id(m) for name, m in sys.modules.items() if name.endswith('_sparsetools')}\n"
+        "print(kernels == {id(_sparsetools)} and assembly._sparsetools is _sparsetools\n"
+        "      and scipy.sparse._compressed.csr_matmat is _sparsetools.csr_matmat)\n"
+        "A = sp.random(30, 30, density=0.2, random_state=1, format='csr')\n"
+        "x = np.arange(30.0)\n"
+        "print(np.allclose(A @ x, A.toarray() @ x) and np.allclose((A @ A).toarray(),\n"
+        "                                                       A.toarray() @ A.toarray()))\n"
     )
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          env=_source_env(), check=True).stdout
-    assert out.strip() == "[]"
+    assert out.split() == ["True", "True"]
+
+
+def test_kernels_fall_back_to_the_package_import_without_their_file(tmp_path):
+    # another install layout: no kernel file where the loader looks (the
+    # interpreter's own import system keeps its copy of the suffixes)
+    script = (
+        "import importlib.machinery, sys\n"
+        "importlib.machinery.EXTENSION_SUFFIXES[:] = ['.missing']\n"
+        "from memshell import assembly, cli\n"
+        f"cli.run_case(cli.RunConfig(case='cylinder', n=6, out={str(tmp_path)!r}))\n"
+        "print('scipy.sparse' in sys.modules,\n"
+        "      assembly._sparsetools is sys.modules['scipy.sparse._sparsetools'])\n"
+    )
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=_source_env(), check=True).stdout
+    assert out.split() == ["True", "True"]
+    assert (tmp_path / "report.txt").exists()
 
 
 def test_module_entry_point_exits_with_the_status_of_main(tmp_path):
