@@ -5,17 +5,16 @@ The stiffness and load vector are assembled from the mesh's
 rule and the variant; nothing here reads either.
 
 Degrees of freedom are node-major: dof ``3*node + component`` with components
-0..2 the global x, y, z displacements. The stiffness is assembled on its
-node-block pattern: each sorted (node, node) pair of the mesh's elements owns
-one 3x3 block, laid out in the rows of a CSR matrix with sorted indices. The
-elements add their nine blocks straight into that matrix's data, one block of
-elements (:meth:`~memshell.element.QuadraturePointData.blocks`) at a time,
-through a map from each (element, node pair) to the pair's first CSR entry.
-Besides the matrix, only that int32 map and one block's element matrices are
-held at a time. The map and the CSR column indices add the column offsets
-(0, 1, 2) to the first entry of each block row by one long add per offset, as
-numpy runs an add along a length-3 axis several times slower. The loads are
-computed per block too and go to the flat right-hand side in one scatter.
+0..2 the global x, y, z displacements. The stiffness's node-block pattern
+is the mesh's edge graph: each node's diagonal block and the blocks (a, b),
+(b, a) of each edge, laid out in the rows of a CSR matrix with sorted
+indices. The elements add their nine blocks straight into that matrix's data,
+one block of elements (:meth:`~memshell.element.QuadraturePointData.blocks`)
+at a time, finding each block by a binary search of the sorted block keys.
+The block rows and the CSR column indices add the column offsets (0, 1, 2)
+by one long add per offset, as numpy runs an add along a length-3 axis
+several times slower. The loads of the whole mesh go to the flat right-hand
+side in one scatter, before the pattern is built.
 
 A system's matrix is a :class:`CSR` record of three plain arrays, and the
 sparse algebra calls scipy's compiled CSR kernels, loaded from their file: the
@@ -176,20 +175,15 @@ def assemble(mesh: SurfaceMesh, material, geo: QuadraturePointData, traction=Non
     gives a zero right-hand side.
     """
     geo.require_elements(mesh.n_triangles)
-    n, tri = mesh.n_vertices, mesh.triangles
-    # block keys row * n + col of the element's node pairs (i, j), sorted once
-    # (np.unique's inverse would take several int64 copies of them); slot[e, 3i + j]
-    # numbers the distinct keys (blocks) in ascending order
-    keys = (tri[:, :, None] * n + tri[:, None, :]).ravel()
-    order = np.argsort(keys)
-    keys = keys[order]
-    first = np.ones(keys.size, dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    itype = _index_dtype(9 * keys.size)
-    slot = np.empty(keys.size, dtype=itype)
-    slot[order] = np.cumsum(first, dtype=itype) - 1
-    row, col = np.divmod(keys[first], n)
-    del keys, order, first
+    n, tri, edge_keys = mesh.n_vertices, mesh.triangles, mesh.edge_keys
+    itype = _index_dtype(9 * (n + 2 * edge_keys.size))  # up to the number of stored entries
+    rhs = np.zeros(3 * n) if traction is None else np.bincount(
+        _plus_012(3 * tri.astype(itype)).ravel(), batch_element_loads(geo, traction).ravel(),
+        minlength=3 * n)
+    # block keys row * n + col: each node's diagonal block and both directions of each edge
+    lo, hi = np.divmod(edge_keys, n)
+    keys = np.sort(np.concatenate([np.arange(n) * (n + 1), edge_keys, hi * n + lo]))
+    row, col = np.divmod(keys, n)
     # CSR row 3i + a holds row a of node i's blocks in column order, so entry
     # (a, b) of block k of node row i sits at base[k] + a width[i] + b
     width = 3 * np.bincount(row, minlength=n).astype(itype)
@@ -202,20 +196,17 @@ def assemble(mesh: SurfaceMesh, material, geo: QuadraturePointData, traction=Non
     indices = np.empty(indptr[-1], dtype=itype)
     for b in range(3):
         indices[rows + b] = 3 * col + b
-    slot = base[slot].reshape(-1, 3, 3)  # entry (0, 0) of each (e, i, j) block
-    del row, col, base, rows
+    del lo, hi, row, col, rows
     data = np.zeros(indices.size)
-    loads = np.zeros((tri.shape[0], 9))
     for s, sub in geo.blocks():
-        # K[e, (i, a), (j, b)] goes to entry (a, b) of its block: slot + a width[i] + b
-        rows = np.empty(slot[s].shape[:2] + (3, 3), dtype=itype)  # [e, i, a, j]
-        rows[:, :, 0] = slot[s]
+        t = tri[s]
+        # K[e, (i, a), (j, b)] goes to entry (a, b) of block (t[e, i], t[e, j]):
+        # base[block] + a width[t[e, i]] + b
+        rows = np.empty(t.shape + (3, 3), dtype=itype)  # [e, i, a, j]
+        rows[:, :, 0] = base[np.searchsorted(keys, t[:, :, None] * n + t[:, None, :])]
         for a in (1, 2):
-            np.add(rows[:, :, a - 1], width[tri[s]][:, :, None], out=rows[:, :, a])
+            np.add(rows[:, :, a - 1], width[t][:, :, None], out=rows[:, :, a])
         np.add.at(data, _plus_012(rows).ravel(), batch_element_stiffness(sub, material).ravel())
-        if traction is not None:
-            loads[s] = batch_element_loads(sub, traction[s])
-    rhs = np.bincount(_plus_012(3 * tri.astype(itype)).ravel(), loads.ravel(), minlength=3 * n)
     return LinearSystem(CSR(data, indices, indptr), rhs, coordinates=mesh.vertices)
 
 

@@ -64,8 +64,9 @@ def _indices(values, error: type[Exception], name: str) -> np.ndarray:
     return indices
 
 
-def _extract_boundary_loops(triangles: np.ndarray, n_vertices: int) -> list[np.ndarray]:
-    """Validate edge topology and return boundary loops in deterministic order.
+def _extract_boundary_loops(triangles: np.ndarray, n_vertices: int) -> tuple[list, np.ndarray]:
+    """Validate edge topology; return the boundary loops in deterministic order and
+    the sorted unique undirected edge keys ``a * n_vertices + b`` (a < b).
 
     Raises
     ------
@@ -113,7 +114,8 @@ def _extract_boundary_loops(triangles: np.ndarray, n_vertices: int) -> list[np.n
             visited.add(cur)
             cur = successor[cur]
         loops.append(np.asarray(loop, dtype=np.int64))
-    return loops
+    # the first use of each edge; compress takes a third of a boolean index's time
+    return loops, key.compress(np.append(True, ~same))
 
 
 def _averaged_normals(vertices: np.ndarray, triangles: np.ndarray, cross: np.ndarray) -> np.ndarray:
@@ -168,7 +170,9 @@ class SurfaceMesh:
         if t.size == 0:
             raise MeshError("mesh has no triangles")
         if t.min() < 0 or t.max() >= len(v):
-            raise MeshError("triangle vertex index out of range")
+            k = int(np.argmax(((t < 0) | (t >= len(v))).any(axis=1)))
+            raise MeshError(f"triangle vertex index out of range: triangle {k} is "
+                            f"{t[k].tolist()}, the mesh has {len(v)} vertices")
         referenced = np.zeros(len(v), dtype=bool)
         referenced[t.ravel()] = True
         if not referenced.all():
@@ -186,7 +190,7 @@ class SurfaceMesh:
         if np.any(degenerate):
             raise MeshError(f"degenerate triangle {int(np.nonzero(degenerate)[0][0])}")
 
-        loops = _extract_boundary_loops(t, len(v))
+        loops, edge_keys = _extract_boundary_loops(t, len(v))
         if boundary_labels is None:
             boundary_labels = [f"boundary_{k}" for k in range(len(loops))]
         if len(boundary_labels) != len(loops):
@@ -208,6 +212,7 @@ class SurfaceMesh:
         self._normals = _readonly(nn)
         self._area = float((0.5 * twice_area).sum())
         self._longest_edge = float(lengths.max())
+        self._edge_keys = _readonly(edge_keys)
         self._boundary = tuple(
             BoundaryComponent(_readonly(loop), label)
             for loop, label in zip(loops, boundary_labels)
@@ -240,16 +245,18 @@ class SurfaceMesh:
     def n_triangles(self) -> int:
         return self._triangles.shape[0]
 
+    @property
+    def edge_keys(self) -> np.ndarray:
+        """(ne,) sorted int64 keys ``a * n + b`` of the unique undirected edges, a < b."""
+        return self._edge_keys
+
     def edges(self) -> np.ndarray:
-        """Unique undirected edges as a (ne, 2) index array, sorted by row."""
-        n = self.n_vertices
-        ea = self._triangles.ravel()
-        eb = self._triangles[:, [1, 2, 0]].ravel()
-        key = np.unique(np.minimum(ea, eb) * n + np.maximum(ea, eb))
-        return np.stack([key // n, key % n], axis=1)
+        """Unique undirected edges (a, b), a < b, as a (ne, 2) int64 array sorted by row; the
+        stiffness's 3x3 block pattern is the diagonal plus both directions of each edge."""
+        return np.stack(np.divmod(self._edge_keys, self.n_vertices), axis=1)
 
     def euler_characteristic(self) -> int:
-        return self.n_vertices - len(self.edges()) + self.n_triangles
+        return self.n_vertices - self._edge_keys.size + self.n_triangles
 
     def area(self) -> float:
         """Total facet area."""

@@ -1,11 +1,14 @@
 """Mesh container, generators, boundary topology, normals, and import tests."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
-from memshell.geometry import Torus
+from memshell.assembly import assemble
+from memshell.cli import main
+from memshell.geometry import MaterialModel, Torus
 from memshell.mesh import (
     MeshError,
     _extract_boundary_loops,
@@ -17,7 +20,8 @@ from memshell.mesh import (
 )
 
 from oracles import (extract_boundary_loops_reference, facet_areas, facet_normals,
-                     flat_grid_mesh, jittered_cylinder_mesh, surface_normal)
+                     flat_grid_mesh, geometry_of, jittered_cylinder_mesh, jittered_torus_mesh,
+                     surface_normal)
 
 
 def test_cylinder_counts():
@@ -283,8 +287,10 @@ _TRIANGLE = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     ({"vertices": _TRIANGLE[:, :2]}, r"vertices must have shape \(n, 3\), got \(3, 2\)"),
     ({"triangles": [0, 1, 2]}, r"triangles must have shape \(m, 3\), got \(3,\)"),
     ({"triangles": np.zeros((0, 3))}, "mesh has no triangles"),
-    ({"triangles": [[0, 1, 3]]}, "triangle vertex index out of range"),
-    ({"triangles": [[0, -1, 2]]}, "triangle vertex index out of range"),
+    ({"triangles": [[0, 1, 3]]},
+     r"triangle vertex index out of range: triangle 0 is \[0, 1, 3\], the mesh has 3 vertices"),
+    ({"triangles": [[0, -1, 2]]},
+     r"triangle vertex index out of range: triangle 0 is \[0, -1, 2\], the mesh has 3 vertices"),
     ({"nodal_normals": [[0.0, 0.0, 1.0]] * 2},
      r"nodal_normals must have shape \(3, 3\), got \(2, 3\)"),
     ({"boundary_labels": ["rim", "extra"]}, "2 boundary labels for 1 components"),
@@ -367,12 +373,18 @@ def test_import_bad_number_names_the_line(tmp_path, name, text, line):
      r"invalid OFF counts: \['3', 'one', '0'\]"),
     ("negative-counts.off", "OFF\n-1 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n",
      r"invalid OFF counts: \['-1', '1', '0'\]"),
-], ids=["off-header", "off-no-counts", "off-one-count", "off-bad-counts", "off-negative-counts"])
-def test_import_error_names_the_cause(tmp_path, name, text, message):
+    ("index.off", "OFF\n3 2 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n3 0 1 7\n",
+     r"triangle vertex index out of range: triangle 1 is \[0, 1, 7\], the mesh has 3 vertices"),
+], ids=["off-header", "off-no-counts", "off-one-count", "off-bad-counts", "off-negative-counts",
+        "off-index-out-of-range"])
+def test_import_error_names_the_cause(tmp_path, capsys, name, text, message):
     path = tmp_path / name
     path.write_text(text)
     with pytest.raises(MeshError, match=f"^{message}$"):
         import_mesh(path)
+    # the command line prints the same message
+    assert main(["mesh-info", "--mesh", str(path)]) == 1
+    assert re.fullmatch(rf"memshell: error \[mesh\]: {message}\n", capsys.readouterr().err)
 
 
 def test_import_unreadable_file(tmp_path):
@@ -466,13 +478,38 @@ def test_edges_match_row_unique(tmp_path, make):
 @pytest.mark.parametrize("make", [
     lambda tmp: build_cylinder_mesh(1.0, 4.0, 9, 4),
     lambda tmp: build_torus_mesh(2.0, 0.7, 8, 6),
+    lambda tmp: jittered_cylinder_mesh(1.0, 4.0, 8, 0.25, 1),
+    lambda tmp: jittered_torus_mesh(1.0, 0.5, 6, 0.25, 1),
+    _imported_shuffled_torus,
+    lambda tmp: flat_grid_mesh(4, 3),
+], ids=["cylinder", "torus", "jittered_cylinder", "jittered_torus", "imported_off", "flat_grid"])
+def test_stiffness_pattern_is_the_edge_graph(tmp_path, make):
+    # the stored 3x3 blocks are each node's own and both directions of each edge
+    mesh = make(tmp_path)
+    K = assemble(mesh, MaterialModel(E=100.0, nu=0.5, t=1e-2), geometry_of(mesh)).csr
+    n, edges = mesh.n_vertices, mesh.edges()
+    assert K.indptr[-1] == K.indices.size == 9 * (n + 2 * len(edges))
+    row = np.repeat(np.arange(3 * n), np.diff(K.indptr))
+    assert (np.diff(K.indices)[row[1:] == row[:-1]] > 0).all()  # sorted, no duplicates
+    blocks = np.unique(row // 3 * n + K.indices // 3)
+    expected = np.concatenate([np.arange(n) * (n + 1), edges @ [n, 1], edges @ [1, n]])
+    assert np.array_equal(blocks, np.sort(expected))
+    assert mesh.edge_keys.dtype == np.int64
+    assert np.array_equal(mesh.edge_keys, edges @ [n, 1])
+    with pytest.raises(ValueError):
+        mesh.edge_keys[0] = 0
+
+
+@pytest.mark.parametrize("make", [
+    lambda tmp: build_cylinder_mesh(1.0, 4.0, 9, 4),
+    lambda tmp: build_torus_mesh(2.0, 0.7, 8, 6),
     lambda tmp: _imported_shuffled(build_cylinder_mesh(1.0, 4.0, 11, 5), tmp),
     lambda tmp: flat_grid_mesh(4, 3),
 ], ids=["cylinder", "torus", "imported_off_cylinder", "flat_grid"])
 def test_boundary_loops_match_reference(tmp_path, make):
     mesh = make(tmp_path)
     expected = extract_boundary_loops_reference(mesh.triangles, mesh.n_vertices)
-    loops = _extract_boundary_loops(mesh.triangles, mesh.n_vertices)
+    loops, _ = _extract_boundary_loops(mesh.triangles, mesh.n_vertices)
     assert len(loops) == len(expected)
     for loop, ref in zip(loops, expected):
         assert loop.dtype == ref.dtype
