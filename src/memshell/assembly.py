@@ -289,5 +289,7 @@ def apply_constraints(system: LinearSystem, nodes, directions) -> LinearSystem:
     _sparsetools.csr_sort_indices(n, change.indptr, change.indices, change.data)
     Qb = np.zeros(n)
     _sparsetools.csr_matvec(n, n, *Q[::-1], system.rhs, Qb)
+    # the subtraction also drops K's exact zeros (16 % of the cylinder's entries), which
+    # the cylinder solve relies on: a rewrite that keeps K's pattern must drop them too
     return LinearSystem(_combine(_sparsetools.csr_minus_csr, K, change), system.rhs - Qb,
                         constraints=(nodes, q), coordinates=system.coordinates)

@@ -11,7 +11,10 @@ convergence
 mesh-info
     Print mesh statistics for a generated or imported mesh.
 
-Flags override values from an optional ``key = value`` config file. Defaults
+Every flag can also be set in a ``key = value`` file given with ``--config``.
+A key is the flag's name without its dashes (``_`` or ``-`` between words), and
+each line is parsed as the flag ``--key=value``, so a bad key or value fails as
+the flag does; the command line overrides the file. Defaults
 are the benchmark values (E=100, nu=1/2, t=1e-2, F=1, p=1; cylinder r=1, L=4;
 torus R=1, r=1/2). The resolution parameter ``n`` maps to
 ``(n_circ, n_axial) = (n, n)`` for the cylinder and ``(n_tor, n_pol) =
@@ -22,7 +25,6 @@ import argparse
 import dataclasses
 import functools
 import sys
-import typing
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +35,7 @@ from .element import QUADRATURE_RULE, QuadraturePointData, quadrature_geometry
 __all__ = ["RunConfig", "run_case", "run_convergence", "main"]
 
 DEFAULT_RESOLUTIONS = (16, 32, 64, 128)
-# allowed values of the string options, shared by their flags and config keys
+# allowed values of the string options
 CHOICES = {"case": ("cylinder", "torus", "import"), "variant": ("interpolated", "facet")}
 
 
@@ -221,26 +223,14 @@ def _mesh_info_lines(msh) -> list[str]:
     return lines
 
 
-def _convert(cast, text: str, name: str, choices=None):
-    """``cast(text)``, as a flag would convert it; an error names ``name`` and ``text``."""
-    try:
-        value = cast(text)
-    except ValueError:
-        raise ValueError(f"{name}: invalid {cast.__name__} value {text!r}") from None
-    if choices is not None and value not in choices:
-        raise ValueError(f"{name}: invalid choice {text!r} (choose from {', '.join(choices)})")
-    return value
+def ladder(text: str) -> list[int]:
+    """The comma-separated resolutions of ``--resolutions``, empty entries skipped."""
+    return [int(s) for s in text.split(",") if s.strip()]
 
 
-def _read_config_file(path: str) -> dict:
-    """Parse a minimal ``key = value`` file (one pair per line, # comments).
-
-    Each value is converted with the type of its :class:`RunConfig` field and
-    checked against its flag's :data:`CHOICES`; an unknown key or a bad value
-    is an error naming the key.
-    """
-    field_types = {f.name: f.type for f in dataclasses.fields(RunConfig)}
-    values: dict[str, object] = {}
+def _config_tokens(path: str) -> list[str]:
+    """The ``--key=value`` flag of each ``key = value`` line of a config file."""
+    tokens = []
     for raw in Path(path).read_text().splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -248,15 +238,9 @@ def _read_config_file(path: str) -> dict:
         if "=" not in line:
             raise ValueError(f"invalid config line: {raw.strip()!r}")
         key, _, val = line.partition("=")
-        key = key.strip().replace("-", "_")
-        key = "mesh_path" if key == "mesh" else key
-        if key not in field_types:
-            raise ValueError(f"unknown config key {key!r}")
-        cast = next((t for t in typing.get_args(field_types[key]) if t is not type(None)),
-                    field_types[key])
         val = val.strip().strip("\"'")
-        values[key] = _convert(cast, val, f"config key {key!r}", CHOICES.get(key))
-    return values
+        tokens.append(f"--{key.strip().replace('_', '-')}={val}")
+    return tokens
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
@@ -279,11 +263,8 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    values = _read_config_file(args.config) if getattr(args, "config", None) else {}
-    for f in dataclasses.fields(RunConfig):
-        value = getattr(args, f.name, None)
-        if value is not None:
-            values[f.name] = value
+    values = {f.name: getattr(args, f.name) for f in dataclasses.fields(RunConfig)
+              if getattr(args, f.name) is not None}
     if args.command == "mesh-info" and values.get("mesh_path") and "case" not in values:
         values["case"] = "import"  # a mesh file alone is the mesh to describe
     return RunConfig(**values)
@@ -301,13 +282,17 @@ def main(argv=None) -> int:
 
     p_conv = sub.add_parser("convergence", help="refinement ladder and rate fit")
     _add_common_flags(p_conv)
-    p_conv.add_argument("--resolutions", help="comma-separated ladder, default 16,32,64,128")
+    p_conv.add_argument("--resolutions", type=ladder,
+                        help="comma-separated ladder, default 16,32,64,128")
 
     p_info = sub.add_parser("mesh-info", help="print mesh statistics")
     _add_common_flags(p_info)
 
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     try:
+        if args.config:  # the file's flags first, so that the command line overrides them
+            args = parser.parse_args([args.command, *_config_tokens(args.config), *argv[1:]])
         config = _config_from_args(args)
         if args.command == "run":
             artifacts = run_case(config)
@@ -320,11 +305,7 @@ def main(argv=None) -> int:
                   f"relative residual {rep.relative_residual:.3e}")
             return 0
         if args.command == "convergence":
-            resolutions = None
-            if args.resolutions:
-                resolutions = [_convert(int, s.strip(), "--resolutions")
-                               for s in args.resolutions.split(",") if s.strip()]
-            record, _ = run_convergence(config, resolutions)
+            record, _ = run_convergence(config, args.resolutions)
             outdir = Path(config.out)
             for h, e in zip(record.h, record.error):
                 print(f"h={h:.6e}  error={e:.6e}")

@@ -31,7 +31,8 @@ SUBMODULES = ("assembly", "cli", "element", "geometry", "mesh", "postprocess", "
 # material mode (the membrane law is plane stress) and the read-back of a
 # CSR matrix into 3x3 blocks (``tobsr`` leaves block column indices unsorted,
 # which once gave silent zero blocks; constraints are sparse products now)
-# and the case decision spread over three functions (``cli._case`` holds it).
+# and the case decision spread over three functions (``cli._case`` holds it),
+# and the config file's own parser and value checks (argparse parses its lines).
 REMOVED = (
     "DofMap", "ElementMatrices", "element_matrices", "REFERENCE_GRADIENTS", "_GRAD_RHS",
     "shape_values_and_ref_gradients", "element_jacobian", "basis_surface_gradients",
@@ -44,7 +45,7 @@ REMOVED = (
     "StressField", "cell_averages", "n_elements", "quadrature_rule", "_row_texts",
     "_DIGIT_WORDS", "_LEAD_WORDS", "_EXP_MAX", "_EXP_WORDS", "_SCALES", "lame_effective",
     "plane_strain", "tobsr", "bsr_matrix", "_build_case", "_case_mesh", "resolved_r",
-    "_parse_obj",
+    "_parse_obj", "_read_config_file", "_convert",
 )
 
 

@@ -1,5 +1,6 @@
 """Command-line driver tests (in-process through ``main``)."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -244,10 +245,13 @@ def test_material_is_plane_stress_without_a_mode(tmp_path, capsys):
     assert "mode" not in cli.CHOICES and not hasattr(RunConfig(), "mode")
     with pytest.raises(SystemExit):
         main(["run", "--mode", "plane_stress", "--out", str(tmp_path)])
+    capsys.readouterr()
     cfg = tmp_path / "mode.cfg"
     cfg.write_text("mode = plane_stress\n")
-    assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 1
-    assert "unknown config key 'mode'" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "--config", str(cfg), "--out", str(tmp_path)])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --mode=plane_stress" in capsys.readouterr().err
     assert main(["run", "--n", "4", "--out", str(tmp_path)]) == 0
     report = (tmp_path / "report.txt").read_text().splitlines()
     assert "material: E=100.0 nu=0.5 t=0.01" in report
@@ -268,51 +272,122 @@ def test_solve_case_rejects_an_unknown_case():
         solve_case(RunConfig(case="sphere", n=4))
 
 
-def test_config_file_unknown_key(tmp_path, capsys):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("flux_capacitance = 7\n")
-    rc = main(["run", "--config", str(cfg)])
-    assert rc != 0
-    assert "flux_capacitance" in capsys.readouterr().err
+@pytest.fixture
+def no_mesh_builds(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("mesh built")
+
+    for builder in ("build_cylinder_mesh", "build_torus_mesh", "import_mesh"):
+        monkeypatch.setattr(mesh, builder, never)
 
 
-@pytest.mark.parametrize("line, key", [
-    ("n = 8.5", "n"),
-    ("tol = abc", "tol"),
-    ("max_iter = 1e3", "max_iter"),
-    ("r =", "r"),
-])
-def test_config_file_values_type_checked_like_flags(tmp_path, capsys, line, key):
+def _rejected_config(tmp_path, capsys, text):
+    """The stderr of ``run --config`` on ``text``, which must fail as a bad flag does."""
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text(f"case = torus\n{line}\n")
+    cfg.write_text(text)
     out = tmp_path / "out"
-    rc = main(["run", "--config", str(cfg), "--out", str(out)])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert f"config key {key!r}" in err
-    assert repr(line.partition("=")[2].strip()) in err
-    assert not (out / "report.txt").exists()
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "--config", str(cfg), "--out", str(out)])
+    assert exit_info.value.code == 2
+    assert not out.exists()
+    return capsys.readouterr().err
+
+
+def test_config_file_unknown_key(tmp_path, capsys, no_mesh_builds):
+    # a key is a flag name: the RunConfig field behind --mesh is not one
+    for key, flag in [("flux_capacitance", "--flux-capacitance"), ("mesh_path", "--mesh-path")]:
+        err = _rejected_config(tmp_path, capsys, f"{key} = 7\n")
+        assert f"unrecognized arguments: {flag}=7" in err
+
+
+@pytest.mark.parametrize("line, message", [
+    ("n = 8.5", "argument --n: invalid int value: '8.5'"),
+    ("tol = abc", "argument --tol: invalid float value: 'abc'"),
+    ("max_iter = 1e3", "argument --max-iter: invalid int value: '1e3'"),
+    ("max-iter = 1e3", "argument --max-iter: invalid int value: '1e3'"),
+    ("r =", "argument --r: invalid float value: ''"),
+], ids=["n = 8.5-n", "tol = abc-tol", "max_iter = 1e3-max_iter", "max-iter = 1e3-max_iter",
+        "r =-r"])
+def test_config_file_values_type_checked_like_flags(tmp_path, capsys, no_mesh_builds, line,
+                                                    message):
+    err = _rejected_config(tmp_path, capsys, f"case = torus\n{line}\n")
+    assert f"memshell run: error: {message}\n" in err
 
 
 @pytest.mark.parametrize("key, value", [
     ("case", "cylindre"),
     ("variant", "facte"),
 ])
-def test_config_file_values_checked_against_flag_choices(tmp_path, capsys, monkeypatch,
+def test_config_file_values_checked_against_flag_choices(tmp_path, capsys, no_mesh_builds,
                                                           key, value):
-    def never(*args, **kwargs):
-        raise AssertionError("mesh built")
+    err = _rejected_config(tmp_path, capsys, f"{key} = {value}\n")
+    assert f"argument --{key}: invalid choice: {value!r} (choose from " in err
 
-    for builder in ("build_cylinder_mesh", "build_torus_mesh", "import_mesh"):
-        monkeypatch.setattr(mesh, builder, never)
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text(f"{key} = {value}\n")
-    out = tmp_path / "out"
-    rc = main(["run", "--config", str(cfg), "--out", str(out)])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert f"config key {key!r}: invalid choice {value!r}" in err
-    assert not (out / "report.txt").exists()
+
+def _parsed_config(monkeypatch, argv) -> RunConfig:
+    """The RunConfig that ``main(argv)`` hands to ``run_case``; nothing is solved."""
+    seen = []
+
+    def record(config):
+        seen.append(config)
+        raise RuntimeError("config recorded")
+
+    monkeypatch.setattr(cli, "run_case", record)
+    assert main(argv) == 1
+    return seen[0]
+
+
+# one config line per RunConfig field, with the flag that sets the same value
+CONFIG_LINES = [
+    ("case = torus", ["--case", "torus"], "case", "torus"),
+    ("n = 8", ["--n", "8"], "n", 8),
+    ("r = 0.4", ["--r", "0.4"], "r", 0.4),
+    ("L = 3", ["--L", "3"], "L", 3.0),
+    ("R = 1.5", ["--R", "1.5"], "R", 1.5),
+    ("E = 2e2", ["--E", "2e2"], "E", 200.0),
+    ("nu = 0.3  # trailing comment", ["--nu", "0.3"], "nu", 0.3),
+    ("t = '0.02'", ["--t", "0.02"], "t", 0.02),
+    ("F = -2", ["--F=-2"], "F", -2.0),
+    ("p = 3", ["--p", "3"], "p", 3.0),
+    ('variant = "facet"', ["--variant", "facet"], "variant", "facet"),
+    ("tol = 1e-8", ["--tol", "1e-8"], "tol", 1e-8),
+    ("max_iter = 50", ["--max-iter", "50"], "max_iter", 50),
+    ("max-iter = 50", ["--max-iter", "50"], "max_iter", 50),
+    ("out = some dir", ["--out", "some dir"], "out", "some dir"),
+    ("mesh = t.off", ["--mesh", "t.off"], "mesh_path", "t.off"),
+]
+
+
+def test_config_lines_cover_every_run_config_field():
+    assert {field for _, _, field, _ in CONFIG_LINES} == {
+        f.name for f in dataclasses.fields(RunConfig)}
+
+
+@pytest.mark.parametrize("line, flags, field, value", CONFIG_LINES,
+                         ids=[line.partition("=")[0].strip() for line, *_ in CONFIG_LINES])
+def test_config_line_and_flag_give_the_same_config(tmp_path, monkeypatch, line, flags, field,
+                                                    value):
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text(f"{line}\n")
+    from_file = _parsed_config(monkeypatch, ["run", "--config", str(cfg)])
+    from_flag = _parsed_config(monkeypatch, ["run", *flags])
+    assert getattr(RunConfig(), field) != value
+    assert from_file == from_flag == RunConfig(**{field: value})
+
+
+def test_config_file_sets_the_convergence_ladder(tmp_path, monkeypatch):
+    seen = []
+
+    def record(config, resolutions=None):
+        seen.append(resolutions)
+        raise RuntimeError("ladder recorded")
+
+    monkeypatch.setattr(cli, "run_convergence", record)
+    cfg = tmp_path / "ladder.cfg"
+    cfg.write_text("resolutions = 4, 6,8\n")
+    assert main(["convergence", "--config", str(cfg)]) == 1
+    assert main(["convergence", "--config", str(cfg), "--resolutions", "6,8,10"]) == 1
+    assert seen == [[4, 6, 8], [6, 8, 10]]
 
 
 def test_run_rejects_non_positive_tolerance(tmp_path, capsys):
@@ -571,18 +646,20 @@ def test_failing_ladder_level_leaves_completed_rows(tmp_path, monkeypatch):
     assert float(lines[2].split(",")[2]) > 0.0
 
 
-@pytest.mark.parametrize("ladder", ["8,8,12", "16,8,12", "8,16", "8,x,32"])
+@pytest.mark.parametrize("ladder", ["8,8,12", "16,8,12", "8,16", "8,x,32", ""])
 def test_bad_ladder_rejected_before_any_level(tmp_path, capsys, monkeypatch, ladder):
     def never(config, n=None):
         raise AssertionError("solve_case called")
 
     monkeypatch.setattr(cli, "solve_case", never)
     out = tmp_path / "out"
-    rc = main(["convergence", "--case", "cylinder", "--resolutions", ladder, "--out", str(out)])
-    assert rc == 1
-    err = capsys.readouterr().err
+    argv = ["convergence", "--case", "cylinder", "--resolutions", ladder, "--out", str(out)]
     if ladder == "8,x,32":
-        assert "error [builtins]: --resolutions: invalid int value 'x'" in err
-    else:
-        assert f"resolution ladder {ladder}:" in err
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "argument --resolutions: invalid ladder value: '8,x,32'" in capsys.readouterr().err
+    else:  # an empty ladder is refused, not taken for the default one
+        assert main(argv) == 1
+        assert f"error [builtins]: resolution ladder {ladder}: a rate fit" in capsys.readouterr().err
     assert not (out / "convergence.csv").exists()
