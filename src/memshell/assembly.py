@@ -121,24 +121,19 @@ class ConstraintError(ValueError):
 class LinearSystem:
     """Sparse symmetric system ``K u = b`` with node coordinates and its constraints.
 
-    ``csr`` is the float64 matrix as a :class:`CSR` record: the ``matrix``
-    given if it is one, else read through ``scipy.sparse.csr_matrix``, which
-    is imported then. ``matrix`` is a scipy CSR matrix on the same arrays,
-    built on first access. ``coordinates`` (ndof/3, 3) are the node positions,
+    ``csr`` is the float64 matrix as the :class:`CSR` record given, the only
+    input kind; ``matrix`` is a scipy CSR matrix on the same arrays, built on
+    first access. ``coordinates`` (ndof/3, 3) are the node positions,
     from which the solver builds the rigid-body modes; a system without them
     has no kernel basis. ``constraints`` is the ``(nodes, directions)`` pair
     that :func:`apply_constraints` projected out, or ``None``; the matrix, the
     right-hand side and the solution are in global xyz either way.
     """
 
-    def __init__(self, matrix, rhs, constraints=None, coordinates=None):
-        if not isinstance(matrix, CSR):
-            import scipy.sparse
-            matrix = scipy.sparse.csr_matrix(matrix, dtype=float)
-            if matrix.shape[0] != matrix.shape[1]:
-                raise ValueError("system matrix must be square")
-            matrix = CSR(matrix.data, matrix.indices, matrix.indptr)
-        self.csr = matrix
+    def __init__(self, csr: CSR, rhs, constraints=None, coordinates=None):
+        if not isinstance(csr, CSR):
+            raise TypeError(f"system matrix must be a CSR record, not {type(csr).__name__}")
+        self.csr = csr
         self.rhs = np.asarray(rhs, dtype=float)
         if self.rhs.shape != (self.ndof,):
             raise ValueError("right-hand side does not match the matrix dimension")

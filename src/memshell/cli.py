@@ -195,7 +195,7 @@ def run_convergence(config: RunConfig, resolutions=None) -> tuple[
         outdir.mkdir(parents=True, exist_ok=True)
         postprocess.write_convergence_csv(csv_path, hs, errors)
 
-    record = postprocess.fit_convergence(list(zip(hs, errors)))
+    record = postprocess.ConvergenceRecord(hs, errors)
     report_path = outdir / "report.txt"
     lines = [
         f"case: {config.case}",
@@ -292,7 +292,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.config:  # the file's flags first, so that the command line overrides them
-            args = parser.parse_args([args.command, *_config_tokens(args.config), *argv[1:]])
+            tokens = _config_tokens(args.config)
+            if parser.parse_args([args.command, *tokens]).config is not None:
+                sub.choices[args.command].error(f"config file {args.config} sets --config")
+            args = parser.parse_args([args.command, *tokens, *argv[1:]])
         config = _config_from_args(args)
         if args.command == "run":
             artifacts = run_case(config)

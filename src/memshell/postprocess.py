@@ -26,7 +26,6 @@ __all__ = [
     "recover_stress",
     "stress_l2_error",
     "ConvergenceRecord",
-    "fit_convergence",
     "export_vtk",
     "write_convergence_csv",
 ]
@@ -89,53 +88,40 @@ def stress_l2_error(stress, geo: QuadraturePointData, exact: ExactSolution) -> f
 
 @dataclasses.dataclass(frozen=True)
 class ConvergenceRecord:
-    """A refinement ladder with its fitted rate.
+    """A refinement ladder that fits its own rate.
 
-    ``h`` must be strictly decreasing, errors positive. ``slope`` is the
-    least-squares slope of log(error) against log(h); ``fit_residual`` the
-    root-mean-square log-space misfit.
+    ``h`` and ``error`` are at least 3 positive values each, ``h`` strictly
+    decreasing; the record keeps read-only copies. It computes ``slope``, the
+    least-squares slope of log(error) against log(h), and ``fit_residual``,
+    the root-mean-square log-space misfit; neither can be given.
     """
 
     h: np.ndarray
     error: np.ndarray
-    slope: float
-    fit_residual: float
+    slope: float = dataclasses.field(init=False)
+    fit_residual: float = dataclasses.field(init=False)
 
     def __post_init__(self):
-        h = np.asarray(self.h, dtype=float)
-        e = np.asarray(self.error, dtype=float)
+        h = np.array(self.h, dtype=float)
+        e = np.array(self.error, dtype=float)
         if h.size != e.size:
             raise ValueError("h and error have different lengths")
+        if h.size < 3:
+            raise ValueError(f"need at least 3 levels to fit a rate, got {h.size}")
         if np.any(h <= 0) or np.any(e <= 0):
             raise ValueError("h and error values must be positive")
         if np.any(np.diff(h) >= 0):
             raise ValueError("h must be strictly decreasing")
         h.setflags(write=False)
         e.setflags(write=False)
+        lh, le = np.log(h), np.log(e)
+        A = np.column_stack([lh, np.ones_like(lh)])
+        coef, *_ = np.linalg.lstsq(A, le, rcond=None)
+        misfit = le - A @ coef
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "error", e)
-
-
-def fit_convergence(records) -> ConvergenceRecord:
-    """Least-squares rate fit of a ladder of ``(h, error)`` pairs (>= 3)."""
-    pairs = [(float(h), float(e)) for h, e in records]
-    if len(pairs) < 3:
-        raise ValueError(f"need at least 3 records to fit a rate, got {len(pairs)}")
-    h = np.array([p[0] for p in pairs])
-    e = np.array([p[1] for p in pairs])
-    if np.any(h <= 0) or np.any(e <= 0):
-        raise ValueError("h and error values must be positive")
-    lh = np.log(h)
-    le = np.log(e)
-    A = np.column_stack([lh, np.ones_like(lh)])
-    coef, *_ = np.linalg.lstsq(A, le, rcond=None)
-    misfit = le - A @ coef
-    return ConvergenceRecord(
-        h=h,
-        error=e,
-        slope=float(coef[0]),
-        fit_residual=float(np.sqrt(np.mean(misfit**2))),
-    )
+        object.__setattr__(self, "slope", float(coef[0]))
+        object.__setattr__(self, "fit_residual", float(np.sqrt(np.mean(misfit**2))))
 
 
 def _fmt(x: float) -> str:

@@ -12,7 +12,8 @@ triangle quadrature rule, a minimal binary legacy-VTK reader and
 per-number writer, nodal constraint projection by dense products with an
 admissible basis built node by node, seeded jittered cylinder and torus meshes,
 boundary-loop extraction by set queries and a successor dictionary, and the
-traced memory peak of one call.
+traced memory peak of one call; ``csr_record`` turns a test's dense or scipy
+matrix into the CSR record that a ``LinearSystem`` takes.
 """
 
 import math
@@ -22,7 +23,7 @@ import tracemalloc
 import numpy as np
 import scipy.sparse as sp
 
-from memshell.assembly import ConstraintError, LinearSystem
+from memshell.assembly import CSR, ConstraintError, LinearSystem
 from memshell.element import (QUADRATURE_RULE, QuadraturePointData, QuadratureRule,
                               SingularJacobianError, quadrature_geometry)
 from memshell.geometry import Cylinder, GeometryError
@@ -649,7 +650,7 @@ def apply_constraints_reference(system, nodes, directions):
         fixed[block, block] = np.outer(q, q)
         units.append(q)
     matrix = P @ system.matrix.toarray() @ P + fixed
-    return LinearSystem(sp.csr_matrix(matrix), P @ system.rhs,
+    return LinearSystem(csr_record(matrix), P @ system.rhs,
                         constraints=(np.array(nodes), np.array(units)),
                         coordinates=system.coordinates)
 
@@ -673,8 +674,8 @@ def apply_constraints_scipy_reference(system, nodes, directions):
     KQ = K @ Q
     change = KQ + Q @ K - Q @ KQ - Q
     change.sort_indices()
-    return LinearSystem(K - change, system.rhs - Q @ system.rhs, constraints=(nodes, q),
-                        coordinates=system.coordinates)
+    return LinearSystem(csr_record(K - change), system.rhs - Q @ system.rhs,
+                        constraints=(nodes, q), coordinates=system.coordinates)
 
 
 def admissible_basis(ndof: int, nodes, directions) -> np.ndarray:
@@ -759,3 +760,9 @@ def traced_peak(call, *args, **kwargs):
 def csr_bytes(matrix) -> int:
     """Bytes of a CSR matrix's data, indices and row pointer."""
     return matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
+
+
+def csr_record(matrix) -> CSR:
+    """A dense or scipy sparse matrix as the float64 :class:`CSR` record of its CSR form."""
+    A = sp.csr_matrix(matrix, dtype=float)
+    return CSR(A.data, A.indices, A.indptr)

@@ -19,6 +19,8 @@ from memshell.assembly import LinearSystem, apply_constraints
 from memshell.element import QUADRATURE_RULE, QuadraturePointData, quadrature_geometry
 from memshell.solver import solve
 
+from oracles import csr_record
+
 ROOT = Path(__file__).resolve().parents[1]
 SUBMODULES = ("assembly", "cli", "element", "geometry", "mesh", "postprocess", "solver")
 
@@ -32,7 +34,8 @@ SUBMODULES = ("assembly", "cli", "element", "geometry", "mesh", "postprocess", "
 # CSR matrix into 3x3 blocks (``tobsr`` leaves block column indices unsorted,
 # which once gave silent zero blocks; constraints are sparse products now)
 # and the case decision spread over three functions (``cli._case`` holds it),
-# and the config file's own parser and value checks (argparse parses its lines).
+# and the config file's own parser and value checks (argparse parses its lines),
+# and the separate rate fit (a ``ConvergenceRecord`` fits its own ladder).
 REMOVED = (
     "DofMap", "ElementMatrices", "element_matrices", "REFERENCE_GRADIENTS", "_GRAD_RHS",
     "shape_values_and_ref_gradients", "element_jacobian", "basis_surface_gradients",
@@ -45,7 +48,7 @@ REMOVED = (
     "StressField", "cell_averages", "n_elements", "quadrature_rule", "_row_texts",
     "_DIGIT_WORDS", "_LEAD_WORDS", "_EXP_MAX", "_EXP_WORDS", "_SCALES", "lame_effective",
     "plane_strain", "tobsr", "bsr_matrix", "_build_case", "_case_mesh", "resolved_r",
-    "_parse_obj", "_read_config_file", "_convert",
+    "_parse_obj", "_read_config_file", "_convert", "fit_convergence",
 )
 
 
@@ -97,11 +100,12 @@ def test_removed_names_absent_from_source():
 def test_constrained_system_stays_in_global_coordinates():
     # the (nodes, directions) pair is the only copy of the constraints; no
     # rotated frame, eliminated-dof mask or map back to global dofs
-    fixed = apply_constraints(LinearSystem(sp.eye(6), np.ones(6)), [1], [[0.0, 0.6, 0.8]])
+    fixed = apply_constraints(LinearSystem(csr_record(sp.eye(6)), np.ones(6)), [1],
+                              [[0.0, 0.6, 0.8]])
     nodes, directions = fixed.constraints
     assert np.array_equal(nodes, [1]) and np.array_equal(directions, [[0.0, 0.6, 0.8]])
     assert [name for name in ("frame", "constrained", "recover") if hasattr(fixed, name)] == []
-    assert LinearSystem(sp.eye(3), np.zeros(3)).constraints is None
+    assert LinearSystem(csr_record(sp.eye(3)), np.zeros(3)).constraints is None
 
 
 def test_solver_finds_the_kernel_itself():

@@ -281,13 +281,13 @@ def no_mesh_builds(monkeypatch):
         monkeypatch.setattr(mesh, builder, never)
 
 
-def _rejected_config(tmp_path, capsys, text):
-    """The stderr of ``run --config`` on ``text``, which must fail as a bad flag does."""
+def _rejected_config(tmp_path, capsys, text, command="run"):
+    """The stderr of ``command --config`` on ``text``, which must fail as a bad flag does."""
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(text)
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exit_info:
-        main(["run", "--config", str(cfg), "--out", str(out)])
+        main([command, "--config", str(cfg), "--out", str(out)])
     assert exit_info.value.code == 2
     assert not out.exists()
     return capsys.readouterr().err
@@ -322,6 +322,15 @@ def test_config_file_values_checked_against_flag_choices(tmp_path, capsys, no_me
                                                           key, value):
     err = _rejected_config(tmp_path, capsys, f"{key} = {value}\n")
     assert f"argument --{key}: invalid choice: {value!r} (choose from " in err
+
+
+@pytest.mark.parametrize("command", ["run", "convergence", "mesh-info"])
+@pytest.mark.parametrize("line", ["config = missing.cfg", "co = missing.cfg"])
+def test_config_file_cannot_set_config(tmp_path, capsys, no_mesh_builds, line, command):
+    # argparse reads the line (or its abbreviation) as --config, and the file
+    # is read only once: accepted, the line would be ignored without a word
+    err = _rejected_config(tmp_path, capsys, f"case = torus\nn = 4\n{line}\n", command)
+    assert f"memshell {command}: error: config file {tmp_path / 'bad.cfg'} sets --config\n" in err
 
 
 def _parsed_config(monkeypatch, argv) -> RunConfig:

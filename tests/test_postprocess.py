@@ -22,7 +22,6 @@ from memshell.mesh import SurfaceMesh, build_cylinder_mesh, build_torus_mesh, me
 from memshell.postprocess import (
     ConvergenceRecord,
     export_vtk,
-    fit_convergence,
     recover_stress,
     stress_l2_error,
     write_convergence_csv,
@@ -210,35 +209,50 @@ def test_stress_l2_error_stable_under_refined_quadrature():
 
 def test_convergence_rate_exact_slopes():
     hs = [0.4, 0.2, 0.1, 0.05]
-    assert abs(fit_convergence([(h, 3.0 * h) for h in hs]).slope - 1.0) < 1e-12
-    assert abs(fit_convergence([(h, 2.0 * h**0.75) for h in hs]).slope - 0.75) < 1e-12
-    assert abs(fit_convergence([(h, 5.0) for h in hs]).slope) < 1e-12
+    assert abs(ConvergenceRecord(hs, [3.0 * h for h in hs]).slope - 1.0) < 1e-12
+    assert abs(ConvergenceRecord(hs, [2.0 * h**0.75 for h in hs]).slope - 0.75) < 1e-12
+    assert abs(ConvergenceRecord(hs, [5.0 for h in hs]).slope) < 1e-12
 
 
 def test_convergence_rate_validation():
-    with pytest.raises(ValueError):
-        fit_convergence([(0.1, 1.0), (0.05, 0.5)]).slope
-    with pytest.raises(ValueError):
-        fit_convergence([(0.1, 1.0), (0.05, 0.5), (0.025, -0.25)]).slope
-    with pytest.raises(ValueError):
-        ConvergenceRecord(h=np.array([0.1, 0.2, 0.05]),
-                          error=np.array([1.0, 0.5, 0.2]),
-                          slope=1.0, fit_residual=0.0)
+    with pytest.raises(ValueError, match="^need at least 3 levels to fit a rate, got 2$"):
+        ConvergenceRecord([0.1, 0.05], [1.0, 0.5])
+    with pytest.raises(ValueError, match="^h must be strictly decreasing$"):
+        ConvergenceRecord(h=np.array([0.1, 0.2, 0.05]), error=np.array([1.0, 0.5, 0.2]))
     with pytest.raises(ValueError, match="^h and error have different lengths$"):
-        ConvergenceRecord(h=np.array([0.2, 0.1, 0.05]), error=np.array([1.0, 0.5]),
-                          slope=1.0, fit_residual=0.0)
-    for h, error in (([0.2, 0.0, -0.1], [1.0, 0.5, 0.2]), ([0.2, 0.1, 0.05], [1.0, 0.0, 0.2])):
+        ConvergenceRecord(h=np.array([0.2, 0.1, 0.05]), error=np.array([1.0, 0.5]))
+    for h, error in (([0.2, 0.0, -0.1], [1.0, 0.5, 0.2]), ([0.2, 0.1, 0.05], [1.0, 0.0, 0.2]),
+                     ([0.1, 0.05, 0.025], [1.0, 0.5, -0.25])):
         with pytest.raises(ValueError, match="^h and error values must be positive$"):
-            ConvergenceRecord(h=np.array(h), error=np.array(error), slope=1.0, fit_residual=0.0)
+            ConvergenceRecord(h=np.array(h), error=np.array(error))
 
 
 def test_fit_convergence_reports_residual():
     hs = np.array([0.4, 0.2, 0.1])
     errors = 2.0 * hs**1.0
     errors[1] *= 1.1  # perturb one level
-    record = fit_convergence(list(zip(hs, errors)))
+    record = ConvergenceRecord(hs, errors)
     assert record.fit_residual > 0.0
     assert 0.8 < record.slope < 1.2
+
+
+def test_convergence_record_fits_its_own_copy_of_the_ladder():
+    # the record copies its inputs read-only, leaving the caller's arrays
+    # writable, and its rate is its data's: a slope cannot be given
+    h = np.array([0.4, 0.2, 0.1, 0.05])
+    error = np.array([1.1, 0.5, 0.27, 0.12])
+    record = ConvergenceRecord(h=h, error=error)
+    assert h.flags.writeable and error.flags.writeable
+    for kept, given in ((record.h, h), (record.error, error)):
+        assert not kept.flags.writeable and not np.shares_memory(kept, given)
+        assert np.array_equal(kept, given)
+    A = np.column_stack([np.log(h), np.ones(h.size)])
+    coef, *_ = np.linalg.lstsq(A, np.log(error), rcond=None)
+    assert record.slope == float(coef[0])
+    assert record.fit_residual == float(np.sqrt(np.mean((np.log(error) - A @ coef) ** 2)))
+    assert record.fit_residual > 0.0
+    with pytest.raises(TypeError, match="slope"):
+        ConvergenceRecord(h, error, slope=-7.0, fit_residual=3.0)
 
 
 @pytest.mark.parametrize("a", [0.1, 0.25])
@@ -252,15 +266,15 @@ def test_stress_error_rate_on_jittered_cylinder_ladders(a, seed):
     The facet variant is not gated here.
     """
     exact = cylinder_exact(1.0, MAT, Cylinder(1.0, 4.0))
-    records = []
+    hs, errors = [], []
     for n in (8, 16, 32):
         mesh = jittered_cylinder_mesh(1.0, 4.0, n, a, seed)
         geo = geometry_of(mesh)
         system = assemble(mesh, MAT, geo, exact.load_at(geo.points))
         u, _ = solve(apply_constraints(system, *cylinder_constraints(mesh)), tol=1e-10)
-        error = stress_l2_error(recover_stress(mesh, MAT, u, geo), geo, exact)
-        records.append((mesh_size(mesh), error))
-    assert fit_convergence(records).slope >= 0.95
+        hs.append(mesh_size(mesh))
+        errors.append(stress_l2_error(recover_stress(mesh, MAT, u, geo), geo, exact))
+    assert ConvergenceRecord(hs, errors).slope >= 0.95
 
 
 @pytest.mark.parametrize("a", [0.1, 0.25])
@@ -274,15 +288,15 @@ def test_stress_error_rate_on_jittered_torus_ladders(a):
     variant is not gated here: it does not converge on jittered meshes.
     """
     exact = torus_exact(1.0, MAT, Torus(1.0, 0.5))
-    records = []
+    hs, errors = [], []
     for n in (8, 16, 32):
         mesh = jittered_torus_mesh(1.0, 0.5, n, a, 1)
         geo = geometry_of(mesh)
         u, report = solve(assemble(mesh, MAT, geo, exact.load_at(geo.points)), tol=1e-10)
         assert report.converged
-        error = stress_l2_error(recover_stress(mesh, MAT, u, geo), geo, exact)
-        records.append((mesh_size(mesh), error))
-    assert fit_convergence(records).slope >= 0.78
+        hs.append(mesh_size(mesh))
+        errors.append(stress_l2_error(recover_stress(mesh, MAT, u, geo), geo, exact))
+    assert ConvergenceRecord(hs, errors).slope >= 0.78
 
 
 def test_export_vtk_roundtrip(tmp_path):
