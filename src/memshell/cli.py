@@ -212,7 +212,7 @@ def _mesh_info_lines(msh) -> list[str]:
     lines = [
         f"vertices: {msh.n_vertices}",
         f"triangles: {msh.n_triangles}",
-        f"edges: {len(msh.edges())}",
+        f"edges: {msh.edge_keys.size}",
         f"euler characteristic: {msh.euler_characteristic()}",
         f"area: {msh.area():.12e}",
         f"mesh size h: {mesh.mesh_size(msh):.12e}",

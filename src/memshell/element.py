@@ -52,7 +52,7 @@ class SingularJacobianError(ValueError):
         self.element = element
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class QuadratureRule:
     """Quadrature points and weights on the reference triangle.
 
@@ -79,9 +79,6 @@ class QuadratureRule:
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", w)
 
-    def __len__(self) -> int:
-        return self.weights.size
-
     def shape_values(self) -> np.ndarray:
         """(nq, 3) linear shape function values at the quadrature points."""
         xi, eta = self.points[:, 0], self.points[:, 1]
@@ -102,7 +99,7 @@ QUADRATURE_RULE = QuadratureRule(
 BLOCK_ELEMENTS = 512
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class QuadraturePointData:
     """Per-element, per-quadrature-point geometry of a batch of elements.
 

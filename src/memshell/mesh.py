@@ -27,7 +27,7 @@ class MeshError(ValueError):
     """Invalid, degenerate, non-manifold, or inconsistently oriented mesh data."""
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class BoundaryComponent:
     """One closed boundary loop.
 
@@ -249,11 +249,6 @@ class SurfaceMesh:
     def edge_keys(self) -> np.ndarray:
         """(ne,) sorted int64 keys ``a * n + b`` of the unique undirected edges, a < b."""
         return self._edge_keys
-
-    def edges(self) -> np.ndarray:
-        """Unique undirected edges (a, b), a < b, as a (ne, 2) int64 array sorted by row; the
-        stiffness's 3x3 block pattern is the diagonal plus both directions of each edge."""
-        return np.stack(np.divmod(self._edge_keys, self.n_vertices), axis=1)
 
     def euler_characteristic(self) -> int:
         return self.n_vertices - self._edge_keys.size + self.n_triangles

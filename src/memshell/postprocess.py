@@ -32,10 +32,10 @@ __all__ = [
 
 
 def _nodal_displacements(mesh: SurfaceMesh, displacement) -> np.ndarray:
-    """A flat dof vector or an (n_vertices, 3) array, as (n_vertices, 3)."""
+    """The flat dof vector (``3 n_vertices``, node-major) as (n_vertices, 3)."""
     u = np.asarray(displacement, dtype=float)
     n = mesh.n_vertices
-    if u.shape not in ((3 * n,), (n, 3)):
+    if u.shape != (3 * n,):
         raise ValueError(f"displacement shape {u.shape} does not match {n} vertices")
     return u.reshape(n, 3)
 
@@ -52,10 +52,11 @@ def recover_stress(mesh: SurfaceMesh, material: MaterialModel, displacement,
                    geo: QuadraturePointData) -> np.ndarray:
     """The read-only (m, nq, 3, 3) stress at ``geo.points``, from the projected strain.
 
-    ``displacement`` may be a flat dof vector of length ``3*n_vertices`` or an
-    ``(n_vertices, 3)`` array of nodal displacements (global components).
-    ``geo`` is the mesh's :func:`~memshell.element.quadrature_geometry`; its
-    normals give the projectors.
+    ``displacement`` is the flat dof vector that :func:`~memshell.solver.solve`
+    returns: length ``3*n_vertices``, node-major, global components; any other
+    shape is a ValueError that names it. ``geo`` is the mesh's
+    :func:`~memshell.element.quadrature_geometry`; its normals give the
+    projectors.
     """
     u = _nodal_displacements(mesh, displacement)
     geo.require_elements(mesh.n_triangles)
@@ -86,7 +87,7 @@ def stress_l2_error(stress, geo: QuadraturePointData, exact: ExactSolution) -> f
     return math.sqrt(total)
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class ConvergenceRecord:
     """A refinement ladder that fits its own rate.
 

@@ -194,17 +194,9 @@ def _nodal_block_inverse(d0: np.ndarray, d1: np.ndarray, d2: np.ndarray) -> CSR:
                3 * np.arange(ndof + 1, dtype=itype))
 
 
-def _require_finite(v: np.ndarray, what: str) -> None:
-    """Raise SolverError naming the first non-finite dof of ``v`` and its node."""
-    finite = np.isfinite(v)
-    if not finite.all():
-        k = int(np.argmin(finite))
-        raise SolverError(f"{what} is not finite at dof {k} of node {k // 3}")
-
-
-def solve(system: LinearSystem, tol: float = 1e-10, max_iter: int | None = None,
-          x0: np.ndarray | None = None) -> tuple[np.ndarray, SolveReport]:
-    """Solve ``K u = b`` by nodal block-Jacobi preconditioned conjugate gradients.
+def solve(system: LinearSystem, tol: float = 1e-10,
+          max_iter: int | None = None) -> tuple[np.ndarray, SolveReport]:
+    """Solve ``K u = b`` by nodal block-Jacobi preconditioned conjugate gradients from ``u = 0``.
 
     Parameters
     ----------
@@ -216,8 +208,6 @@ def solve(system: LinearSystem, tol: float = 1e-10, max_iter: int | None = None,
         Relative residual target, in (0, 1).
     max_iter : int, optional
         Defaults to ``ceil(50 * sqrt(ndof))``.
-    x0 : array, optional
-        Initial guess (default zero; its kernel component is removed).
 
     Returns
     -------
@@ -227,10 +217,10 @@ def solve(system: LinearSystem, tol: float = 1e-10, max_iter: int | None = None,
     ------
     SolverError
         If ``tol`` is not in (0, 1), ``max_iter`` is below 1, ``ndof`` is not
-        a multiple of 3, the right-hand side or ``x0`` is not finite or
-        misshapen, a stored matrix entry is not finite (the message names
-        its row, column and node), or a nodal diagonal block is not positive
-        definite or is ill-conditioned (the message names the cause).
+        a multiple of 3, the right-hand side is not finite, a stored matrix
+        entry is not finite (the message names its row, column and node), or
+        a nodal diagonal block is not positive definite or is ill-conditioned
+        (the message names the cause).
     NegativeCurvatureError
         If a search direction has non-positive curvature.
     IterationLimitError
@@ -248,12 +238,10 @@ def solve(system: LinearSystem, tol: float = 1e-10, max_iter: int | None = None,
     ndof = system.ndof
     if ndof % 3:
         raise SolverError(f"system has {ndof} dofs; a node-major system needs a multiple of 3")
-    _require_finite(b, "right-hand side (load)")
-    if x0 is not None:
-        x0 = np.asarray(x0, dtype=float)
-        if x0.shape != (ndof,):
-            raise SolverError(f"initial guess has wrong shape {x0.shape}")
-        _require_finite(x0, "initial guess")
+    finite = np.isfinite(b)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise SolverError(f"right-hand side (load) is not finite at dof {k} of node {k // 3}")
     finite = np.isfinite(A.data[:A.indptr[-1]])
     if not finite.all():
         k = int(np.argmin(finite))
@@ -285,16 +273,14 @@ def solve(system: LinearSystem, tol: float = 1e-10, max_iter: int | None = None,
 
     precondition = functools.partial(_matvec, _nodal_block_inverse(*diagonals))
     del diagonals  # not held through the iterations, where the solve peaks
-    x = np.zeros(ndof) if x0 is None else x0.copy()
+    x = np.zeros(ndof)
     # the work vectors of the whole solve: the products go into Ap and z
     Ap, z, tmp = np.empty(ndof), np.empty(ndof), np.empty(ndof)
 
     def true_residual():  # r = b - A x, with the kernel part of x removed first
         np.subtract(b, _matvec(A, deflate(x), Ap), out=r)
 
-    r = b.copy()
-    if x0 is not None:
-        true_residual()
+    r = b.copy()  # the residual of x = 0
     tol2 = (tol * bnorm) ** 2
     p = precondition(r, z).copy()
     rz = float(r @ z)

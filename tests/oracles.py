@@ -319,7 +319,7 @@ def element_load(coords, normals, load_at, quad: QuadratureRule = QUADRATURE_RUL
     measure = np.linalg.norm(np.cross(coords[1] - coords[0], coords[2] - coords[0]))
     phi = quad.shape_values()
     points = phi @ coords
-    f = np.asarray(load_at(points), dtype=float).reshape(len(quad), 3)
+    f = np.asarray(load_at(points), dtype=float).reshape(quad.weights.size, 3)
     return np.einsum("q,qi,qa->ia", quad.weights * measure, phi, f).reshape(9)
 
 

@@ -1,5 +1,6 @@
 """Public API guards: exported names resolve, the benchmark's traced names exist."""
 
+import copy
 import dataclasses
 import importlib
 import inspect
@@ -126,6 +127,27 @@ def test_benchmark_surfaces_are_parameter_records(surface, fields):
     assert [n for n in vars(cls) if not n.startswith("__")] == []
 
 
+def _cylinder_and_geometry():
+    msh = mesh.build_cylinder_mesh(1.0, 4.0, 4, 2)
+    return msh, quadrature_geometry(msh.vertices[msh.triangles],
+                                    msh.nodal_normals[msh.triangles], QUADRATURE_RULE,
+                                    "interpolated")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: mesh.build_cylinder_mesh(1.0, 4.0, 4, 2).boundary_components[0],
+    lambda: QUADRATURE_RULE,
+    lambda: _cylinder_and_geometry()[1],
+    lambda: postprocess.ConvergenceRecord([0.5, 0.25, 0.125], [4.0, 1.0, 0.25]),
+], ids=["BoundaryComponent", "QuadratureRule", "QuadraturePointData", "ConvergenceRecord"])
+def test_array_records_compare_and_hash_by_identity(make):
+    # field-wise == would ask numpy for the truth value of an array comparison
+    record = make()
+    assert record == record
+    assert record != copy.copy(record)
+    assert len({record, record}) == 1
+
+
 def test_benchmark_traced_names_exist():
     spans = _load_spans()
     targets = [target for layer in spans.LAYERS for target in layer.targets]
@@ -157,9 +179,16 @@ def test_no_parameter_that_no_caller_sets():
     # recovered stress is a plain array
     assert list(inspect.signature(mesh.import_mesh).parameters) == ["path"]
     assert "title" not in inspect.signature(postprocess.export_vtk).parameters
-    msh = mesh.build_cylinder_mesh(1.0, 4.0, 4, 2)
-    geo = quadrature_geometry(msh.vertices[msh.triangles], msh.nodal_normals[msh.triangles],
-                              QUADRATURE_RULE, "interpolated")
+    msh, geo = _cylinder_and_geometry()
     material = geometry.MaterialModel(100.0, 0.5, 0.01)
     stress = postprocess.recover_stress(msh, material, np.zeros(3 * msh.n_vertices), geo)
     assert type(stress) is np.ndarray and stress.shape == (msh.n_triangles, 3, 3, 3)
+    # CG always starts from zero: solve takes no initial guess
+    assert list(inspect.signature(solve).parameters) == ["system", "tol", "max_iter"]
+    # mesh-info counts the edges by their keys; the (ne, 2) edge array is gone
+    assert not hasattr(mesh.SurfaceMesh, "edges")
+    # a rule's size is its weights.size
+    assert not hasattr(type(QUADRATURE_RULE), "__len__")
+    # the displacement is the flat dof vector that solve returns, not an (n, 3) array
+    with pytest.raises(ValueError, match=re.escape(f"shape ({msh.n_vertices}, 3)")):
+        postprocess.recover_stress(msh, material, np.zeros((msh.n_vertices, 3)), geo)

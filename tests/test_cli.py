@@ -198,9 +198,14 @@ def test_run_convergence_api_returns_details(tmp_path):
 def test_mesh_info_generated_and_imported(tmp_path, capsys):
     rc = main(["mesh-info", "--case", "torus", "--n", "4"])
     assert rc == 0
-    out = capsys.readouterr().out
-    assert "vertices: 32" in out
-    assert "euler characteristic: 0" in out
+    assert capsys.readouterr().out == (
+        "vertices: 32\n"
+        "triangles: 64\n"
+        "edges: 96\n"
+        "euler characteristic: 0\n"
+        "area: 1.667217226496e+01\n"
+        "mesh size h: 1.174171902423e+00\n"
+        "boundary components: 0\n")
 
     mesh = build_torus_mesh(1.0, 0.5, 8, 4)
     off = tmp_path / "t.off"
@@ -211,8 +216,16 @@ def test_mesh_info_generated_and_imported(tmp_path, capsys):
 
     rc = main(["mesh-info", "--case", "cylinder", "--n", "4"])
     assert rc == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[-3:] == ["boundary components: 2", "  x=0: 4 vertices", "  x=L: 4 vertices"]
+    assert capsys.readouterr().out == (
+        "vertices: 20\n"
+        "triangles: 32\n"
+        "edges: 52\n"
+        "euler characteristic: 0\n"
+        "area: 2.262741699797e+01\n"
+        "mesh size h: 1.732050807569e+00\n"
+        "boundary components: 2\n"
+        "  x=0: 4 vertices\n"
+        "  x=L: 4 vertices\n")
 
 
 @pytest.mark.parametrize("flags, message", [

@@ -460,22 +460,14 @@ def _imported_shuffled(mesh, tmp_path):
     return import_mesh(path)
 
 
-@pytest.mark.parametrize("make", [
-    lambda tmp: build_cylinder_mesh(1.0, 4.0, 9, 4),
-    lambda tmp: build_torus_mesh(2.0, 0.7, 8, 6),
-    _imported_shuffled_torus,
-], ids=["cylinder", "torus", "imported_off"])
-def test_edges_match_row_unique(tmp_path, make):
-    mesh = make(tmp_path)
+def _row_unique_edges(mesh):
+    """The unique undirected edges (a, b), a < b, sorted by row: the oracle of ``edge_keys``."""
     ea = mesh.triangles.ravel()
     eb = mesh.triangles[:, [1, 2, 0]].ravel()
-    expected = np.unique(np.stack([np.minimum(ea, eb), np.maximum(ea, eb)], axis=1), axis=0)
-    edges = mesh.edges()
-    assert edges.dtype == expected.dtype
-    assert np.array_equal(edges, expected)
+    return np.unique(np.stack([np.minimum(ea, eb), np.maximum(ea, eb)], axis=1), axis=0)
 
 
-@pytest.mark.parametrize("make", [
+_EDGE_GRAPH_MESHES = pytest.mark.parametrize("make", [
     lambda tmp: build_cylinder_mesh(1.0, 4.0, 9, 4),
     lambda tmp: build_torus_mesh(2.0, 0.7, 8, 6),
     lambda tmp: jittered_cylinder_mesh(1.0, 4.0, 8, 0.25, 1),
@@ -483,21 +475,29 @@ def test_edges_match_row_unique(tmp_path, make):
     _imported_shuffled_torus,
     lambda tmp: flat_grid_mesh(4, 3),
 ], ids=["cylinder", "torus", "jittered_cylinder", "jittered_torus", "imported_off", "flat_grid"])
+
+
+@_EDGE_GRAPH_MESHES
+def test_edges_match_row_unique(tmp_path, make):
+    mesh = make(tmp_path)
+    assert mesh.edge_keys.dtype == np.int64
+    assert np.array_equal(mesh.edge_keys, _row_unique_edges(mesh) @ [mesh.n_vertices, 1])
+    with pytest.raises(ValueError):
+        mesh.edge_keys[0] = 0
+
+
+@_EDGE_GRAPH_MESHES
 def test_stiffness_pattern_is_the_edge_graph(tmp_path, make):
     # the stored 3x3 blocks are each node's own and both directions of each edge
     mesh = make(tmp_path)
     K = assemble(mesh, MaterialModel(E=100.0, nu=0.5, t=1e-2), geometry_of(mesh)).csr
-    n, edges = mesh.n_vertices, mesh.edges()
+    n, edges = mesh.n_vertices, _row_unique_edges(mesh)
     assert K.indptr[-1] == K.indices.size == 9 * (n + 2 * len(edges))
     row = np.repeat(np.arange(3 * n), np.diff(K.indptr))
     assert (np.diff(K.indices)[row[1:] == row[:-1]] > 0).all()  # sorted, no duplicates
     blocks = np.unique(row // 3 * n + K.indices // 3)
     expected = np.concatenate([np.arange(n) * (n + 1), edges @ [n, 1], edges @ [1, n]])
     assert np.array_equal(blocks, np.sort(expected))
-    assert mesh.edge_keys.dtype == np.int64
-    assert np.array_equal(mesh.edge_keys, edges @ [n, 1])
-    with pytest.raises(ValueError):
-        mesh.edge_keys[0] = 0
 
 
 @pytest.mark.parametrize("make", [

@@ -59,7 +59,7 @@ def test_uniaxial_stretch_matches_plane_stress_constitutive():
     alpha = 1e-3
     u = np.zeros((mesh.n_vertices, 3))
     u[:, 0] = alpha * mesh.vertices[:, 0]
-    stress = recover_stress(mesh, MAT, u, geometry_of(mesh))
+    stress = recover_stress(mesh, MAT, u.ravel(), geometry_of(mesh))
     s11 = (2.0 * MAT.mu + MAT.lam0) * alpha
     s22 = MAT.lam0 * alpha
     expected = np.diag([s11, s22, 0.0])
@@ -72,7 +72,7 @@ def test_flat_tangent_plane_strain_projection():
     mesh = flat_grid_mesh(2, 2)
     u = np.zeros((mesh.n_vertices, 3))
     u[:, 2] = 0.25 * mesh.vertices[:, 0] - 0.1 * mesh.vertices[:, 1]
-    stress = recover_stress(mesh, MAT, u, geometry_of(mesh))
+    stress = recover_stress(mesh, MAT, u.ravel(), geometry_of(mesh))
     assert np.abs(stress).max() <= 1e-13 * MAT.E
 
 
@@ -101,7 +101,7 @@ def test_constitutive_trace_identity():
     mesh = flat_grid_mesh(2, 2, e1=(1.0, 0.0, 0.0),
                           e2=(0.0, 1.0 / math.sqrt(2), 1.0 / math.sqrt(2)))
     u = rng.standard_normal((mesh.n_vertices, 3)) * 1e-2
-    stress = recover_stress(mesh, MAT, u, geometry_of(mesh))
+    stress = recover_stress(mesh, MAT, u.ravel(), geometry_of(mesh))
     factor = 2.0 * MAT.mu + 2.0 * MAT.lam0
     scale = np.abs(stress).max()
     for e, tri in enumerate(mesh.triangles):
@@ -119,12 +119,12 @@ def test_stress_objectivity_under_rotation():
     rng = np.random.default_rng(7)
     mesh = flat_grid_mesh(3, 2)
     u = rng.standard_normal((mesh.n_vertices, 3)) * 1e-2
-    stress = recover_stress(mesh, MAT, u, geometry_of(mesh))
+    stress = recover_stress(mesh, MAT, u.ravel(), geometry_of(mesh))
     for _ in range(5):
         Q = random_rotation(rng)
         rotated = SurfaceMesh(mesh.vertices @ Q.T, mesh.triangles,
                               nodal_normals=mesh.nodal_normals @ Q.T)
-        stress_rot = recover_stress(rotated, MAT, u @ Q.T, geometry_of(rotated))
+        stress_rot = recover_stress(rotated, MAT, (u @ Q.T).ravel(), geometry_of(rotated))
         expected = np.einsum("ab,mqbc,dc->mqad", Q, stress, Q)
         assert np.abs(stress_rot - expected).max() <= 1e-10 * np.abs(stress).max()
 
@@ -306,9 +306,9 @@ def test_export_vtk_roundtrip(tmp_path):
     # the degree-4 rule's unequal weights tell a weighted cell average from a plain mean
     for rule in (QUADRATURE_RULE, DEGREE4_RULE):
         geo = geometry_of(mesh, rule)
-        stress = recover_stress(mesh, MAT, u, geo)
+        stress = recover_stress(mesh, MAT, u.ravel(), geo)
         path = tmp_path / "solution.vtk"
-        export_vtk(mesh, u, stress, geo, path)
+        export_vtk(mesh, u.ravel(), stress, geo, path)
 
         data = read_legacy_vtk(path)
         # float64 is stored bit for bit
@@ -331,7 +331,7 @@ def test_export_vtk_roundtrip(tmp_path):
 def test_export_vtk_single_triangle(tmp_path):
     verts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     mesh = SurfaceMesh(verts, np.array([[0, 1, 2]]))
-    u = np.zeros((3, 3))
+    u = np.zeros(9)
     geo = geometry_of(mesh)
     path = tmp_path / "tri.vtk"
     export_vtk(mesh, u, recover_stress(mesh, MAT, u, geo), geo, path)
@@ -342,19 +342,19 @@ def test_export_vtk_single_triangle(tmp_path):
 
 def _vtk_cylinder():
     mesh = build_cylinder_mesh(1.0, 4.0, 6, 3)
-    u = np.random.default_rng(29).standard_normal((mesh.n_vertices, 3)) * 1e-3
+    u = np.random.default_rng(29).standard_normal(3 * mesh.n_vertices) * 1e-3
     return mesh, u, "interpolated"
 
 
 def _vtk_facet_torus():
     mesh = build_torus_mesh(2.0, 1.0, 5, 5)
-    u = np.random.default_rng(31).standard_normal((mesh.n_vertices, 3))
+    u = np.random.default_rng(31).standard_normal(3 * mesh.n_vertices)
     return mesh, u, "facet"
 
 
 def _vtk_single_triangle():
     verts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    return SurfaceMesh(verts, np.array([[0, 1, 2]])), np.zeros((3, 3)), "interpolated"
+    return SurfaceMesh(verts, np.array([[0, 1, 2]])), np.zeros(9), "interpolated"
 
 
 @pytest.mark.parametrize("make", [_vtk_cylinder, _vtk_facet_torus, _vtk_single_triangle],

@@ -111,9 +111,6 @@ def test_rejects_dof_count_not_a_multiple_of_three():
      "right-hand side (load) is not finite at dof 4 of node 1"),
     ({"rhs": [math.inf, 4.0, 8.0, 1.0, 3.0, 5.0]},
      "right-hand side (load) is not finite at dof 0 of node 0"),
-    ({"x0": [0.0, 0.0, 0.0, 0.0, math.nan, 0.0]}, "initial guess is not finite at dof 4 of node 1"),
-    ({"x0": [0.0] * 5}, "initial guess has wrong shape (5,)"),
-    ({"x0": np.zeros((6, 1))}, "initial guess has wrong shape (6, 1)"),
 ])
 def test_bad_solver_parameters_rejected_before_the_block_inverse(monkeypatch, kwargs, message):
     def never(*diagonals):
@@ -278,29 +275,6 @@ def test_torus_deflated_solve_and_translation_invariance():
     # returned solution carries no translation component
     for c in range(3):
         assert abs(u0[c::3].sum()) <= 1e-8 * np.abs(u0).max() * mesh.n_vertices
-
-    # adding a rigid translation to the initial guess must not change stresses
-    rng = np.random.default_rng(3)
-    shift = np.tile(rng.standard_normal(3), mesh.n_vertices)
-    u1, _ = solve(system, tol=1e-10, x0=shift)
-    s0 = recover_stress(mesh, MAT, u0, geo)
-    s1 = recover_stress(mesh, MAT, u1, geo)
-    assert _relative_stress_difference(geo.measures, s0, s1) <= 1e-8
-
-
-def test_torus_random_initial_guesses_agree_in_stress():
-    mesh = build_torus_mesh(1.0, 0.5, 16, 8)
-    exact = torus_exact(1.0, MAT, Torus(1.0, 0.5))
-    geo = geometry_of(mesh)
-    system = assemble(mesh, MAT, geo, exact.load_at(geo.points))
-    rng = np.random.default_rng(11)
-    stresses = []
-    for _ in range(2):
-        x0 = rng.standard_normal(system.ndof)
-        u, report = solve(system, tol=1e-10, x0=x0)
-        assert report.converged
-        stresses.append(recover_stress(mesh, MAT, u, geo))
-    assert _relative_stress_difference(geo.measures, *stresses) <= 1e-6
 
 
 def test_rigid_translation_energy_free_on_benchmark_meshes():
@@ -554,8 +528,7 @@ def test_deflated_solution_and_limit_iterate_carry_no_translation():
     system = LinearSystem(K, np.random.default_rng(2).standard_normal(3 * mesh.n_vertices),
                           coordinates=mesh.vertices)
     T = np.tile(np.eye(3), (mesh.n_vertices, 1))
-    shift = np.tile([0.3, -1.0, 2.0], mesh.n_vertices)
-    u, report = solve(system, x0=shift)
+    u, report = solve(system)
     assert report.converged and report.deflated_dimension == 3
     with pytest.raises(IterationLimitError) as err:
         solve(system, max_iter=7)
@@ -582,7 +555,7 @@ def _drifting_matvec(matrix, drifted, inputs):
 def test_true_residual_restart_resets_the_direction(monkeypatch):
     # the perturbed first products make the recurrence residual pass the stop
     # test while the true residual does not; CG must then restart with p = M r,
-    # exactly as a fresh solve started from the iterate at the restart
+    # and go on exactly as a fresh solve for that true residual from zero
     rng = np.random.default_rng(5)
     B = rng.standard_normal((30, 30))
     A = sp.csr_matrix(B @ B.T + 30.0 * np.eye(30))
@@ -599,6 +572,12 @@ def test_true_residual_restart_resets_the_direction(monkeypatch):
     restart = [j for j in range(len(calls) - 1)
                if np.allclose(calls[j + 1], M @ (b - A @ calls[j]), rtol=1e-13, atol=0.0)]
     assert len(restart) == 1
-    fresh, fresh_report = solve(LinearSystem(csr_record(A), b), tol=1e-10, x0=calls[restart[0]])
-    assert fresh_report.iterations == report.iterations - restart[0]
-    assert np.array_equal(fresh, u)
+    after = calls[restart[0] + 1:-1]  # the directions after the restart, not the final check
+    residual = b - _matvec(system.csr, calls[restart[0]], np.empty(30))
+    fresh, fresh_calls = LinearSystem(system.csr, residual), []
+    monkeypatch.setattr("memshell.solver._matvec", _drifting_matvec(fresh.csr, 0, fresh_calls))
+    # its tolerance is relative to the smaller |residual|, so it runs on for more iterations
+    _, fresh_report = solve(fresh, tol=1e-10)
+    assert fresh_report.converged and len(fresh_calls) > len(after) > 0
+    for p, q in zip(after, fresh_calls):
+        assert np.array_equal(p, q)
