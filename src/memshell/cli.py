@@ -24,13 +24,14 @@ torus R=1, r=1/2). The resolution parameter ``n`` maps to
 import argparse
 import dataclasses
 import functools
+import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import assembly, geometry, mesh, postprocess, solver
-from .element import QUADRATURE_RULE, QuadraturePointData, quadrature_geometry
+from .element import QuadraturePointData, quadrature_geometry
 
 __all__ = ["RunConfig", "run_case", "run_convergence", "main"]
 
@@ -83,9 +84,6 @@ def _case(config: RunConfig, n: int):
     if config.case == "import":
         if not config.mesh_path:
             raise ValueError("case 'import' requires a mesh file (--mesh)")
-        if config.variant == "facet":
-            raise ValueError("the facet variant is not run on imported meshes: its load balance "
-                             "holds only on structured meshes")
         return mesh.import_mesh(config.mesh_path), None, None
     if config.mesh_path:
         raise ValueError(f"mesh file {config.mesh_path} is only read by case 'import', "
@@ -109,12 +107,13 @@ def solve_case(config: RunConfig, n: int | None = None) -> CaseResult:
     or for an imported mesh the pressure ``p`` on the variant's normals.
     """
     material = geometry.MaterialModel(config.E, config.nu, config.t)
+    if config.case == "import" and config.variant == "facet":  # before the file is read
+        raise ValueError("the facet variant is not run on imported meshes: its load balance "
+                         "holds only on structured meshes")
     msh, constraints, exact_of = _case(config, config.n if n is None else n)
     exact = exact_of(material) if exact_of is not None else None
     h = mesh.mesh_size(msh)
-    tris = msh.triangles
-    geo = quadrature_geometry(msh.vertices[tris], msh.nodal_normals[tris], QUADRATURE_RULE,
-                              config.variant)
+    geo = quadrature_geometry(msh, config.variant)
     system = assembly.assemble(msh, material, geo, exact.load_at(geo.points) if exact is not None
                                else config.p * geo.normals)
     if constraints is not None:
@@ -306,8 +305,7 @@ def main(argv=None) -> int:
             rep = artifacts["solve_report"]
             print(f"solver: {rep.iterations} iterations, "
                   f"relative residual {rep.relative_residual:.3e}")
-            return 0
-        if args.command == "convergence":
+        elif args.command == "convergence":
             record, _ = run_convergence(config, args.resolutions)
             outdir = Path(config.out)
             for h, e in zip(record.h, record.error):
@@ -315,10 +313,14 @@ def main(argv=None) -> int:
             print(f"fitted slope: {record.slope:.6f}")
             print(f"wrote {outdir / 'convergence.csv'}")
             print(f"wrote {outdir / 'report.txt'}")
-            return 0
-        # mesh-info: the subparsers are required, so argparse has rejected any other
-        print("\n".join(_mesh_info_lines(_case(config, config.n)[0])))
+        else:  # mesh-info: the subparsers are required, so argparse has rejected any other
+            print("\n".join(_mesh_info_lines(_case(config, config.n)[0])))
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
         return 0
+    except BrokenPipeError:  # the reader has gone: exit silently, as on SIGPIPE
+        # what stays buffered goes to the null device at interpreter exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         module = type(exc).__module__
         origin = module.rsplit(".", 1)[-1] if module.startswith("memshell") else module

@@ -1,4 +1,4 @@
-"""Quadrature, batched surface Jacobians, element matrices.
+"""The quadrature rule, batched surface Jacobians, element matrices.
 
 Linear triangles are extended into 3D through a nodal normal field: the
 element Jacobian stacks the two (constant) facet tangents with the unit
@@ -21,22 +21,23 @@ component vanishes for tangential gradients.
 Every kernel works on a batch of elements at once. The assembly, the stress
 recovery and the error each loop over :meth:`QuadraturePointData.blocks`,
 consecutive blocks of :data:`BLOCK_ELEMENTS` elements, so that no (m, 9, 9)
-array of the whole mesh is ever held. :func:`quadrature_geometry` is the one
-place that reads a quadrature rule and a variant; the kernels, the assembly
-and the stress recovery all take its :class:`QuadraturePointData`. The load
-kernel reads only its points, measures and shape values. The per-element
-``np.linalg.solve`` reference that the tests compare them with lives in
-``tests/oracles.py``.
+array of the whole mesh is ever held. Every case is integrated with one
+symmetric three-point rule, held in module-private read-only arrays.
+:func:`quadrature_geometry` is the one place that reads it and a variant, on
+a validated :class:`~memshell.mesh.SurfaceMesh`; the kernels, the assembly and
+the stress recovery all take its :class:`QuadraturePointData`. The
+per-element ``np.linalg.solve`` reference that the tests compare them with
+lives in ``tests/oracles.py``.
 """
 
 import dataclasses
 
 import numpy as np
 
+from .mesh import SurfaceMesh
+
 __all__ = [
     "SingularJacobianError",
-    "QuadratureRule",
-    "QUADRATURE_RULE",
     "quadrature_geometry",
     "QuadraturePointData",
     "batch_element_stiffness",
@@ -52,44 +53,15 @@ class SingularJacobianError(ValueError):
         self.element = element
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
-class QuadratureRule:
-    """Quadrature points and weights on the reference triangle.
-
-    Weights sum to 1/2 (the reference area); points must lie in the closed
-    reference triangle.
-    """
-
-    points: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
-        w = np.atleast_1d(np.asarray(self.weights, dtype=float))
-        if pts.shape != (w.size, 2):
-            raise ValueError(f"points {pts.shape} do not match {w.size} weights")
-        if np.any(w <= 0):
-            raise ValueError("quadrature weights must be positive")
-        if abs(w.sum() - 0.5) > 1e-12:
-            raise ValueError(f"quadrature weights must sum to 1/2, got {w.sum()}")
-        if np.any(pts < -1e-12) or np.any(pts.sum(axis=1) > 1.0 + 1e-12):
-            raise ValueError("quadrature points outside the reference triangle")
-        pts.setflags(write=False)
-        w.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "weights", w)
-
-    def shape_values(self) -> np.ndarray:
-        """(nq, 3) linear shape function values at the quadrature points."""
-        xi, eta = self.points[:, 0], self.points[:, 1]
-        return np.stack([1.0 - xi - eta, xi, eta], axis=1)
-
-
 #: The symmetric three-point interior rule, weights 1/6: exact for
 #: polynomials of degree 2. Every case is integrated with it.
-QUADRATURE_RULE = QuadratureRule(
-    np.array([[1.0 / 6.0, 1.0 / 6.0], [2.0 / 3.0, 1.0 / 6.0], [1.0 / 6.0, 2.0 / 3.0]]),
-    np.full(3, 1.0 / 6.0))
+_POINTS = np.array([[1.0 / 6.0, 1.0 / 6.0], [2.0 / 3.0, 1.0 / 6.0], [1.0 / 6.0, 2.0 / 3.0]])
+_WEIGHTS = np.full(3, 1.0 / 6.0)
+#: (3, 3) linear shape values ``(1 - xi - eta, xi, eta)`` at the points.
+_SHAPE_VALUES = np.stack([1.0 - _POINTS[:, 0] - _POINTS[:, 1], _POINTS[:, 0], _POINTS[:, 1]], 1)
+for _a in (_POINTS, _WEIGHTS, _SHAPE_VALUES):
+    _a.setflags(write=False)
+del _a
 
 
 #: Elements per block of the element layer: a block's (c, 9, 9) stiffness is
@@ -103,9 +75,9 @@ BLOCK_ELEMENTS = 512
 class QuadraturePointData:
     """Per-element, per-quadrature-point geometry of a batch of elements.
 
-    Built by :func:`quadrature_geometry` for one quadrature rule and one
-    variant, it is the only geometry argument of the element kernels, the
-    assembly and the stress recovery.
+    Built by :func:`quadrature_geometry` from a mesh and a variant, it is the
+    only geometry argument of the element kernels, the assembly and the
+    stress recovery. Its points are the three-point rule's, mapped.
 
     Attributes
     ----------
@@ -119,15 +91,12 @@ class QuadraturePointData:
         ``measures * integrand`` integrates over the discrete surface).
     points : (m, nq, 3)
         Mapped quadrature point positions.
-    shape_values : (nq, 3)
-        Linear shape function values at the rule's points.
     """
 
     gradients: np.ndarray
     normals: np.ndarray
     measures: np.ndarray
     points: np.ndarray
-    shape_values: np.ndarray
 
     def require_elements(self, m: int) -> None:
         """Raise ValueError unless the geometry covers exactly ``m`` elements."""
@@ -141,7 +110,7 @@ class QuadraturePointData:
         for start in range(0, self.measures.shape[0], BLOCK_ELEMENTS):
             s = slice(start, start + BLOCK_ELEMENTS)
             yield s, QuadraturePointData(self.gradients[s], self.normals[s], self.measures[s],
-                                         self.points[s], self.shape_values)
+                                         self.points[s])
 
     def projectors(self) -> np.ndarray:
         """Tangent-plane projectors ``P = I - n n^T``, one per normal."""
@@ -150,36 +119,33 @@ class QuadraturePointData:
         return proj
 
 
-def quadrature_geometry(coords, normals, quad: QuadratureRule, variant: str) -> QuadraturePointData:
-    """Batched element geometry at the quadrature points.
+def quadrature_geometry(mesh: SurfaceMesh, variant: str) -> QuadraturePointData:
+    """The mesh's element geometry at the three-point rule's points.
 
-    ``coords`` and ``normals`` have shape (m, 3, 3): element, node, xyz.
     The gradients come from the closed-form inverse of the Jacobian with rows
     ``(t_xi, t_eta, n)``: its columns ``d_xi = (t_eta x n)/det`` and
     ``d_eta = (n x t_xi)/det``, ``det = n . (t_xi x t_eta)``, are the dual
     basis, so ``g_0 = -d_xi - d_eta``, ``g_1 = d_xi`` and ``g_2 = d_eta``.
+
+    Two element checks are left to the mesh. A zero-area facet cannot reach
+    here: ``SurfaceMesh`` rejects every triangle with ``|t_xi x t_eta| <=
+    1e-13 |t_xi| |t_eta|``, from the same corner differences up to sign.
+    Nor can a vanishing interpolated normal: each point's shape values are a
+    permutation of (2/3, 1/6, 1/6), so unit nodal normals interpolate to a
+    length of at least 1/3. A normal in the facet plane raises
+    :class:`SingularJacobianError`, an unknown variant ValueError.
     """
-    coords = np.asarray(coords, dtype=float)
-    normals = np.asarray(normals, dtype=float)
+    tris = mesh.triangles
+    coords = mesh.vertices[tris]
+    normals = mesh.nodal_normals[tris]
     t_xi = coords[:, 1] - coords[:, 0]
     t_eta = coords[:, 2] - coords[:, 0]
     cross = np.cross(t_xi, t_eta)
     cn = np.linalg.norm(cross, axis=1)
-    e1n = np.linalg.norm(t_xi, axis=1)
-    e2n = np.linalg.norm(t_eta, axis=1)
-    bad = cn <= 1e-14 * e1n * e2n
-    if np.any(bad):
-        raise SingularJacobianError("degenerate facet (zero area)",
-                                    element=int(np.nonzero(bad)[0][0]))
 
-    phi = quad.shape_values()
     if variant == "interpolated":
-        n0 = phi @ normals
-        nn = np.linalg.norm(n0, axis=2)
-        if np.any(nn <= 1e-12):
-            e = int(np.nonzero(nn <= 1e-12)[0][0])
-            raise SingularJacobianError("interpolated normal vanishes", element=e)
-        nhat = n0 / nn[..., None]
+        n0 = _SHAPE_VALUES @ normals
+        nhat = n0 / np.linalg.norm(n0, axis=2)[..., None]
     elif variant == "facet":
         nhat = (cross / cn[:, None])[:, None, :]  # constant on the facet: one point
     else:
@@ -197,10 +163,9 @@ def quadrature_geometry(coords, normals, quad: QuadratureRule, variant: str) -> 
     np.negative(gradients[:, :, 1], out=gradients[:, :, 0])
     gradients[:, :, 0] -= gradients[:, :, 2]
 
-    measures = quad.weights[None, :] * cn[:, None]
-    points = phi @ coords
+    measures = _WEIGHTS[None, :] * cn[:, None]
     return QuadraturePointData(gradients=gradients, normals=nhat, measures=measures,
-                               points=points, shape_values=phi)
+                               points=_SHAPE_VALUES @ coords)
 
 
 #: Row ``3i + j`` gives ``G_ij`` from ``(g_1.g_1, g_1.g_2, g_2.g_2)`` when ``g_0 = -g_1 - g_2``.
@@ -254,9 +219,9 @@ def batch_element_loads(geo: QuadraturePointData, traction) -> np.ndarray:
     """Consistent nodal loads of the batch ``geo`` describes, shape (m, 9).
 
     ``traction`` (m, nq, 3) holds the load vectors at ``geo.points``. Only
-    the measures and shape values of ``geo`` are read, so the variant does
-    not matter.
+    the measures of ``geo`` and the rule's shape values are read, so the
+    variant does not matter.
     """
     m, nq = geo.measures.shape
     f = np.asarray(traction, dtype=float).reshape(m, nq, 3)
-    return (geo.shape_values.T @ (geo.measures[..., None] * f)).reshape(m, 9)
+    return (_SHAPE_VALUES.T @ (geo.measures[..., None] * f)).reshape(m, 9)

@@ -7,8 +7,10 @@ facet normals and areas and the stress-field L2 norm from their definitions,
 the classical 2D constant-strain-triangle stiffness via the B-matrix,
 single-element kernels that solve each element Jacobian with
 ``np.linalg.solve``, dense assembly by explicit Python scatter loops,
-double-projection strain algebra via plain matrix products, a higher-order
-triangle quadrature rule, a minimal binary legacy-VTK reader and
+double-projection strain algebra via plain matrix products, the three-point
+triangle rule and a higher-order one, the geometry of a mesh at a rule's
+points by those per-element solves, a mesh of disjoint triangles that
+carries a batch of elements, a minimal binary legacy-VTK reader and
 per-number writer, nodal constraint projection by dense products with an
 admissible basis built node by node, seeded jittered cylinder and torus meshes,
 boundary-loop extraction by set queries and a successor dictionary, and the
@@ -19,13 +21,13 @@ matrix into the CSR record that a ``LinearSystem`` takes.
 import math
 import struct
 import tracemalloc
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from memshell.assembly import CSR, ConstraintError, LinearSystem
-from memshell.element import (QUADRATURE_RULE, QuadraturePointData, QuadratureRule,
-                              SingularJacobianError, quadrature_geometry)
+from memshell.element import QuadraturePointData, SingularJacobianError, quadrature_geometry
 from memshell.geometry import Cylinder, GeometryError
 from memshell.mesh import MeshError, SurfaceMesh, build_cylinder_mesh, build_torus_mesh
 
@@ -160,6 +162,34 @@ def cst_stiffness_embedded(coords: np.ndarray, e1: np.ndarray, e2: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
+# quadrature rules on the reference triangle (weights sum to its area 1/2)
+# ---------------------------------------------------------------------------
+
+class Rule(NamedTuple):
+    points: np.ndarray  # (nq, 2) reference coordinates (xi, eta)
+    weights: np.ndarray  # (nq,)
+
+
+#: The symmetric three-point interior rule, exact for degree-2 polynomials:
+#: the one that memshell.element integrates every case with.
+THREE_POINT_RULE = Rule(np.array([[1.0 / 6.0, 1.0 / 6.0], [2.0 / 3.0, 1.0 / 6.0],
+                                  [1.0 / 6.0, 2.0 / 3.0]]), np.full(3, 1.0 / 6.0))
+
+#: Six-point symmetric triangle rule, exact for degree-4 polynomials.
+_D4A = 0.445948490915965
+_D4B = 0.091576213509771
+_D4WA = 0.223381589678011 / 2.0
+_D4WB = 0.109951743655322 / 2.0
+DEGREE4_RULE = Rule(
+    points=np.array([
+        [_D4A, _D4A], [1.0 - 2.0 * _D4A, _D4A], [_D4A, 1.0 - 2.0 * _D4A],
+        [_D4B, _D4B], [1.0 - 2.0 * _D4B, _D4B], [_D4B, 1.0 - 2.0 * _D4B],
+    ]),
+    weights=np.array([_D4WA, _D4WA, _D4WA, _D4WB, _D4WB, _D4WB]),
+)
+
+
+# ---------------------------------------------------------------------------
 # single-element kernels: per-point Jacobian solves, the reference for the
 # batched dual-basis kernels in memshell.element
 # ---------------------------------------------------------------------------
@@ -277,12 +307,11 @@ def strain_displacement(gradients, normal) -> np.ndarray:
     return B
 
 
-def element_stiffness(coords, normals, material, quad: QuadratureRule = QUADRATURE_RULE,
-                      variant: str = "interpolated") -> np.ndarray:
+def element_stiffness(coords, normals, material, variant: str = "interpolated") -> np.ndarray:
     """9x9 membrane stiffness of one element (dof order: node-major x,y,z).
 
     Integrates ``t * [2 mu e:e - 4 mu (e n).(e n) + lam (div u)(div v)]`` over
-    the facet with the given rule. The matrix is symmetric positive
+    the facet with the three-point rule. The matrix is symmetric positive
     semidefinite with the three translations in its kernel.
     """
     coords = np.asarray(coords, dtype=float)
@@ -292,7 +321,7 @@ def element_stiffness(coords, normals, material, quad: QuadratureRule = QUADRATU
     measure = np.linalg.norm(np.cross(coords[1] - coords[0], coords[2] - coords[0]))
 
     K = np.zeros((9, 9))
-    for (xi, eta), w in zip(quad.points, quad.weights):
+    for (xi, eta), w in zip(*THREE_POINT_RULE):
         J = element_jacobian(coords, normals, xi, eta, variant)
         g = basis_surface_gradients(J)
         n = J[2]
@@ -308,30 +337,46 @@ def element_stiffness(coords, normals, material, quad: QuadratureRule = QUADRATU
     return material.t * K
 
 
-def element_load(coords, normals, load_at, quad: QuadratureRule = QUADRATURE_RULE) -> np.ndarray:
+def element_load(coords, normals, load_at) -> np.ndarray:
     """Consistent nodal load 9-vector ``int f . phi_i`` over the facet.
 
     ``load_at`` maps points of shape ``(..., 3)`` to load vectors of the same
     shape (force per unit midsurface area); it is evaluated at the mapped
-    quadrature points. No thickness factor is applied.
+    points of the three-point rule. No thickness factor is applied.
     """
     coords = np.asarray(coords, dtype=float)
     measure = np.linalg.norm(np.cross(coords[1] - coords[0], coords[2] - coords[0]))
-    phi = quad.shape_values()
-    points = phi @ coords
-    f = np.asarray(load_at(points), dtype=float).reshape(quad.weights.size, 3)
-    return np.einsum("q,qi,qa->ia", quad.weights * measure, phi, f).reshape(9)
+    points, weights = THREE_POINT_RULE
+    phi = np.array([shape_values_and_ref_gradients(xi, eta)[0] for xi, eta in points])
+    f = np.asarray(load_at(phi @ coords), dtype=float).reshape(weights.size, 3)
+    return np.einsum("q,qi,qa->ia", weights * measure, phi, f).reshape(9)
 
 
-def geometry_of(mesh, quad: QuadratureRule = QUADRATURE_RULE,
-                variant: str = "interpolated") -> QuadraturePointData:
-    """The mesh's quadrature geometry, by default for the three-point rule.
+def geometry_of(mesh, variant: str = "interpolated") -> QuadraturePointData:
+    """The mesh's quadrature geometry, by default for the interpolated variant.
 
-    A convenience for the tests, not an oracle: it calls the kernel under
-    test, :func:`memshell.element.quadrature_geometry`, on every element.
+    A convenience for the tests, not an oracle: it is the kernel under test,
+    :func:`memshell.element.quadrature_geometry`.
     """
-    tris = mesh.triangles
-    return quadrature_geometry(mesh.vertices[tris], mesh.nodal_normals[tris], quad, variant)
+    return quadrature_geometry(mesh, variant)
+
+
+def rule_geometry(mesh, rule: Rule) -> QuadraturePointData:
+    """The interpolated variant's geometry of ``mesh`` at the points of ``rule``,
+    one ``element_jacobian`` and ``basis_surface_gradients`` per element and point."""
+    points, weights = rule
+    m, nq = mesh.n_triangles, weights.size
+    gradients, normals = np.empty((m, nq, 3, 3)), np.empty((m, nq, 3))
+    measures, mapped = np.empty((m, nq)), np.empty((m, nq, 3))
+    for e, tri in enumerate(mesh.triangles):
+        coords, nodal = mesh.vertices[tri], mesh.nodal_normals[tri]
+        measure = np.linalg.norm(np.cross(coords[1] - coords[0], coords[2] - coords[0]))
+        for q, (xi, eta) in enumerate(points):
+            J = element_jacobian(coords, nodal, xi, eta)
+            gradients[e, q], normals[e, q] = basis_surface_gradients(J), J[2]
+            measures[e, q] = weights[q] * measure
+            mapped[e, q] = shape_values_and_ref_gradients(xi, eta)[0] @ coords
+    return QuadraturePointData(gradients, normals, measures, mapped)
 
 
 def per_point_geometry(geo: QuadraturePointData) -> QuadraturePointData:
@@ -340,10 +385,10 @@ def per_point_geometry(geo: QuadraturePointData) -> QuadraturePointData:
     m, nq = geo.measures.shape
     return QuadraturePointData(np.broadcast_to(geo.gradients, (m, nq, 3, 3)).copy(),
                                np.broadcast_to(geo.normals, (m, nq, 3)).copy(),
-                               geo.measures, geo.points, geo.shape_values)
+                               geo.measures, geo.points)
 
 
-def dense_assembly(mesh, material, load_at, quad, variant="interpolated"):
+def dense_assembly(mesh, material, load_at, variant="interpolated"):
     """Brute-force dense assembly by Python scatter loops over elements."""
     ndof = 3 * mesh.n_vertices
     K = np.zeros((ndof, ndof))
@@ -351,8 +396,8 @@ def dense_assembly(mesh, material, load_at, quad, variant="interpolated"):
     for tri in mesh.triangles:
         coords = mesh.vertices[tri]
         normals = mesh.nodal_normals[tri]
-        ke = element_stiffness(coords, normals, material, quad, variant)
-        fe = (element_load(coords, normals, load_at, quad)
+        ke = element_stiffness(coords, normals, material, variant)
+        fe = (element_load(coords, normals, load_at)
               if load_at is not None else np.zeros(9))
         dofs = [3 * int(n) + c for n in tri for c in range(3)]
         for a, da in enumerate(dofs):
@@ -376,21 +421,6 @@ def double_projection(eps: np.ndarray, n: np.ndarray) -> np.ndarray:
     return P @ eps @ P
 
 
-#: Six-point symmetric triangle rule, exact for degree-4 polynomials
-#: (weights scaled to the reference-triangle area 1/2).
-_D4A = 0.445948490915965
-_D4B = 0.091576213509771
-_D4WA = 0.223381589678011 / 2.0
-_D4WB = 0.109951743655322 / 2.0
-DEGREE4_RULE = QuadratureRule(
-    points=np.array([
-        [_D4A, _D4A], [1.0 - 2.0 * _D4A, _D4A], [_D4A, 1.0 - 2.0 * _D4A],
-        [_D4B, _D4B], [1.0 - 2.0 * _D4B, _D4B], [_D4B, 1.0 - 2.0 * _D4B],
-    ]),
-    weights=np.array([_D4WA, _D4WA, _D4WA, _D4WB, _D4WB, _D4WB]),
-)
-
-
 def random_valid_element(rng, curved=True):
     """Random non-degenerate element with unit nodal normals.
 
@@ -409,6 +439,14 @@ def random_valid_element(rng, curved=True):
         n = nf + (0.3 * rng.uniform(-1.0, 1.0, size=3) if curved else 0.0)
         normals[i] = n / np.linalg.norm(n)
     return coords, normals
+
+
+def disjoint_triangles(coords, normals) -> SurfaceMesh:
+    """The (m, 3, 3) corners and nodal normals of a batch of elements as a
+    mesh of m disjoint triangles, each on its own three vertices."""
+    coords = np.asarray(coords, dtype=float)
+    return SurfaceMesh(coords.reshape(-1, 3), np.arange(coords.shape[0] * 3).reshape(-1, 3),
+                       nodal_normals=np.reshape(normals, (-1, 3)))
 
 
 def random_rotation(rng) -> np.ndarray:

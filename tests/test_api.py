@@ -17,7 +17,7 @@ import scipy.sparse as sp
 import memshell
 from memshell import geometry, mesh, postprocess
 from memshell.assembly import LinearSystem, apply_constraints
-from memshell.element import QUADRATURE_RULE, QuadraturePointData, quadrature_geometry
+from memshell.element import QuadraturePointData, quadrature_geometry
 from memshell.solver import solve
 
 from oracles import csr_record
@@ -30,7 +30,9 @@ SUBMODULES = ("assembly", "cli", "element", "geometry", "mesh", "postprocess", "
 # caller-stated kernel (the solver now detects it from the system), the
 # rotated constraint frames, the separate pressure load path, the stress
 # container (stresses are a plain array on the case's quadrature geometry),
-# the rule-by-order lookup (one rule, QUADRATURE_RULE), the plane-strain
+# the rule-by-order lookup and then the rule type and its one instance (the
+# three-point rule is private arrays of memshell.element, and SurfaceMesh
+# validates the triangles and normals that it reads), the plane-strain
 # material mode (the membrane law is plane stress) and the read-back of a
 # CSR matrix into 3x3 blocks (``tobsr`` leaves block column indices unsorted,
 # which once gave silent zero blocks; constraints are sparse products now)
@@ -49,7 +51,8 @@ REMOVED = (
     "StressField", "cell_averages", "n_elements", "quadrature_rule", "_row_texts",
     "_DIGIT_WORDS", "_LEAD_WORDS", "_EXP_MAX", "_EXP_WORDS", "_SCALES", "lame_effective",
     "plane_strain", "tobsr", "bsr_matrix", "_build_case", "_case_mesh", "resolved_r",
-    "_parse_obj", "_read_config_file", "_convert", "fit_convergence",
+    "_parse_obj", "_read_config_file", "_convert", "fit_convergence", "QuadratureRule",
+    "QUADRATURE_RULE",
 )
 
 
@@ -129,17 +132,14 @@ def test_benchmark_surfaces_are_parameter_records(surface, fields):
 
 def _cylinder_and_geometry():
     msh = mesh.build_cylinder_mesh(1.0, 4.0, 4, 2)
-    return msh, quadrature_geometry(msh.vertices[msh.triangles],
-                                    msh.nodal_normals[msh.triangles], QUADRATURE_RULE,
-                                    "interpolated")
+    return msh, quadrature_geometry(msh, "interpolated")
 
 
 @pytest.mark.parametrize("make", [
     lambda: mesh.build_cylinder_mesh(1.0, 4.0, 4, 2).boundary_components[0],
-    lambda: QUADRATURE_RULE,
     lambda: _cylinder_and_geometry()[1],
     lambda: postprocess.ConvergenceRecord([0.5, 0.25, 0.125], [4.0, 1.0, 0.25]),
-], ids=["BoundaryComponent", "QuadratureRule", "QuadraturePointData", "ConvergenceRecord"])
+], ids=["BoundaryComponent", "QuadraturePointData", "ConvergenceRecord"])
 def test_array_records_compare_and_hash_by_identity(make):
     # field-wise == would ask numpy for the truth value of an array comparison
     record = make()
@@ -166,7 +166,7 @@ def test_benchmark_traced_names_exist():
     ("postprocess", "export_vtk"),
 ])
 def test_geometry_consumers_take_only_the_geometry(module, name):
-    # quadrature_geometry is the one place that reads a rule or a variant
+    # quadrature_geometry is the one place that reads the rule or a variant
     consumer = getattr(importlib.import_module(f"memshell.{module}"), name)
     params = inspect.signature(consumer).parameters
     assert {"quad", "variant", "geometry"}.isdisjoint(params)
@@ -187,8 +187,10 @@ def test_no_parameter_that_no_caller_sets():
     assert list(inspect.signature(solve).parameters) == ["system", "tol", "max_iter"]
     # mesh-info counts the edges by their keys; the (ne, 2) edge array is gone
     assert not hasattr(mesh.SurfaceMesh, "edges")
-    # a rule's size is its weights.size
-    assert not hasattr(type(QUADRATURE_RULE), "__len__")
+    # one rule: the geometry is read from the mesh for a variant, and holds no shape values
+    assert list(inspect.signature(quadrature_geometry).parameters) == ["mesh", "variant"]
+    assert [f.name for f in dataclasses.fields(QuadraturePointData)] == [
+        "gradients", "normals", "measures", "points"]
     # the displacement is the flat dof vector that solve returns, not an (n, 3) array
     with pytest.raises(ValueError, match=re.escape(f"shape ({msh.n_vertices}, 3)")):
         postprocess.recover_stress(msh, material, np.zeros((msh.n_vertices, 3)), geo)

@@ -14,7 +14,7 @@ from memshell.assembly import (
     assemble,
     cylinder_constraints,
 )
-from memshell.element import QUADRATURE_RULE, SingularJacobianError
+from memshell.element import SingularJacobianError
 from memshell.geometry import Cylinder, MaterialModel, cylinder_exact
 from memshell.mesh import SurfaceMesh, build_cylinder_mesh, build_torus_mesh
 from memshell.postprocess import export_vtk, recover_stress
@@ -45,7 +45,7 @@ def test_sparse_assembly_matches_dense_oracle_flat_square():
     mesh = flat_grid_mesh(1, 1)  # two triangles sharing the diagonal
     geo = geometry_of(mesh)
     system = assemble(mesh, MAT, geo, _const_load(geo.points))
-    K_oracle, rhs_oracle = dense_assembly(mesh, MAT, _const_load, QUADRATURE_RULE)
+    K_oracle, rhs_oracle = dense_assembly(mesh, MAT, _const_load)
     scale = np.abs(K_oracle).max()
     assert np.abs(system.matrix.toarray() - K_oracle).max() <= 1e-13 * scale
     assert np.abs(system.rhs - rhs_oracle).max() <= 1e-13 * np.abs(rhs_oracle).max()
@@ -63,7 +63,7 @@ def test_sparse_assembly_matches_dense_oracle_small_meshes(mesh_builder):
     load = cylinder_exact(1.0, MAT, surf).load_at
     geo = geometry_of(mesh)
     system = assemble(mesh, MAT, geo, load(geo.points))
-    K_oracle, rhs_oracle = dense_assembly(mesh, MAT, load, QUADRATURE_RULE)
+    K_oracle, rhs_oracle = dense_assembly(mesh, MAT, load)
     scale = np.abs(K_oracle).max()
     assert np.abs(system.matrix.toarray() - K_oracle).max() <= 1e-13 * scale
     assert np.abs(system.rhs - rhs_oracle).max() <= 1e-13 * max(np.abs(rhs_oracle).max(), 1e-30)
@@ -98,7 +98,7 @@ def test_assembly_over_several_element_blocks_matches_dense_oracle(monkeypatch, 
     load = cylinder_exact(1.0, MAT, Cylinder(1.0, 4.0)).load_at
     geo = geometry_of(mesh, variant=variant)
     system = assemble(mesh, MAT, geo, load(geo.points))
-    K_oracle, rhs_oracle = dense_assembly(mesh, MAT, load, QUADRATURE_RULE, variant)
+    K_oracle, rhs_oracle = dense_assembly(mesh, MAT, load, variant)
     assert system.matrix.has_canonical_format
     assert np.abs(system.matrix.toarray() - K_oracle).max() <= 1e-13 * np.abs(K_oracle).max()
     assert np.abs(system.rhs - rhs_oracle).max() <= 1e-13 * np.abs(rhs_oracle).max()

@@ -142,20 +142,49 @@ def test_import_case_load_scales_with_the_pressure(tmp_path):
 def test_import_case_fences_off_the_facet_variant(tmp_path, capsys, monkeypatch):
     # The facet load balance holds only on structured meshes: on a jittered
     # torus OFF (n=24, a = 0.1) the facet run exited 0 with max |u| = 101.9,
-    # against 0.48 interpolated. The fence stops it before the file is read,
-    # and mesh-info, which builds the same case, rejects it alike.
+    # against 0.48 interpolated. The fence stops it before the file is read.
     def never(path):
         raise AssertionError("mesh file read")
 
     monkeypatch.setattr(mesh, "import_mesh", never)
     out = tmp_path / "out"
-    for command in ("run", "mesh-info"):
-        assert main([command, "--case", "import", "--variant", "facet", "--mesh",
-                     str(tmp_path / "t.off"), "--out", str(out)]) == 1
-        assert capsys.readouterr().err == (
-            "memshell: error [builtins]: the facet variant is not run on imported meshes: its "
-            "load balance holds only on structured meshes\n"), command
+    assert main(["run", "--case", "import", "--variant", "facet", "--mesh",
+                 str(tmp_path / "t.off"), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "memshell: error [builtins]: the facet variant is not run on imported meshes: its "
+        "load balance holds only on structured meshes\n")
     assert not (out / "report.txt").exists() and not (out / "solution.vtk").exists()
+
+
+def test_mesh_info_reads_no_variant(tmp_path, capsys):
+    # the facet fence is on solving: mesh-info describes an OFF file alike
+    # under either variant, from the command line or a shared config file
+    off = tmp_path / "t.off"
+    _write_off(build_torus_mesh(1.0, 0.5, 8, 4), off)
+    assert main(["mesh-info", "--mesh", str(off)]) == 0
+    expected = capsys.readouterr()
+    assert expected.out.startswith("vertices: 32\n") and expected.err == ""
+    cfg = tmp_path / "shared.cfg"
+    cfg.write_text("variant = facet\n")
+    for flags in (["--variant", "facet"], ["--config", str(cfg)]):
+        assert main(["mesh-info", "--mesh", str(off), *flags]) == 0, flags
+        assert capsys.readouterr() == expected, flags
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+def test_closed_stdout_exits_as_sigpipe_silently(unbuffered):
+    # `memshell mesh-info | head -3` with the reader gone before the first write:
+    # unbuffered, a print raises; buffered, the flush does
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "memshell.cli", "mesh-info", "--case", "torus", "--n", "4"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            env={**_source_env(), "PYTHONUNBUFFERED": unbuffered})
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (141, "")
 
 
 def test_convergence_command_writes_table(tmp_path, capsys):

@@ -5,8 +5,6 @@ import pytest
 import sympy
 
 from memshell.element import (
-    QUADRATURE_RULE,
-    QuadratureRule,
     SingularJacobianError,
     batch_element_loads,
     batch_element_stiffness,
@@ -16,9 +14,10 @@ from memshell.geometry import MaterialModel
 from memshell.mesh import build_cylinder_mesh, build_torus_mesh
 
 from oracles import (
-    DEGREE4_RULE,
+    THREE_POINT_RULE,
     basis_surface_gradients,
     cst_stiffness_embedded,
+    disjoint_triangles,
     double_projection,
     element_jacobian,
     element_load,
@@ -36,6 +35,10 @@ MAT = MaterialModel(E=100.0, nu=0.5, t=1e-2)
 
 FLAT_COORDS = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 FLAT_NORMALS = np.tile(np.array([0.0, 0.0, 1.0]), (3, 1))
+# on the unit right triangle (|t_xi x t_eta| = 1) the measures are the rule's
+# weights and the points its reference coordinates (xi, eta, 0)
+FLAT_GEOMETRY = quadrature_geometry(disjoint_triangles(FLAT_COORDS[None], FLAT_NORMALS[None]),
+                                    "interpolated")
 
 
 # ---------------------------------------------------------------------------
@@ -69,28 +72,15 @@ def test_shape_outside_reference_triangle():
 
 
 def test_quadrature_weight_sums():
-    assert abs(QUADRATURE_RULE.weights.sum() - 0.5) < 1e-15
-
-
-@pytest.mark.parametrize("points, weights, message", [
-    ([[0.2, 0.2], [0.6, 0.2]], [0.5], "points (2, 2) do not match 1 weights"),
-    ([[0.2, 0.2], [0.6, 0.2]], [0.75, -0.25], "quadrature weights must be positive"),
-    ([[1.0 / 3.0, 1.0 / 3.0]], [1.0], "quadrature weights must sum to 1/2, got 1.0"),
-    ([[0.7, 0.7]], [0.5], "quadrature points outside the reference triangle"),
-    ([[-0.1, 0.5]], [0.5], "quadrature points outside the reference triangle"),
-], ids=["shape", "negative-weight", "weight-sum", "beyond-hypotenuse", "negative-coordinate"])
-def test_quadrature_rule_rejects_bad_points_and_weights(points, weights, message):
-    with pytest.raises(ValueError) as err:
-        QuadratureRule(np.array(points), np.array(weights))
-    assert str(err.value) == message
+    assert abs(FLAT_GEOMETRY.measures.sum() - 0.5) < 1e-15
 
 
 def test_quadrature_order2_integrates_xi_eta():
-    rule = list(zip(QUADRATURE_RULE.points, QUADRATURE_RULE.weights))
-    val = sum(w * xi * eta for (xi, eta), w in rule)
-    assert abs(val - 1.0 / 24.0) < 1e-15
-    val = sum(w * xi * xi for (xi, eta), w in rule)
-    assert abs(val - 1.0 / 12.0) < 1e-15
+    w = FLAT_GEOMETRY.measures[0]
+    xi, eta, zero = FLAT_GEOMETRY.points[0].T
+    assert np.array_equal(zero, np.zeros(3))
+    assert abs(np.sum(w * xi * eta) - 1.0 / 24.0) < 1e-15
+    assert abs(np.sum(w * xi * xi) - 1.0 / 12.0) < 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -136,23 +126,29 @@ def test_jacobian_singular_when_normal_in_facet_plane():
         element_jacobian(coords, normals, 0.25, 0.25)
 
 
-@pytest.mark.parametrize("coords, normals, quad, variant, message", [
-    # the second element's corners are collinear
-    (np.stack([FLAT_COORDS, [[0.0, 0.0, 0.0], [1.0, 1.0, 0.0], [2.0, 2.0, 0.0]]]),
-     np.stack([FLAT_NORMALS, FLAT_NORMALS]), QUADRATURE_RULE, "facet",
-     "element 1: degenerate facet (zero area)"),
-    # opposite normals at corners 0 and 1 cancel at the midpoint of that edge
-    (FLAT_COORDS[None], np.array([[[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [0.0, 0.0, 1.0]]]),
-     QuadratureRule(np.array([[0.5, 0.0]]), np.array([0.5])), "interpolated",
-     "element 0: interpolated normal vanishes"),
-    (FLAT_COORDS[None], FLAT_NORMALS[None], QUADRATURE_RULE, "nodal",
-     "unknown geometry variant 'nodal'"),
-], ids=["degenerate-facet", "vanishing-normal", "unknown-variant"])
-def test_quadrature_geometry_rejects_bad_elements(coords, normals, quad, variant, message):
+@pytest.mark.parametrize("normals, variant, message", [
+    (np.tile([1.0, 0.0, 0.0], (3, 1)), "interpolated", "element 1: normal lies in the facet plane"),
+    (FLAT_NORMALS, "nodal", "unknown geometry variant 'nodal'"),
+], ids=["in-plane-normal", "unknown-variant"])
+def test_quadrature_geometry_rejects_bad_elements(normals, variant, message):
+    # the second of two elements carries the normals
+    mesh = disjoint_triangles(np.stack([FLAT_COORDS, FLAT_COORDS + 2.0]),
+                              np.stack([FLAT_NORMALS, normals]))
     with pytest.raises(ValueError) as err:
-        quadrature_geometry(coords, normals, quad, variant)
+        quadrature_geometry(mesh, variant)
     assert str(err.value) == message
     assert type(err.value) is (ValueError if variant == "nodal" else SingularJacobianError)
+
+
+def test_opposed_nodal_normals_interpolate_to_unit_normals():
+    # the second and third nodal normals oppose the first: at each point the
+    # shape values (2/3, 1/6, 1/6) leave an interpolated normal of length >= 1/3
+    normals = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [0.0, 0.0, -1.0]])
+    geo = quadrature_geometry(disjoint_triangles(FLAT_COORDS[None], normals[None]),
+                              "interpolated")
+    assert np.isfinite(geo.gradients).all()
+    assert np.abs(np.linalg.norm(geo.normals, axis=2) - 1.0).max() <= 1e-15
+    assert np.array_equal(geo.normals[0, :, 2], [1.0, -1.0, -1.0])
 
 
 def test_basis_gradients_flat_case():
@@ -166,7 +162,7 @@ def test_basis_gradients_tangential_and_partition():
     rng = np.random.default_rng(21)
     for _ in range(100):
         coords, normals = random_valid_element(rng)
-        for (xi, eta) in QUADRATURE_RULE.points:
+        for (xi, eta) in THREE_POINT_RULE.points:
             J = element_jacobian(coords, normals, xi, eta)
             g = basis_surface_gradients(J)
             scale = np.abs(g).max()
@@ -236,7 +232,7 @@ def test_quadrature_projectors_properties_random_elements(variant):
     # P = I - n n^T: symmetric, idempotent, annihilates n, trace 2
     rng = np.random.default_rng(7)
     coords, normals = zip(*(random_valid_element(rng) for _ in range(300)))
-    geo = quadrature_geometry(np.array(coords), np.array(normals), QUADRATURE_RULE, variant)
+    geo = quadrature_geometry(disjoint_triangles(coords, normals), variant)
     P = geo.projectors()
     n = geo.normals
     assert P.shape == n.shape + (3,)
@@ -254,7 +250,7 @@ def test_double_contraction_identity_many_random_elements():
         coords, normals = random_valid_element(rng)
         u = rng.standard_normal((3, 3))
         v = rng.standard_normal((3, 3))
-        xi, eta = QUADRATURE_RULE.points[rng.integers(0, 3)]
+        xi, eta = THREE_POINT_RULE.points[rng.integers(0, 3)]
         J = element_jacobian(coords, normals, xi, eta)
         g = basis_surface_gradients(J)
         n = J[2]
@@ -272,7 +268,7 @@ def test_trace_identity_many_random_elements():
     for _ in range(1000):
         coords, normals = random_valid_element(rng)
         u = rng.standard_normal((3, 3))
-        xi, eta = QUADRATURE_RULE.points[rng.integers(0, 3)]
+        xi, eta = THREE_POINT_RULE.points[rng.integers(0, 3)]
         J = element_jacobian(coords, normals, xi, eta)
         g = basis_surface_gradients(J)
         n = J[2]
@@ -364,19 +360,19 @@ def test_stiffness_facet_equals_interpolated_on_flat_elements():
 
 
 def _random_batch(rng, m):
+    """m random elements: their corners, nodal normals and mesh of disjoint triangles."""
     coords = np.empty((m, 3, 3))
     normals = np.empty((m, 3, 3))
     for e in range(m):
         coords[e], normals[e] = random_valid_element(rng)
-    return coords, normals
+    return coords, normals, disjoint_triangles(coords, normals)
 
 
 @pytest.mark.parametrize("variant", ["interpolated", "facet"])
 def test_batch_stiffness_matches_single_elements(variant):
     # the batched closed-form kernel against the per-element reference path
-    coords, normals = _random_batch(np.random.default_rng(131), 40)
-    batch = batch_element_stiffness(
-        quadrature_geometry(coords, normals, QUADRATURE_RULE, variant), MAT)
+    coords, normals, mesh = _random_batch(np.random.default_rng(131), 40)
+    batch = batch_element_stiffness(quadrature_geometry(mesh, variant), MAT)
     for e in range(40):
         single = element_stiffness(coords[e], normals[e], MAT, variant=variant)
         assert np.abs(batch[e] - single).max() <= 1e-12 * np.abs(single).max()
@@ -386,8 +382,7 @@ def test_batch_stiffness_matches_single_elements(variant):
 def test_batch_stiffness_gram_from_dual_basis_matches_full_gram(variant):
     # the kernel builds G from three dot products through g_0 = -g_1 - g_2;
     # the same contraction with the full product G = g g^T
-    coords, normals = _random_batch(np.random.default_rng(139), 200)
-    geo = quadrature_geometry(coords, normals, QUADRATURE_RULE, variant)
+    geo = quadrature_geometry(_random_batch(np.random.default_rng(139), 200)[2], variant)
     g, w = geo.gradients, geo.measures
     gram = g @ g.swapaxes(-1, -2)
     ref = MAT.t * (MAT.mu * np.einsum("eq,eqij,eqab->eiajb", w, gram, geo.projectors())
@@ -400,10 +395,10 @@ def test_batch_stiffness_gram_from_dual_basis_matches_full_gram(variant):
 @pytest.mark.parametrize("variant", ["interpolated", "facet"])
 def test_dual_basis_gradients_match_jacobian_solve(variant):
     # closed-form dual basis against np.linalg.solve on each element Jacobian
-    coords, normals = _random_batch(np.random.default_rng(137), 40)
-    geo = quadrature_geometry(coords, normals, QUADRATURE_RULE, variant)
+    coords, normals, mesh = _random_batch(np.random.default_rng(137), 40)
+    geo = quadrature_geometry(mesh, variant)
     for e in range(40):
-        for q, (xi, eta) in enumerate(QUADRATURE_RULE.points):
+        for q, (xi, eta) in enumerate(THREE_POINT_RULE.points):
             k = 0 if variant == "facet" else q  # a facet's one point stands for every point
             J = element_jacobian(coords[e], normals[e], xi, eta, variant)
             g = basis_surface_gradients(J)
@@ -411,12 +406,10 @@ def test_dual_basis_gradients_match_jacobian_solve(variant):
             assert np.abs(geo.normals[e, k] - J[2]).max() <= 1e-15
 
 
-@pytest.mark.parametrize("rule", [QUADRATURE_RULE, DEGREE4_RULE], ids=["3-point", "degree-4"])
-def test_facet_stiffness_equals_per_point_integration(rule):
+def test_facet_stiffness_equals_per_point_integration():
     # the facet integrand is constant, so its one point with the summed
     # weights integrates what the rule's points integrate one by one
-    coords, normals = _random_batch(np.random.default_rng(143), 200)
-    geo = quadrature_geometry(coords, normals, rule, "facet")
+    geo = quadrature_geometry(_random_batch(np.random.default_rng(143), 200)[2], "facet")
     assert geo.gradients.shape == (200, 1, 3, 3) and geo.normals.shape == (200, 1, 3)
     K = batch_element_stiffness(geo, MAT)
     ref = batch_element_stiffness(per_point_geometry(geo), MAT)
@@ -428,7 +421,7 @@ def test_batch_stiffness_reports_singular_element():
     normals = np.stack([FLAT_NORMALS, np.tile([1.0, 0.0, 0.0], (3, 1))])
     with pytest.raises(SingularJacobianError, match="element 1"):
         batch_element_stiffness(
-            quadrature_geometry(coords, normals, QUADRATURE_RULE, "interpolated"), MAT)
+            quadrature_geometry(disjoint_triangles(coords, normals), "interpolated"), MAT)
 
 
 # ---------------------------------------------------------------------------
@@ -471,16 +464,12 @@ def test_load_linear_force_matches_symbolic_integral():
 
 
 def test_batch_loads_match_single():
-    rng = np.random.default_rng(141)
-    coords = np.empty((10, 3, 3))
-    normals = np.empty((10, 3, 3))
-    for e in range(10):
-        coords[e], normals[e] = random_valid_element(rng)
+    coords, normals, mesh = _random_batch(np.random.default_rng(141), 10)
 
     def f(pts):
         return np.stack([pts[..., 0], pts[..., 1] ** 0, pts[..., 2]], axis=-1)
 
-    geo = quadrature_geometry(coords, normals, QUADRATURE_RULE, "interpolated")
+    geo = quadrature_geometry(mesh, "interpolated")
     batch = batch_element_loads(geo, f(geo.points))
     for e in range(10):
         single = element_load(coords[e], normals[e], f)
@@ -491,7 +480,7 @@ def test_batch_loads_match_single():
 @pytest.mark.parametrize("mesh", [build_cylinder_mesh(1.0, 4.0, 7, 5),
                                   build_torus_mesh(1.0, 0.5, 10, 6)], ids=["cylinder", "torus"])
 def test_batch_loads_agree_across_variants(mesh):
-    # the load kernel reads only the measures and shape values, and the
+    # the load kernel reads only the measures and the rule's shape values, and the
     # traction is taken at the points: none of them depends on the variant
     def f(pts):
         return np.stack([pts[..., 0] ** 2, np.sin(pts[..., 1]), pts[..., 2] - 0.5], axis=-1)

@@ -248,9 +248,13 @@ def test_boundary_loop_errors_match_reference(name):
 
 
 def test_degenerate_triangle_rejected():
-    verts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
-    with pytest.raises(MeshError, match="degenerate"):
-        SurfaceMesh(verts, np.array([[0, 1, 2]]))
+    # collinear corners, and |t_xi x t_eta| = 4e-14 |t_xi| |t_eta|: below the
+    # 1e-13 cut, which is the only facet-area check, as quadrature_geometry has none
+    for verts in ([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]],
+                  [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 4e-14, 0.0]]):
+        with pytest.raises(MeshError) as err:
+            SurfaceMesh(np.array(verts), np.array([[0, 1, 2]]))
+        assert str(err.value) == "degenerate triangle 0"
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

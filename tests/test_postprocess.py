@@ -1,5 +1,6 @@
 """Stress recovery, error norms, rate fitting, and export tests."""
 
+import dataclasses
 import math
 import re
 
@@ -9,7 +10,6 @@ import pytest
 from memshell import element
 from memshell.assembly import apply_constraints, assemble, cylinder_constraints
 from memshell.cli import RunConfig, solve_case
-from memshell.element import QUADRATURE_RULE
 from memshell.geometry import (
     Cylinder,
     ExactSolution,
@@ -30,6 +30,7 @@ from memshell.solver import solve
 
 from oracles import (
     DEGREE4_RULE,
+    THREE_POINT_RULE,
     double_projection,
     flat_grid_mesh,
     geometry_of,
@@ -38,6 +39,7 @@ from oracles import (
     per_point_geometry,
     random_rotation,
     read_legacy_vtk,
+    rule_geometry,
     tangential_strain,
     von_mises_reference,
     write_legacy_vtk_reference,
@@ -107,7 +109,7 @@ def test_constitutive_trace_identity():
     for e, tri in enumerate(mesh.triangles):
         coords = mesh.vertices[tri]
         normals = mesh.nodal_normals[tri]
-        for q, (xi, eta) in enumerate(QUADRATURE_RULE.points):
+        for q, (xi, eta) in enumerate(THREE_POINT_RULE.points):
             J = element_jacobian(coords, normals, xi, eta)
             g = basis_surface_gradients(J)
             eps_p = double_projection(tangential_strain(u[tri], g), J[2])
@@ -193,15 +195,16 @@ def test_recovery_and_error_over_several_element_blocks(monkeypatch, variant):
 
 
 def test_stress_l2_error_stable_under_refined_quadrature():
-    # recomputing stress and error with a degree-4 rule moves the value only
-    # by the quadrature remainder, not by orders of magnitude
+    # recomputing stress and error with a degree-4 rule, its geometry built
+    # per element by the oracles' Jacobian solves, moves the value only by the
+    # quadrature remainder, not by orders of magnitude
     mesh = build_cylinder_mesh(1.0, 4.0, 12, 12)
     exact = cylinder_exact(1.0, MAT, Cylinder(1.0, 4.0))
     geo = geometry_of(mesh)
     system = assemble(mesh, MAT, geo, exact.load_at(geo.points))
     fixed = apply_constraints(system, *cylinder_constraints(mesh))
     u = solve(fixed, tol=1e-10)[0]
-    geo4 = geometry_of(mesh, DEGREE4_RULE)
+    geo4 = rule_geometry(mesh, DEGREE4_RULE)
     err2 = stress_l2_error(recover_stress(mesh, MAT, u, geo), geo, exact)
     err4 = stress_l2_error(recover_stress(mesh, MAT, u, geo4), geo4, exact)
     assert abs(err4 - err2) < 0.05 * err2
@@ -303,9 +306,9 @@ def test_export_vtk_roundtrip(tmp_path):
     mesh = build_cylinder_mesh(1.0, 4.0, 6, 3)
     rng = np.random.default_rng(23)
     u = rng.standard_normal((mesh.n_vertices, 3)) * 1e-3
-    # the degree-4 rule's unequal weights tell a weighted cell average from a plain mean
-    for rule in (QUADRATURE_RULE, DEGREE4_RULE):
-        geo = geometry_of(mesh, rule)
+    # unequal weights tell a weighted cell average from a plain mean
+    equal = geometry_of(mesh)
+    for geo in (equal, dataclasses.replace(equal, measures=equal.measures * [0.5, 1.0, 1.5])):
         stress = recover_stress(mesh, MAT, u.ravel(), geo)
         path = tmp_path / "solution.vtk"
         export_vtk(mesh, u.ravel(), stress, geo, path)
